@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OnRayTheta, ValidationError
-from .tba import integral_term, log_x
+from .tba import coupling_coefficient, integral_term, log_x
 
 
 def linear_coefficient(gamma, theta, period_map):
@@ -80,7 +80,7 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing,
             raise OnRayTheta(
                 f"exp(i*theta) hits the ray of {mu}; the saddle evaluation "
                 f"breaks down there")
-        c = (spectrum.omega(mu) * ip / (4j * math.pi)
+        c = (coupling_coefficient(spectrum.omega(mu), ip)
              * (alpha + zeta) / (alpha - zeta) * math.sqrt(math.pi / absZ))
         corrections.append((mu, c, 2.0 * absZ))
     if not corrections:
@@ -103,7 +103,10 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing,
 def remainder(solution, prediction, R=None):
     """delta = measured log X minus the full multi-rate prediction.
 
-    The solver solution must be converged at the same R and theta the
+    Taken as the integral term of log X minus the correction sum, so the
+    a R driving term, which both sides share exactly, never enters: at
+    large R the remainder falls below the rounding of log X itself.  The
+    solver solution must be converged at the same R and theta the
     prediction refers to.
     """
     cfg = solution.config
@@ -114,14 +117,15 @@ def remainder(solution, prediction, R=None):
             f"solution was computed at R = {cfg.R}, prediction asked at {R}")
     if abs(cfg.theta - prediction.theta) > 1e-12:
         raise ValidationError("solution and prediction phases differ")
-    measured = log_x(solution, prediction.charge).real
-    return measured - prediction.value(R)
+    return (integral_term(solution, prediction.charge).real
+            - prediction.correction_sum(R))
 
 
 def decay_table(solutions, prediction):
     """(R, logX, predicted, delta, |delta| sqrt(R) exp(2 rho R)) rows.
 
-    The last column is the remainder rescaled by the slowest correction;
+    delta comes from remainder, not from logX - predicted.  The last
+    column is the remainder rescaled by the slowest correction;
     it should decrease along an increasing R grid when the prediction
     captures the true leading correction.
     """
@@ -130,7 +134,7 @@ def decay_table(solutions, prediction):
         R = sol.config.R
         lx = log_x(sol, prediction.charge).real
         pred = prediction.value(R)
-        delta = lx - pred
+        delta = remainder(sol, prediction)
         scale = (abs(delta) * math.sqrt(R) * math.exp(2 * prediction.rho * R)
                  if prediction.rho is not None else abs(delta))
         rows.append((R, lx, pred, delta, scale))

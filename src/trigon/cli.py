@@ -585,7 +585,9 @@ def build_parser():
     q.add_argument("--theta", type=float, default=0.0)
     q.add_argument("--N", type=int, default=257)
     q.add_argument("--L", type=float, default=None)
-    q.add_argument("--tol", type=float, default=1e-10)
+    q.add_argument("--tol", type=float, default=1e-10,
+                   help="sweep step that stops the iteration, relative to "
+                   "the largest sample")
     q.add_argument("--max-iter", type=int, default=100)
     q.add_argument("--relax", type=float, default=1.0)
     q.add_argument("--spectrum", default=None, help="custom spectrum JSON")
@@ -639,18 +641,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
-    except NumericalError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
     except TrigonError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 if __name__ == "__main__":

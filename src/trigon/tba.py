@@ -13,6 +13,17 @@ with zeta' = alpha_mu exp(s').  On a charge's own ray the driving term is
 trapezoid rule converges super-algebraically; storing log(1+X) rather
 than X keeps everything bounded.  Terms with <gamma,mu> = 0 are skipped,
 which makes kernel charges exactly semiflat at every iteration.
+
+On the uniform s-grid the kernel between two rays depends only on s' - s
+and on the ratio of their phases, so each coupled pair is a Toeplitz
+matrix and a sweep applies all of them as convolutions by FFT: one
+batched transform of the weighted samples, one contraction over the
+coupled pairs, one batched inverse.  A pair keeps 2N - 1 complex
+spectrum values instead of N^2 matrix entries (4.7 MB for the hexagon's
+24 rays at N = 257, against 482 MB dense).  Off the rays, log_x sums the
+same integrals by direct quadrature, weighted by the same coefficient
+Omega(mu) <gamma,mu> / (4 pi i), so it reproduces the stored samples for
+any Omega.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ class SolverConfig:
     theta: float = 0.0
     L: float = None            # half-width of the s-grid; None = auto
     N: int = 257               # samples per ray, odd
-    tol: float = 1e-10         # sup-norm convergence threshold
+    tol: float = 1e-10         # sup-norm step, relative to the largest sample
     max_iter: int = 100
     relax: float = 1.0         # under-relaxation factor (1 = plain iteration)
     sigma: int = 1             # sign in log(1 + sigma*X); the examples use +1
@@ -73,6 +84,7 @@ class RayGrid:
     charge: object
     alpha: complex
     absZ: float
+    omega: int
     s: np.ndarray
     samples: np.ndarray
 
@@ -107,6 +119,13 @@ def semiflat(Z_gamma, zeta, R):
     return cmath.exp(expo)
 
 
+def coupling_coefficient(omega, ip):
+    """Omega(mu) <gamma,mu> / (4 pi i): the weight of the ray integral of
+    mu in log X_gamma.  The sweep, integral_term and the asymptotic
+    prediction all take it from here."""
+    return omega * ip / (4j * math.pi)
+
+
 def _log1p(z):
     """log(1 + z) for complex arrays, keeping full relative precision.
 
@@ -130,7 +149,19 @@ def _trapezoid_weights(s):
 
 
 class _Workspace:
-    """Precomputed kernels and couplings for one (spectrum, R, theta)."""
+    """Kernel spectra and couplings for one (spectrum, R, theta).
+
+    On the uniform s-grid the kernel from ray b to the samples of ray a,
+    (zeta_b(s_j) + zeta_a(s_i)) / (zeta_b(s_j) - zeta_a(s_i)), is
+    t_r(j - i) with r = alpha_b / alpha_a, h the s-step and
+
+        t_r(d) = (r e^{d h} + 1) / (r e^{d h} - 1),
+
+    a Toeplitz matrix.  Each coupled pair keeps c_ab FFT(t_r) over the
+    M = 2N - 1 offsets -(N-1)..N-1, so the circular convolution does not
+    wrap on the N outputs.  The trapezoid weights act on the source
+    samples, u_b = w f_b, before the transform.
+    """
 
     def __init__(self, config, spectrum, period_map, pairing):
         self.config = config
@@ -139,36 +170,36 @@ class _Workspace:
         rays = active_rays(spectrum, period_map, pairing)
         self.rays = rays
         self.n = len(rays)
+        self.omega = [spectrum.omega(r.charge) for r in rays]
+        N = config.N
         minZ = min(r.absZ for r in rays)
         L = config.resolved_L(minZ)
-        self.s = np.linspace(-L, L, config.N)
+        self.s = np.linspace(-L, L, N)
         self.w = _trapezoid_weights(self.s)
-        self.zeta = [r.alpha * np.exp(self.s) for r in rays]
-        self.drive = [-2.0 * config.R * r.absZ * np.cosh(self.s) for r in rays]
-        self.coupling = np.zeros((self.n, self.n), dtype=complex)
-        for a, ra in enumerate(rays):
-            for b, rb in enumerate(rays):
-                ip = pairing(ra.charge, rb.charge)
-                if ip:
-                    self.coupling[a, b] = (spectrum.omega(rb.charge) * ip
-                                           / (4j * math.pi))
-        # kernel[a][b]: matrix mapping samples on ray b to the integral
-        # term evaluated at the samples of ray a (trapezoid in s')
-        self.kernel = {}
-        for a in range(self.n):
-            za = self.zeta[a][:, None]
-            for b in range(self.n):
-                if self.coupling[a, b] == 0:
-                    continue
-                zb = self.zeta[b][None, :]
-                self.kernel[(a, b)] = (zb + za) / (zb - za) * self.w[None, :]
+        absZ = np.array([r.absZ for r in rays])
+        self.drive = -2.0 * config.R * absZ[:, None] * np.cosh(self.s)
+        coupling = np.array(
+            [[coupling_coefficient(om, pairing(ra.charge, rb.charge))
+              for rb, om in zip(rays, self.omega)] for ra in rays],
+            dtype=complex)
+        coupled = coupling != 0
+        alpha = np.array([r.alpha for r in rays])
+        ratio = (alpha[None, :] / alpha[:, None])[coupled]
+        # circular index k holds the offset j - i = -k, or M - k past N - 1
+        offsets = np.concatenate([-np.arange(N), np.arange(N - 1, 0, -1)])
+        q = ratio[:, None] * np.exp(offsets * (self.s[1] - self.s[0]))
+        self.kernel_spectra = np.zeros((self.n, self.n, 2 * N - 1),
+                                       dtype=complex)
+        self.kernel_spectra[coupled] = (coupling[coupled][:, None]
+                                        * np.fft.fft((q + 1) / (q - 1)))
 
     def zero_state(self):
-        return [np.zeros(self.config.N, dtype=complex) for _ in range(self.n)]
+        return np.zeros((self.n, self.config.N), dtype=complex)
 
     def as_solution(self, state, iterations, delta, history=()):
         grids = [RayGrid(charge=r.charge, alpha=r.alpha, absZ=r.absZ,
-                         s=self.s.copy(), samples=state[i].copy())
+                         omega=self.omega[i], s=self.s.copy(),
+                         samples=state[i].copy())
                  for i, r in enumerate(self.rays)]
         return TbaSolution(ray_grids=grids, iterations_used=iterations,
                            final_delta=delta, config=self.config,
@@ -176,32 +207,32 @@ class _Workspace:
                            delta_history=list(history))
 
     def sweep(self, state):
-        """One iteration sweep; returns (new_state, sup_delta)."""
+        """One iteration sweep; returns (new_state, sup_delta).
+
+        state holds one row of samples per ray.
+        """
         cfg = self.config
-        new = []
-        delta = 0.0
-        for a in range(self.n):
-            expo = self.drive[a].astype(complex)
-            for b in range(self.n):
-                c = self.coupling[a, b]
-                if c == 0:
-                    continue
-                expo = expo + c * (self.kernel[(a, b)] @ state[b])
-            m = float(np.max(expo.real))
-            if m > _EXP_CAP:
-                raise NumericOverflow(
-                    f"iteration exponent reached {m:.1f} on ray of "
-                    f"{self.rays[a].charge}; the iteration is diverging")
-            f = _log1p(cfg.sigma * np.exp(expo))
-            if cfg.relax != 1.0:
-                f = cfg.relax * f + (1.0 - cfg.relax) * state[a]
-            delta = max(delta, float(np.max(np.abs(f - state[a]))))
-            new.append(f)
-        return new, delta
+        state = np.asarray(state, dtype=complex)
+        M = self.kernel_spectra.shape[2]
+        u_hat = np.fft.fft(self.w * state, n=M)
+        conv = np.fft.ifft(np.einsum("abm,bm->am", self.kernel_spectra, u_hat))
+        expo = self.drive + conv[:, :cfg.N]
+        peak = expo.real.max(axis=1)
+        over = np.flatnonzero(peak > _EXP_CAP)
+        if over.size:
+            a = over[0]
+            raise NumericOverflow(
+                f"iteration exponent reached {peak[a]:.1f} on ray of "
+                f"{self.rays[a].charge}; the iteration is diverging")
+        f = _log1p(cfg.sigma * np.exp(expo))
+        if cfg.relax != 1.0:
+            f = cfg.relax * f + (1.0 - cfg.relax) * state
+        return f, float(np.max(np.abs(f - state)))
 
 
 def iterate_once(state, config, spectrum, period_map, pairing):
-    """One sweep of the iteration; state is a list of per-ray sample arrays.
+    """One sweep of the iteration; state holds one row of samples per ray
+(a list of arrays or a 2-d array), and so does the result.
 
     Mainly a hook for tests and diagnostics; solve() drives the same sweep
     to convergence.
@@ -213,14 +244,19 @@ def iterate_once(state, config, spectrum, period_map, pairing):
 
 
 def solve(config, spectrum, period_map, pairing):
-    """Iterate from X = 0 to the fixed point; returns a TbaSolution."""
+    """Iterate from X = 0 to the fixed point; returns a TbaSolution.
+
+    Stops when a sweep moves no sample by more than tol times the largest
+    sample, so the feedback between rays is converged even at large R,
+    where every sample is exponentially small.
+    """
     ws = _Workspace(config, spectrum, period_map, pairing)
     state = ws.zero_state()
     history = []
     for it in range(1, config.max_iter + 1):
         state, delta = ws.sweep(state)
         history.append(delta)
-        if delta < config.tol:
+        if delta <= config.tol * float(np.max(np.abs(state))):
             return ws.as_solution(state, it, delta, history)
     raise NoConvergence(
         f"no convergence after {config.max_iter} iterations "
@@ -276,7 +312,7 @@ def integral_term(solution, gamma, zeta=None, ray_margin=1e-6):
                 f"more than {ray_margin}")
         zp = g.zeta()
         w = _trapezoid_weights(g.s)
-        total += (ip / (4j * math.pi)
+        total += (coupling_coefficient(g.omega, ip)
                   * np.sum(w * (zp + zeta) / (zp - zeta) * g.samples))
     return complex(total)
 

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from trigon import cli
 from trigon.cli import main
+from trigon.errors import NumericalError, TrigonError, ValidationError
 
 
 def run(argv):
@@ -150,6 +152,19 @@ def test_validation_error_exit_code(capsys):
     assert err["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("error, code", [(ValidationError, 1),
+                                         (NumericalError, 2),
+                                         (TrigonError, 1)])
+def test_error_handler(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_periods", fail)
+    assert run(["periods", "--example", "pentagon"]) == code
+    assert capsys.readouterr().err == (
+        '{"error": "%s", "message": "boom"}\n' % error.__name__)
+
+
 def test_asym_predict(tmp_path):
     out = tmp_path / "pred.json"
     assert run(["asym", "predict", "--example", "hexagon",
@@ -176,6 +191,19 @@ def test_asym_check_csv(tmp_path):
     r1 = [float(v) for v in lines[1].split(",")]
     r2 = [float(v) for v in lines[2].split(",")]
     assert r1[4] > r2[4]
+
+
+def test_asym_check_decays_to_large_R(tmp_path):
+    # delta keeps its precision past the rounding of log X ~ -32 at R = 8
+    out = tmp_path / "table.csv"
+    grid = [str(R) for R in range(1, 9)]
+    assert run(["asym", "check", "--example", "pentagon", "--charge", "1,0",
+                "--R-grid", ",".join(grid), "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    scaled = [float(line.split(",")[4]) for line in rows]
+    assert len(scaled) == 8
+    assert all(v > 0 for v in scaled)
+    assert all(a > b for a, b in zip(scaled, scaled[1:]))
 
 
 def test_polygon_eval(tmp_path):

@@ -16,6 +16,7 @@ from trigon.errors import (
 from trigon.tba import (
     SolverConfig,
     _log1p,
+    _trapezoid_weights,
     _Workspace,
     evaluate,
     integral_term,
@@ -121,6 +122,58 @@ def test_second_iterate_against_direct_quadrature(pentagon, pentagon_pm):
     assert abs(got - oracle) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
+def test_sweep_matches_dense_kernels(name, request):
+    # the FFT convolution against the dense Cauchy-kernel matrices, built
+    # here one coupled pair at a time, from the same non-zero state
+    defn = request.getfixturevalue(name)
+    pm = request.getfixturevalue(f"{name}_pm")
+    pair = defn.lattice.pairing
+    spec = builtin_spectrum(name)
+    cfg = SolverConfig(R=0.5, theta=0.1)
+    ws = _Workspace(cfg, spec, pm, pair)
+    state = ws.sweep(ws.zero_state())[0] * (1.0 + 0.5j)
+    got, _ = ws.sweep(state)
+    w = _trapezoid_weights(ws.s)
+    for a, ra in enumerate(ws.rays):
+        za = ra.alpha * np.exp(ws.s)[:, None]
+        expo = -2 * cfg.R * ra.absZ * np.cosh(ws.s) + 0j
+        for b, rb in enumerate(ws.rays):
+            ip = pair(ra.charge, rb.charge)
+            if ip == 0:
+                continue
+            zb = rb.alpha * np.exp(ws.s)[None, :]
+            kernel = (zb + za) / (zb - za) * w[None, :]
+            expo += (spec.omega(rb.charge) * ip / (4j * math.pi)
+                     * (kernel @ state[b]))
+        assert np.max(np.abs(got[a] - _log1p(np.exp(expo)))) < 1e-13
+
+
+def test_hexagon_kernel_storage_is_small(hexagon, hexagon_pm):
+    ws = _Workspace(SolverConfig(R=0.5, theta=0.2, N=257),
+                    builtin_spectrum("hexagon"), hexagon_pm,
+                    hexagon.lattice.pairing)
+    assert ws.n == 24
+    assert ws.kernel_spectra.nbytes < 5e6     # dense: 456 * 257^2 * 16 B
+
+
+def test_log_x_carries_omega(pentagon, pentagon_pm):
+    # with every Omega = 2, log(1 + X_mu) through log_x at the ray samples
+    # reproduces the stored fixed point; dropping Omega misses by 3.6e-3
+    charges = builtin_spectrum("pentagon").charges()
+    spec = BpsSpectrum({ch: 2 for ch in charges})
+    sol = solve(SolverConfig(R=0.5, theta=0.0), spec, pentagon_pm,
+                pentagon.lattice.pairing)
+    worst = 0.0
+    for g in sol.ray_grids:
+        assert g.omega == 2
+        for k, s in enumerate(g.s):
+            lx = log_x(sol, g.charge, g.alpha * math.exp(s))
+            worst = max(worst,
+                        abs(cmath.log(1.0 + cmath.exp(lx)) - g.samples[k]))
+    assert worst < 1e-9
+
+
 def test_integral_term_keeps_precision_at_large_R(pentagon, pentagon_pm):
     # at R = 10 the integral term is ~1e-20 against log X ~ 80, below the
     # rounding of log X itself; on its own it still matches the oracle
@@ -220,6 +273,29 @@ def test_fast_convergence_at_large_R(pentagon, pentagon_pm):
                 pentagon.lattice.pairing)
     assert sol.iterations_used <= 5
     assert sol.final_delta < 1e-10
+
+
+def test_feedback_is_measured_at_large_R(hexagon, hexagon_pm):
+    # the first sweep from X = 0 is already within 1e-10 of the fixed
+    # point in absolute terms; relative to the samples it is not
+    sol = solve(SolverConfig(R=5.0, theta=0.2), builtin_spectrum("hexagon"),
+                hexagon_pm, hexagon.lattice.pairing)
+    assert sol.iterations_used >= 2
+
+
+def test_fine_grid_hexagon_at_small_R(hexagon, hexagon_pm):
+    # N = 1025 takes 24 * 2049 spectrum values per ray, where dense
+    # kernels would take 7.7 GB
+    spec = builtin_spectrum("hexagon")
+    lattice = hexagon.lattice
+    logs = []
+    for N in (257, 1025):
+        sol = solve(SolverConfig(R=0.05, theta=0.2, N=N), spec, hexagon_pm,
+                    lattice.pairing)
+        logs.append([log_x(sol, lattice.basis_charge(i))
+                     for i in range(lattice.rank)])
+    for coarse, fine in zip(*logs):
+        assert abs(fine - coarse) < 1e-9
 
 
 def test_grid_refinement_stability(pentagon, pentagon_pm):
