@@ -1,8 +1,9 @@
-"""Exception hierarchy for trigon.
+"""Exception hierarchy for trigon, and its one warning category.
 
 Exit-code mapping used by the CLI: ValidationError subclasses are input
 problems (exit 1), NumericalError subclasses are runtime numerical
-failures (exit 2).
+failures (exit 2).  WebEventDropped records a failure that does not stop
+the run.
 """
 
 
@@ -85,3 +86,10 @@ class DegenerateConfiguration(ValidationError):
 
 class UnbalancedExpression(ValidationError):
     """Per-vertex scaling weights of an invariant expression do not cancel."""
+
+
+# --- warnings ---
+
+class WebEventDropped(UserWarning):
+    """A finite-web event seen by the scan was dropped before it gave a web;
+    the message names the event, its theta bracket and the reason."""

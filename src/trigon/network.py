@@ -13,13 +13,19 @@ the junction birth rule: at every crossing whose labels chain as
 Finite webs (a trajectory running into a zero, or a junction child doing
 so) are located by bisecting the signed miss distance in theta; their
 charge is read off by matching the chain integral of x dz against integer
-combinations of the basis periods.
+combinations of the basis periods.  The scan traces every critical ray and
+its first-generation children at each grid phase, and only there does the
+RayBook advance.  Bisecting and assembling an event traces only that
+event's own rays: one critical ray, or two parents and their child, each
+re-found from a warm start local to the event.  An event that cannot be
+refined is dropped with a WebEventDropped warning that says why.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +39,7 @@ from .errors import (
     SheetAmbiguity,
     UnsupportedWebTopology,
     ValidationError,
+    WebEventDropped,
 )
 
 TWO_PI = 2 * math.pi
@@ -799,14 +806,14 @@ def _signed_miss(traj, z0, window):
 
 
 class _ScanPoint:
-    """Sweep state at one phase: critical trajectories (with persistent ray
-    ids) plus first-generation junction children."""
+    """Sweep state at one phase: the critical trajectories of a ray table
+    {zero: [(ray_id, phi, pair)]} plus their first-generation junction
+    children."""
 
-    def __init__(self, curve, theta, config, ray_book, generations=1):
+    def __init__(self, curve, theta, config, rays, generations=1):
         self.theta = theta
         self.critical = {}
-        book = ray_book.rays_at(theta)
-        for zi, entries in book.items():
+        for zi, entries in rays.items():
             z0 = curve.ramification_points[zi]
             for rid, phi, pair in entries:
                 seed = TrajectorySeed(
@@ -842,10 +849,6 @@ class _ScanPoint:
                     self.children[ck] = trace(curve, seed, config)
                     self.child_meta[ck] = hit
 
-    def trajectory_for(self, event_key):
-        kind, key = event_key
-        return self.critical.get(key) if kind == "c" else self.children.get(key)
-
     def events(self, curve, window):
         """{("c"|"j", key, target_zero): signed miss} at this phase."""
         out = {}
@@ -864,20 +867,61 @@ class _ScanPoint:
         return out
 
 
-def _scan_trace_config(base, curve):
-    r = 2.5 * max(abs(z) for z in curve.ramification_points) + 3.0
+def _ray_keys(event):
+    """The (zero, ray id) keys of the critical rays an event is about."""
+    kind, key, _ = event
+    return [key] if kind == "c" else list(key)
+
+
+class _EventTracer:
+    """Traces one event's own rays at phases near its scan bracket.
+
+    A "c" event needs its critical ray; a "j" event its two parent rays,
+    whose first birth crossing seeds the child.  Each ray is re-found by
+    _refine_ray at the scan's seeding radius, warm-started from the last
+    phase this event was traced at (first, the bracket's scan point), so
+    the shared RayBook is never touched.
+    """
+
+    def __init__(self, curve, event, scan_rays, delta0, window):
+        self.curve, self.event = curve, event
+        self.delta0, self.window = delta0, window
+        self.warm = {k: phi for k in _ray_keys(event)
+                     for rid, phi, _ in scan_rays[k[0]] if rid == k[1]}
+
+    def point(self, theta, config):
+        rays = {}
+        for (zi, rid), phi0 in self.warm.items():
+            r = _refine_ray(self.curve, self.curve.ramification_points[zi],
+                            theta, self.delta0, phi0)
+            if r is None:
+                raise NumericalError(
+                    f"lost critical ray {(zi, rid)} at theta = {theta!r}")
+            self.warm[(zi, rid)] = r[0]
+            rays.setdefault(zi, []).append((rid,) + r)
+        return _ScanPoint(self.curve, theta, config, rays,
+                          generations=1 if self.event[0] == "j" else 0)
+
+    def miss(self, theta, config):
+        kind, key, zi = self.event
+        point = self.point(theta, config)
+        traj = (point.critical if kind == "c" else point.children).get(key)
+        if traj is None:
+            return None
+        return _signed_miss(traj, self.curve.ramification_points[zi],
+                            self.window)
+
+
+def _web_trace_config(base, curve, fine):
+    """Trace settings for finite-web work: the scan's (fine=False) or the
+    assembly's (fine=True); both escape at 2.5 max|z0| + 3."""
     return TraceConfig(
-        escape_radius=r, delta0=base.delta0, delta_hit=base.delta_hit,
-        rk_tol=max(base.rk_tol, 1e-7), h_max=base.h_max,
+        escape_radius=2.5 * max(abs(z) for z in curve.ramification_points) + 3.0,
+        delta0=1e-5 if fine else base.delta0,
+        delta_hit=1e-5 if fine else base.delta_hit,
+        rk_tol=1e-10 if fine else max(base.rk_tol, 1e-7),
+        h_max=min(base.h_max, 0.25) if fine else base.h_max,
         dedup_radius=base.dedup_radius, generation_cap=base.generation_cap)
-
-
-def _assembly_trace_config(base, curve):
-    r = 2.5 * max(abs(z) for z in curve.ramification_points) + 3.0
-    return TraceConfig(
-        escape_radius=r, delta0=1e-5, delta_hit=1e-5, rk_tol=1e-10,
-        h_max=min(base.h_max, 0.25), dedup_radius=base.dedup_radius,
-        generation_cap=base.generation_cap)
 
 
 def _endpoint_chain_correction(traj, idx, zero):
@@ -891,8 +935,8 @@ def _endpoint_chain_correction(traj, idx, zero):
     return 0.75 * u * r
 
 
-def _assemble_web(curve, theta_star, event, base_config, period_map,
-                  residual_rel, charge_box, ray_book):
+def _assemble_web(curve, theta_star, tracer, cfg, period_map,
+                  residual_rel, charge_box):
     """Re-refine the phase at assembly quality, then identify the charge.
 
     The scan-quality bisection carries a small systematic offset from the
@@ -900,51 +944,21 @@ def _assemble_web(curve, theta_star, event, base_config, period_map,
     which matters because the chain integral is first-order sensitive to
     the phase error.
     """
-    kind, key, zi_target = event
-    cfg = _assembly_trace_config(base_config, curve)
-    sep = min(abs(a - b)
-              for i, a in enumerate(curve.ramification_points)
-              for b in curve.ramification_points[i + 1:])
-    window = 0.35 * sep
-    z_t = curve.ramification_points[zi_target]
-    bracket = 2.5e-4
-    th_a, th_b = theta_star - bracket, theta_star + bracket
-
-    def miss_at(th):
-        pt = _ScanPoint(curve, th, cfg, ray_book,
-                        generations=1 if kind == "j" else 0)
-        tr = pt.trajectory_for((kind, key))
-        return (None if tr is None else _signed_miss(tr, z_t, window)), pt
-
-    m_a, _ = miss_at(th_a)
-    m_b, _ = miss_at(th_b)
+    kind, key, zi_target = tracer.event
+    th_a, th_b = theta_star - 2.5e-4, theta_star + 2.5e-4
+    m_a = tracer.miss(th_a, cfg)
+    m_b = tracer.miss(th_b, cfg)
     if m_a is not None and m_b is not None and (m_a < 0) != (m_b < 0):
-        for _ in range(40):
-            mid = 0.5 * (th_a + th_b)
-            m_mid, _ = miss_at(mid)
-            if m_mid is None:
-                break
-            if m_mid == 0.0:
-                th_a = th_b = mid
-                break
-            if (m_mid < 0) == (m_a < 0):
-                th_a, m_a = mid, m_mid
-            else:
-                th_b = mid
-            if abs(th_b - th_a) < 1e-9:
-                break
-        theta_star = 0.5 * (th_a + th_b)
+        theta_star = _bisect_event(lambda th: tracer.miss(th, cfg), th_a, th_b,
+                                   m_a, 1e-9, 40, strict=False)
 
-    point = _ScanPoint(curve, theta_star, cfg, ray_book,
-                       generations=1 if kind == "j" else 0)
+    point = tracer.point(theta_star, cfg)
     zeros = curve.ramification_points
     eith = cmath.exp(1j * theta_star)
     z_target = zeros[zi_target]
 
     if kind == "c":
-        traj = point.critical.get(key)
-        if traj is None:
-            raise NumericalError("lost the critical ray during web assembly")
+        traj = point.critical[key]
         d = [abs(p - z_target) for p in traj.points]
         kmin = d.index(min(d))
         if d[kmin] > 100 * cfg.delta_hit:
@@ -996,7 +1010,8 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
     distance between a trajectory and a zero of P0; supported topologies
     are single strings (a critical trajectory hits another zero) and
     three-string junctions (a first-generation child hits a zero).
-    Deeper-generation webs are outside the supported set.
+    Deeper-generation webs are outside the supported set.  A sign change
+    that does not give a web is reported as a WebEventDropped warning.
     Returns FiniteWeb records sorted by phase.
     """
     if scan_generations > 1:
@@ -1004,7 +1019,8 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
             "only single strings and three-string junctions are supported; "
             "scan_generations must be 1")
     base = config or TraceConfig()
-    cfg = _scan_trace_config(base, curve)
+    cfg = _web_trace_config(base, curve, fine=False)
+    fine = _web_trace_config(base, curve, fine=True)
     pm = period_map or PeriodMap.compute(curve, lattice)
     lo, hi = theta_range
     n_steps = max(2, int(math.ceil((hi - lo) / scan_step)))
@@ -1019,54 +1035,72 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
     seen = set()
     prev = None
     for idx, th in enumerate(thetas):
-        point = _ScanPoint(curve, th, cfg, ray_book, generations=scan_generations)
+        rays = ray_book.rays_at(th)
+        point = _ScanPoint(curve, th, cfg, rays, generations=scan_generations)
         events = point.events(curve, window)
         if progress:
             progress(idx, len(thetas), th, len(webs))
         if prev is not None:
-            th_prev, prev_events = prev
+            th_prev, prev_rays, prev_events = prev
+            bracket = (th_prev, th)
+            renamed = [zi for zi, entries in rays.items()
+                       if {e[0] for e in entries} != {e[0] for e in prev_rays[zi]}]
+            for ev in prev_events:
+                if any(k[0] in renamed for k in _ray_keys(ev)):
+                    _warn_dropped(ev, bracket, "the RayBook reassigned the ray "
+                                  f"ids at zeros {renamed}, so it has no match")
             for ev, m1 in events.items():
                 m0 = prev_events.get(ev)
                 if m0 is None:
                     continue
                 if not ((m0 < 0) != (m1 < 0) or m0 == 0.0 or m1 == 0.0):
                     continue
-                if m0 == 0.0 or m1 == 0.0:
-                    # an exact hit at a grid point: the assembly pass
-                    # re-refines inside its own bracket
-                    th_star = th_prev if m0 == 0.0 else th
-                else:
-                    th_star = _bisect_event(curve, ev, th_prev, th, m0, cfg,
-                                            ray_book, window, theta_tol)
-                if th_star is None:
-                    continue
+                tracer = _EventTracer(curve, ev, rays, cfg.delta0, window)
                 try:
-                    web = _assemble_web(curve, th_star, ev, base, pm,
-                                        residual_rel, charge_box, ray_book)
-                except NumericalError:
+                    if m0 == 0.0 or m1 == 0.0:
+                        # an exact hit at a grid point: the assembly pass
+                        # re-refines inside its own bracket
+                        th_star = th_prev if m0 == 0.0 else th
+                    else:
+                        th_star = _bisect_event(
+                            lambda t: tracer.miss(t, cfg), th_prev, th, m0,
+                            theta_tol, 80, strict=True)
+                    web = _assemble_web(curve, th_star, tracer, fine, pm,
+                                        residual_rel, charge_box)
+                except NumericalError as exc:
+                    _warn_dropped(ev, bracket, exc)
                     continue
                 if web.charge.components in seen:
                     continue
                 seen.add(web.charge.components)
                 webs.append(web)
-        prev = (th, events)
+        prev = (th, rays, events)
     webs.sort(key=lambda w: w.theta_star)
     return webs
 
 
-def _bisect_event(curve, event, th_a, th_b, m_a, cfg, ray_book, window, tol):
+def _warn_dropped(event, bracket, reason):
     kind, key, zi = event
-    z0 = curve.ramification_points[zi]
-    for _ in range(80):
+    warnings.warn(
+        f"finite-web event ({kind!r}, {key}, zero {zi}) in theta bracket "
+        f"[{bracket[0]!r}, {bracket[1]!r}] dropped: {reason}",
+        WebEventDropped, stacklevel=3)
+
+
+def _bisect_event(miss_at, th_a, th_b, m_a, tol, max_iter, strict):
+    """Bisect a sign change of miss_at(theta) on [th_a, th_b], m_a being the
+    miss at th_a; returns the final bracket midpoint, or a phase where the
+    trajectory hits the zero.  When the trajectory leaves the window a
+    strict bisection raises, and a lenient one keeps its bracket."""
+    for _ in range(max_iter):
         mid = 0.5 * (th_a + th_b)
-        point = _ScanPoint(curve, mid, cfg, ray_book,
-                           generations=1 if kind == "j" else 0)
-        traj = point.trajectory_for((kind, key))
-        if traj is None:
-            return None
-        m_mid = _signed_miss(traj, z0, window)
+        m_mid = miss_at(mid)
         if m_mid is None:
-            return None
+            if strict:
+                raise NumericalError(
+                    f"lost the event's trajectory at theta = {mid!r}: no birth "
+                    "crossing, or no approach within the window")
+            break
         if m_mid == 0.0:
             return mid
         if (m_mid < 0) == (m_a < 0):

@@ -1,14 +1,18 @@
 import cmath
 import math
+import re
+import warnings
 
 import pytest
 
+from trigon import network
 from trigon.curve import Charge, Polynomial, SpectralCurve
 from trigon.errors import (
     ChargeIdentificationFailed,
     PatternViolation,
     UnsupportedWebTopology,
     ValidationError,
+    WebEventDropped,
 )
 from trigon.network import (
     TraceConfig,
@@ -302,6 +306,144 @@ def test_web_segments_recorded(pentagon, pentagon_pm):
     zeros = pentagon.curve.ramification_points
     assert min(abs(seg[0] - z) for z in zeros) < 1e-3
     assert min(abs(seg[-1] - z) for z in zeros) < 1e-3
+
+
+# ---------------- web detection: work counts, pinned phases, drops ----
+
+def _counted_scan(defn, pm, theta_range, scan_step):
+    """detect_bps on one window, recording the scan grid, the phases that
+    RayBook.rays_at is asked for, the traces made by each _ScanPoint build
+    (with its phase and generation depth), and any WebEventDropped."""
+    lo, hi = theta_range
+    n = max(2, int(math.ceil((hi - lo) / scan_step)))
+    grid = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    rays_at_thetas, builds, off_grid_traces = [], [], []
+
+    def rays_at(self, theta, refresh=False):
+        rays_at_thetas.append(theta)
+        return real_rays_at(self, theta, refresh)
+
+    def trace(curve, seed, config=None):
+        if seed.theta not in grid:
+            off_grid_traces.append(seed.theta)
+        if builds:
+            builds[-1][2] += 1
+        return real_trace(curve, seed, config)
+
+    def init(self, curve, theta, config, rays, generations=1):
+        builds.append([theta, generations, 0])
+        real_init(self, curve, theta, config, rays, generations)
+
+    real_rays_at = network.RayBook.rays_at
+    real_trace = network.trace
+    real_init = network._ScanPoint.__init__
+    with pytest.MonkeyPatch.context() as mp, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", WebEventDropped)
+        mp.setattr(network.RayBook, "rays_at", rays_at)
+        mp.setattr(network, "trace", trace)
+        mp.setattr(network._ScanPoint, "__init__", init)
+        webs = detect_bps(defn.curve, defn.lattice, theta_range,
+                          period_map=pm, scan_step=scan_step)
+    dropped = [w for w in caught if issubclass(w.category, WebEventDropped)]
+    return {"webs": webs, "grid": grid, "rays_at": rays_at_thetas,
+            "builds": builds, "off_grid": off_grid_traces, "dropped": dropped}
+
+
+@pytest.fixture(scope="module")
+def pentagon_window_scan(pentagon, pentagon_pm):
+    return _counted_scan(pentagon, pentagon_pm, (-0.62, -0.43), math.pi / 80)
+
+
+@pytest.fixture(scope="module")
+def hexagon_window_scan(hexagon, hexagon_pm):
+    return _counted_scan(hexagon, hexagon_pm, (0.47, 0.58), math.pi / 120)
+
+
+# off-grid traces when every bisection and assembly midpoint re-traced all
+# critical rays and their children: 736 (pentagon), 2010 (hexagon)
+@pytest.mark.parametrize("scan, before", [("pentagon_window_scan", 736),
+                                          ("hexagon_window_scan", 2010)])
+def test_event_refinement_traces_only_the_event(scan, before, request):
+    run = request.getfixturevalue(scan)
+    # the shared ray book is asked once per scan point, and only there
+    assert run["rays_at"] == run["grid"]
+    midpoints = [b for b in run["builds"] if b[0] not in run["grid"]]
+    assert midpoints
+    for theta, generations, traces in midpoints:
+        # one critical ray ("c"), or two parents and their child ("j")
+        assert traces <= (3 if generations else 1)
+    assert len(run["off_grid"]) < before / 5
+
+
+def test_window_webs_pinned_and_nothing_dropped(pentagon_window_scan,
+                                                hexagon_window_scan):
+    pent, = pentagon_window_scan["webs"]
+    assert abs(pent.theta_star - (-0.523598876953125)) < 1e-8
+    hexa, = hexagon_window_scan["webs"]
+    assert abs(hexa.theta_star - 0.523596740722656) < 1e-8
+    assert pentagon_window_scan["dropped"] == []
+    assert hexagon_window_scan["dropped"] == []
+
+
+def test_webscan_windows_pin_the_web_phases(pentagon, pentagon_pm, hexagon,
+                                            hexagon_pm):
+    # the benchmark's windows: 7 (6) steps of 0.01, web at 0.3 of a step
+    lo = -math.pi / 6 - 0.023
+    pent, = detect_bps(pentagon.curve, pentagon.lattice, (lo, lo + 0.07),
+                       period_map=pentagon_pm)
+    assert abs(pent.theta_star + math.pi / 6) < 1e-8
+    lo = math.pi / 6 - 0.023
+    hexa, = detect_bps(hexagon.curve, hexagon.lattice, (lo, lo + 0.06),
+                       period_map=hexagon_pm)
+    assert abs(hexa.theta_star - 0.5235967004029862) < 1e-8
+    period = 7.773323829 + 4.487909097j
+    assert abs(hexa.period - period) < 1e-7 * abs(period)
+
+
+def test_failed_event_is_dropped_with_a_warning(pentagon, pentagon_pm,
+                                                monkeypatch):
+    def no_charge(*args, **kwargs):
+        raise ChargeIdentificationFailed("no charge (test)")
+
+    monkeypatch.setattr(network, "identify_charge", no_charge)
+    with pytest.warns(WebEventDropped, match="no charge") as record:
+        webs = detect_bps(pentagon.curve, pentagon.lattice, (-0.62, -0.43),
+                          period_map=pentagon_pm, scan_step=math.pi / 80)
+    assert webs == []
+    message = str(record[0].message)
+    assert "'c'" in message and "theta bracket" in message
+
+
+def _renumber_zero_0_after_first_call(monkeypatch):
+    real = network.RayBook.rays_at
+    calls = []
+
+    def rays_at(self, theta, refresh=False):
+        book = real(self, theta, refresh)
+        calls.append(theta)
+        if len(calls) > 1:
+            book[0] = [(rid + 100 * len(calls), phi, pair)
+                       for rid, phi, pair in book[0]]
+        return book
+
+    monkeypatch.setattr(network.RayBook, "rays_at", rays_at)
+
+
+def _lose_every_refined_ray(monkeypatch):
+    monkeypatch.setattr(network, "_refine_ray", lambda *args, **kw: None)
+
+
+@pytest.mark.parametrize("fault, reason", [
+    (_renumber_zero_0_after_first_call, "reassigned the ray ids at zeros [0]"),
+    (_lose_every_refined_ray, "lost critical ray"),
+])
+def test_unrefinable_events_are_dropped_with_a_warning(
+        fault, reason, pentagon, pentagon_pm, monkeypatch):
+    fault(monkeypatch)
+    with pytest.warns(WebEventDropped, match=re.escape(reason)):
+        detect_bps(pentagon.curve, pentagon.lattice, (-0.62, -0.43),
+                   period_map=pentagon_pm, scan_step=math.pi / 80)
 
 
 def test_third_turn_relabeling_symmetry(pentagon):
