@@ -50,6 +50,12 @@ def cube_roots(v):
     return (r, r * OMEGA, r * OMEGA * OMEGA)
 
 
+def nearest_root(rts, x):
+    """Index of the entry of the triple rts nearest to x; the first wins a tie."""
+    d = [abs(r - x) for r in rts]
+    return d.index(min(d))
+
+
 class Polynomial:
     """Dense polynomial with complex coefficients, lowest degree first."""
 
@@ -208,11 +214,10 @@ class SpectralCurve:
         exceeds a third of the separation between sheets at the new point.
         """
         rts = cube_roots(-self.polynomial(z_new))
-        d = [abs(r - x_prev) for r in rts]
-        i = d.index(min(d))
+        i = nearest_root(rts, x_prev)
         x_new = rts[i]
         sep = min(abs(x_new - rts[(i + 1) % 3]), abs(x_new - rts[(i + 2) % 3]))
-        if d[i] <= sep / 3.0:
+        if abs(x_new - x_prev) <= sep / 3.0:
             return x_new
         if depth >= 48 or z_prev is None:
             raise SheetAmbiguity(
@@ -289,9 +294,7 @@ class SpectralCurve:
 
     def label_of(self, z, x, frame=None):
         """Index k such that x is sheet k in the given frame triple at z."""
-        triple = frame if frame is not None else self.sheets_at(z)
-        d = [abs(x - s) for s in triple]
-        return d.index(min(d))
+        return nearest_root(frame if frame is not None else self.sheets_at(z), x)
 
 
 def sheets_at(curve: SpectralCurve, z):

@@ -4,8 +4,10 @@ A trajectory with ordered sheet pair (x_i, x_j) solves
 
     (x_i(t) - x_j(t)) dz/dt = exp(i*theta),
 
-integrated here in arclength form dz/ds = exp(i*theta) * conj(u)/|u| with
-u = x_i - x_j re-tracked at every evaluation.  Networks start from the 8
+integrated here in arclength form dz/ds = exp(i*theta) * conj(u)/|u|.
+The sheets over z are x, omega*x and omega^2*x, so x_j = omega^k x_i with
+k fixed at the seed: only x_i is tracked, one nearest cube root per RK
+stage, and u = x_i - x_j.  Networks start from the 8
 critical trajectories emanating from each simple zero of P0, then grow by
 the junction birth rule: at every crossing whose labels chain as
 (i,j),(j,k) a new trajectory labeled (i,k) is seeded at the crossing.
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Charge, OMEGA, PeriodMap, cube_roots
+from .curve import Charge, OMEGA, PeriodMap, cube_roots, nearest_root
 from .errors import (
     ChargeIdentificationFailed,
     GenerationCapExceeded,
@@ -77,11 +79,6 @@ class TraceConfig:
         return 4.0 * max((abs(z) for z in zs), default=0.0) + 10.0
 
 
-def _nearest_root(curve, z, x_ref):
-    rts = cube_roots(-curve.polynomial(z))
-    return min(rts, key=lambda r: abs(r - x_ref))
-
-
 # ----------------------------------------------------------------------
 # critical seeds
 # ----------------------------------------------------------------------
@@ -97,7 +94,8 @@ class TrajectorySeed:
 
 def _ray_W(curve, z0, theta, delta0, phi, x_ref, p, q):
     z = z0 + delta0 * cmath.exp(1j * phi)
-    x = _nearest_root(curve, z, x_ref)
+    rts = cube_roots(-curve.polynomial(z))
+    x = rts[nearest_root(rts, x_ref)]
     triple = (x, x * OMEGA, x * OMEGA * OMEGA)
     W = cmath.exp(-1j * theta) * (triple[p] - triple[q]) * cmath.exp(1j * phi)
     return W, x, triple
@@ -139,7 +137,8 @@ def _rays_of_zero(curve, z0, theta, delta0):
     for k in range(M + 1):
         phi = TWO_PI * k / M
         z = z0 + delta0 * cmath.exp(1j * phi)
-        x = _nearest_root(curve, z, x)
+        rts = cube_roots(-curve.polynomial(z))
+        x = rts[nearest_root(rts, x)]
         triple = (x, x * OMEGA, x * OMEGA * OMEGA)
         Ws = [eith * (triple[p] - triple[q]) * cmath.exp(1j * phi)
               for p in range(3) for q in range(3) if p != q]
@@ -276,25 +275,14 @@ def seed_critical(curve, theta, config=None):
 # tracing
 # ----------------------------------------------------------------------
 
-# Cash-Karp embedded Runge-Kutta pair (orders 5 and 4)
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-
 class Trajectory:
-    """A traced WKB trajectory: polyline, tracked pair, chain integral.
+    """A traced WKB trajectory: polyline, sheet pairs, chain integral.
 
-    chain[k] is the accumulated integral of |x_i - x_j| over arclength up
-    to point k; the complex integral of (x_i - x_j) dz along the curve is
-    exp(i*theta) * chain[k], a consequence of the trajectory equation.
+    pairs[m] is (x_i, x_j) at point m: the tracked sheet and its partner
+    omega^k x_i, with k in {1, 2} fixed along the trajectory.  chain[m] is
+    the accumulated integral of |x_i - x_j| over arclength up to point m;
+    the complex integral of (x_i - x_j) dz along the curve is
+    exp(i*theta) * chain[m], a consequence of the trajectory equation.
     """
 
     __slots__ = ("points", "pairs", "chain", "status", "hit_zero", "seed", "theta")
@@ -323,102 +311,115 @@ class Trajectory:
         return cmath.exp(1j * self.theta) * T
 
 
-def _pair_rhs(curve, z, xi_ref, xj_ref, eith):
-    rts = cube_roots(-curve.polynomial(z))
-    xi = min(rts, key=lambda r: abs(r - xi_ref))
-    xj = min(rts, key=lambda r: abs(r - xj_ref))
-    u = xi - xj
-    au = abs(u)
-    if au == 0.0:
-        raise SheetAmbiguity(f"tracked pair collided at z = {z}")
-    return eith * u.conjugate() / au, au
-
-
 def trace(curve, seed, config=None):
     """Integrate one trajectory until escape, a zero hit, or truncation."""
     config = config or TraceConfig()
     eith = cmath.exp(1j * seed.theta)
     esc = config.resolved_escape_radius(curve)
     zeros = curve.ramification_points
+    coeffs = tuple(reversed(curve.polynomial.coefficients))
 
     z = complex(seed.z)
     rts = cube_roots(-curve.polynomial(z))
-    xi = min(rts, key=lambda r: abs(r - seed.pair[0]))
-    xj = min(rts, key=lambda r: abs(r - seed.pair[1]))
-    if xi == xj:
+    i = nearest_root(rts, seed.pair[0])
+    k = (nearest_root(rts, seed.pair[1]) - i) % 3
+    if k == 0:
         raise ValidationError("seed pair selects a single sheet")
+    x = rts[i]
 
+    def rhs(w):
+        # nearest_root inlined: a call to it per stage slows trace by ~20%
+        acc = 0j
+        for c in coeffs:
+            acc = acc * w + c
+        r0 = (-acc) ** (1.0 / 3.0) if acc != 0 else 0j
+        rts = (r0, r0 * OMEGA, r0 * OMEGA * OMEGA)
+        j, best = 0, abs(r0 - x)
+        d = abs(rts[1] - x)
+        if d < best:
+            j, best = 1, d
+        if abs(rts[2] - x) < best:
+            j = 2
+        u = rts[j] - rts[(j + k) % 3]
+        au = abs(u)
+        if au == 0.0:
+            raise SheetAmbiguity(f"RK stage on a zero of P0 at z = {w}")
+        return eith * u.conjugate() / au, au
+
+    f1, g1 = rhs(z)
     points = [z]
-    pairs = [(xi, xj)]
+    pairs = [(x, rts[(i + k) % 3])]
     chain = [0.0]
     s_total = 0.0
-    h = max(min(config.h_max,
-                0.05 * min((abs(z - z0) for z0 in zeros), default=1.0)),
-            64 * config.h_min)
+    dz = [abs(z - z0) for z0 in zeros]
+    dist = min(dz, default=float("inf"))
+    h = max(min(config.h_max, 0.05 * min(dz, default=1.0)), 64 * config.h_min)
     status, hit = "truncated", None
     outward = 0
     # the zero a trajectory starts from does not count as a hit until the
     # trajectory has genuinely left its neighborhood
-    disarmed = {i for i, z0 in enumerate(zeros)
-                if abs(z - z0) < 4 * config.delta_hit}
     arm_radius = 4 * config.delta_hit
+    disarmed = {n for n, d in enumerate(dz) if d < arm_radius}
 
     while True:
-        dist = min((abs(z - z0) for z0 in zeros), default=float("inf"))
         h = min(h, config.h_max, 0.1 * dist + 0.5 * config.delta_hit)
         if h < config.h_min:
             raise SheetAmbiguity(f"step size collapsed at z = {z}")
+        # Cash-Karp embedded Runge-Kutta pair (orders 5 and 4)
         try:
-            k = []
-            g = []
-            f0, a0 = _pair_rhs(curve, z, xi, xj, eith)
-            k.append(f0)
-            g.append(a0)
-            for row in _CK_A[1:]:
-                zz = z + h * sum(c * kk for c, kk in zip(row, k))
-                f, a = _pair_rhs(curve, zz, xi, xj, eith)
-                k.append(f)
-                g.append(a)
+            f2, g2 = rhs(z + h * (1 / 5 * f1))
+            f3, g3 = rhs(z + h * (3 / 40 * f1 + 9 / 40 * f2))
+            f4, g4 = rhs(z + h * (3 / 10 * f1 - 9 / 10 * f2 + 6 / 5 * f3))
+            f5, g5 = rhs(z + h * (-11 / 54 * f1 + 5 / 2 * f2 - 70 / 27 * f3
+                                  + 35 / 27 * f4))
+            f6, g6 = rhs(z + h * (1631 / 55296 * f1 + 175 / 512 * f2
+                                  + 575 / 13824 * f3 + 44275 / 110592 * f4
+                                  + 253 / 4096 * f5))
         except SheetAmbiguity:
             h *= 0.25
             if h < config.h_min:
                 raise
             continue
-        z5 = z + h * sum(b * kk for b, kk in zip(_CK_B5, k))
-        z4 = z + h * sum(b * kk for b, kk in zip(_CK_B4, k))
-        T5 = h * sum(b * aa for b, aa in zip(_CK_B5, g))
-        T4 = h * sum(b * aa for b, aa in zip(_CK_B4, g))
+        z5 = z + h * (37 / 378 * f1 + 250 / 621 * f3 + 125 / 594 * f4
+                      + 512 / 1771 * f6)
+        z4 = z + h * (2825 / 27648 * f1 + 18575 / 48384 * f3
+                      + 13525 / 55296 * f4 + 277 / 14336 * f5 + 1 / 4 * f6)
+        T5 = h * (37 / 378 * g1 + 250 / 621 * g3 + 125 / 594 * g4
+                  + 512 / 1771 * g6)
+        T4 = h * (2825 / 27648 * g1 + 18575 / 48384 * g3
+                  + 13525 / 55296 * g4 + 277 / 14336 * g5 + 1 / 4 * g6)
         err = abs(z5 - z4) + abs(T5 - T4)
         # absolute floor keeps tiny steps near zeros feasible at roundoff
         tol = config.rk_tol * h + 4e-15 * (1.0 + abs(z))
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.25)
             continue
-        # accept the step if the re-tracked pair keeps a safe margin
+        # accept the step if the re-tracked sheet keeps a safe margin
         rts = cube_roots(-curve.polynomial(z5))
-        xi_n = min(rts, key=lambda r: abs(r - xi))
-        xj_n = min(rts, key=lambda r: abs(r - xj))
+        i = nearest_root(rts, x)
         sep = min(abs(rts[0] - rts[1]), abs(rts[1] - rts[2]),
                   abs(rts[0] - rts[2]))
-        if max(abs(xi_n - xi), abs(xj_n - xj)) > sep / 3.0:
+        if abs(rts[i] - x) > sep / 3.0:
             h *= 0.5
             continue
         prev = z
-        z, xi, xj = z5, xi_n, xj_n
+        z, x, xj = z5, rts[i], rts[(i + k) % 3]
         s_total += h
         points.append(z)
-        pairs.append((xi, xj))
+        pairs.append((x, xj))
+        u = x - xj        # the next step's first stage, from these roots
+        f1, g1 = eith * u.conjugate() / abs(u), abs(u)
         chain.append(chain[-1] + T5)
         h = min(config.h_max,
                 h * min(5.0, 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0))
 
+        dz = [abs(z - z0) for z0 in zeros]
+        dist = min(dz, default=float("inf"))
         if disarmed:
-            disarmed = {i for i in disarmed if abs(z - zeros[i]) < arm_radius}
-        if zeros:
-            near = min(range(len(zeros)), key=lambda i: abs(z - zeros[i]))
-            if near not in disarmed and abs(z - zeros[near]) < config.delta_hit:
-                status, hit = "hit_zero", near
-                break
+            disarmed = {n for n in disarmed if dz[n] < arm_radius}
+        if dist < config.delta_hit and dz.index(dist) not in disarmed:
+            status, hit = "hit_zero", dz.index(dist)
+            break
         if abs(z) > esc:
             outward = outward + 1 if (z.conjugate() * (z - prev)).real > 0 else 0
             if outward >= config.outward_steps:
@@ -486,11 +487,6 @@ def _interp_chain(traj, idx, t):
     return traj.chain[idx] + (traj.chain[idx + 1] - traj.chain[idx]) * t
 
 
-def _snap_pair(curve, z, pair):
-    rts = cube_roots(-curve.polynomial(z))
-    return tuple(min(rts, key=lambda r: abs(r - v)) for v in pair)
-
-
 # ----------------------------------------------------------------------
 # the network
 # ----------------------------------------------------------------------
@@ -539,9 +535,9 @@ def _classify_crossing(curve, trajA, trajB, hit, dedup, known_points):
             return (None, None)
     if abs(z - trajA.points[0]) < dedup or abs(z - trajB.points[0]) < dedup:
         return (None, None)
-    pairA = _snap_pair(curve, z, _interp_pair(trajA, ia, ta))
-    pairB = _snap_pair(curve, z, _interp_pair(trajB, ib, tb))
     rts = cube_roots(-curve.polynomial(z))
+    pairA = [rts[nearest_root(rts, v)] for v in _interp_pair(trajA, ia, ta)]
+    pairB = [rts[nearest_root(rts, v)] for v in _interp_pair(trajB, ib, tb)]
     sep = min(abs(rts[0] - rts[1]), abs(rts[1] - rts[2]), abs(rts[0] - rts[2]))
     tol = max(1e-6 * sep, 1e-12)
 
@@ -673,7 +669,8 @@ def classify_infinity(curve, net):
         nsub = max(2, int(abs(target - frame_angle) / 0.02) + 1)
         for m in range(1, nsub + 1):
             a = frame_angle + (target - frame_angle) * m / nsub
-            x_frame = _nearest_root(curve, R * cmath.exp(1j * a), x_frame)
+            rts = cube_roots(-curve.polynomial(R * cmath.exp(1j * a)))
+            x_frame = rts[nearest_root(rts, x_frame)]
         frame_angle = target
 
     for k in ks:
@@ -685,11 +682,10 @@ def classify_infinity(curve, net):
             xf = x_frame
             zc = R * cmath.exp(1j * cmath.phase(zf))
             for m in range(1, 5):
-                xf = _nearest_root(curve, zc + (zf - zc) * m / 4.0, xf)
+                rts = cube_roots(-curve.polynomial(zc + (zf - zc) * m / 4.0))
+                xf = rts[nearest_root(rts, xf)]
             fr = (xf, xf * OMEGA, xf * OMEGA * OMEGA)
-            i = min(range(3), key=lambda s: abs(fr[s] - traj.pairs[-1][0]))
-            j = min(range(3), key=lambda s: abs(fr[s] - traj.pairs[-1][1]))
-            labels.add((i, j))
+            labels.add(tuple(nearest_root(fr, v) for v in traj.pairs[-1]))
         if len(labels) != 1:
             raise PatternViolation(
                 f"conflicting labels {sorted(labels)} at direction {grid[k]:.4f}")
@@ -698,8 +694,7 @@ def classify_infinity(curve, net):
 
     # transport the frame the rest of the way around to get the wrap shift
     walk_to(ang0 + TWO_PI)
-    shift = min(range(3),
-                key=lambda s: abs(x_start * OMEGA ** s - x_frame))
+    shift = nearest_root([x_start * OMEGA ** s for s in range(3)], x_frame)
     _validate_alternation(curve, marks, shift, net)
     net.infinity_marks = marks
     return marks

@@ -182,16 +182,18 @@ class _Workspace:
             [[coupling_coefficient(om, pairing(ra.charge, rb.charge))
               for rb, om in zip(rays, self.omega)] for ra in rays],
             dtype=complex)
-        coupled = coupling != 0
         alpha = np.array([r.alpha for r in rays])
-        ratio = (alpha[None, :] / alpha[:, None])[coupled]
         # circular index k holds the offset j - i = -k, or M - k past N - 1
         offsets = np.concatenate([-np.arange(N), np.arange(N - 1, 0, -1)])
-        q = ratio[:, None] * np.exp(offsets * (self.s[1] - self.s[0]))
+        growth = np.exp(offsets * (self.s[1] - self.s[0]))
         self.kernel_spectra = np.zeros((self.n, self.n, 2 * N - 1),
                                        dtype=complex)
-        self.kernel_spectra[coupled] = (coupling[coupled][:, None]
-                                        * np.fft.fft((q + 1) / (q - 1)))
+        # one target ray at a time keeps the temporaries to (n, M)
+        for a in range(self.n):
+            cols = np.flatnonzero(coupling[a])
+            q = (alpha[cols] / alpha[a])[:, None] * growth
+            self.kernel_spectra[a, cols] = (coupling[a, cols][:, None]
+                                            * np.fft.fft((q + 1) / (q - 1)))
 
     def zero_state(self):
         return np.zeros((self.n, self.config.N), dtype=complex)

@@ -6,10 +6,11 @@ import warnings
 import pytest
 
 from trigon import network
-from trigon.curve import Charge, Polynomial, SpectralCurve
+from trigon.curve import OMEGA, Charge, Polynomial, SpectralCurve
 from trigon.errors import (
     ChargeIdentificationFailed,
     PatternViolation,
+    SheetAmbiguity,
     UnsupportedWebTopology,
     ValidationError,
     WebEventDropped,
@@ -127,6 +128,37 @@ def test_chain_integral_matches_phase(pentagon):
     val = traj.chain_integral()
     assert abs(cmath.phase(val * cmath.exp(-1j * 0.4))) < 1e-12
     assert val != 0
+
+
+def test_seed_pair_on_one_sheet_is_rejected(pentagon):
+    seed = seed_critical(pentagon.curve, 0.2)[0]
+    x = seed.pair[0]
+    with pytest.raises(ValidationError, match="single sheet"):
+        trace(pentagon.curve, TrajectorySeed(z=seed.z, pair=(x, x),
+                                             origin=seed.origin, theta=0.2))
+
+
+def test_step_collapse_raises_sheet_ambiguity(pentagon):
+    # a critical seed sits delta0 = 1e-4 from its zero, where the step cap
+    # 0.1 * dist + delta_hit / 2 is 5.1e-4, below this h_min
+    seed = seed_critical(pentagon.curve, 0.2)[0]
+    with pytest.raises(SheetAmbiguity, match="collapsed"):
+        trace(pentagon.curve, seed, TraceConfig(h_min=1e-3))
+
+
+@pytest.mark.parametrize("name, theta, n_points",
+                         [("pentagon", 0.0, 3262), ("hexagon", 0.1, 6347)])
+def test_network_tracks_one_sheet_and_a_fixed_partner(name, theta, n_points,
+                                                      request):
+    # every pair is (x, omega^k x) with k fixed along the trajectory; the
+    # point count pins the accepted step sequence
+    net = grow_network(request.getfixturevalue(name).curve, theta)
+    assert sum(len(t) for t in net.trajectories) == n_points
+    for traj in net.trajectories:
+        rot = traj.pairs[0][1] / traj.pairs[0][0]
+        assert min(abs(rot - OMEGA), abs(rot - OMEGA ** 2)) < 1e-12
+        for xi, xj in traj.pairs:
+            assert abs(xj / xi - rot) < 1e-12
 
 
 # ---------------- networks ----------------

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,11 +151,19 @@ def test_sweep_matches_dense_kernels(name, request):
 
 
 def test_hexagon_kernel_storage_is_small(hexagon, hexagon_pm):
-    ws = _Workspace(SolverConfig(R=0.5, theta=0.2, N=257),
-                    builtin_spectrum("hexagon"), hexagon_pm,
-                    hexagon.lattice.pairing)
+    tracemalloc.start()
+    try:
+        ws = _Workspace(SolverConfig(R=0.5, theta=0.2, N=257),
+                        builtin_spectrum("hexagon"), hexagon_pm,
+                        hexagon.lattice.pairing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert ws.n == 24
     assert ws.kernel_spectra.nbytes < 5e6     # dense: 456 * 257^2 * 16 B
+    # 4.7 MB of spectra; built for all 456 coupled pairs at once, three
+    # (456, 513) complex temporaries took the build to 16.2 MB
+    assert peak < 8e6
 
 
 def test_log_x_carries_omega(pentagon, pentagon_pm):
