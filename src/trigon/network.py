@@ -13,14 +13,19 @@ the junction birth rule: at every crossing whose labels chain as
 (i,j),(j,k) a new trajectory labeled (i,k) is seeded at the crossing.
 
 Finite webs (a trajectory running into a zero, or a junction child doing
-so) are located by bisecting the signed miss distance in theta; their
-charge is read off by matching the chain integral of x dz against integer
-combinations of the basis periods.  The scan traces every critical ray and
-its first-generation children at each grid phase, and only there does the
-RayBook advance.  Bisecting and assembling an event traces only that
-event's own rays: one critical ray, or two parents and their child, each
-re-found from a warm start local to the event.  An event that cannot be
-refined is dropped with a WebEventDropped warning that says why.
+so) are bracketed by bisecting the signed miss distance in theta, and
+their charge is read off by matching the chain integral of x dz against
+integer combinations of the basis periods.  A web of charge gamma exists
+only at theta = arg Z_gamma, where its mass exp(-i*theta) Z_gamma is real
+and positive, so the web's phase comes from the period map: each new
+charge is traced once more, at arg Z_gamma and assembly quality, and an
+event whose charge is already known stops at its scan-quality
+identification.  The scan traces every critical ray and its
+first-generation children at each grid phase, and only there does the
+RayBook advance.  Refining an event traces only that event's own rays:
+one critical ray, or two parents and their child, each re-found from a
+warm start local to the event.  An event that cannot be refined is
+dropped with a WebEventDropped warning that says why.
 """
 
 from __future__ import annotations
@@ -930,69 +935,51 @@ def _endpoint_chain_correction(traj, idx, zero):
     return 0.75 * u * r
 
 
-def _assemble_web(curve, theta_star, tracer, cfg, period_map,
-                  residual_rel, charge_box):
-    """Re-refine the phase at assembly quality, then identify the charge.
+def _assemble_web(curve, tracer, theta, config, period_map, residual_rel,
+                  charge_box):
+    """Trace an event's rays once at theta and assemble the web they form.
 
-    The scan-quality bisection carries a small systematic offset from the
-    coarser seeding; a second bisection with the fine tracer removes it,
-    which matters because the chain integral is first-order sensitive to
-    the phase error.
+    The period is the chain integral of every leg up to the target zero,
+    plus the missing end piece at each zero; the leg into the target must
+    pass within 100 delta_hit of it.  The charge is the one that period
+    matches to residual_rel.
     """
     kind, key, zi_target = tracer.event
-    th_a, th_b = theta_star - 2.5e-4, theta_star + 2.5e-4
-    m_a = tracer.miss(th_a, cfg)
-    m_b = tracer.miss(th_b, cfg)
-    if m_a is not None and m_b is not None and (m_a < 0) != (m_b < 0):
-        theta_star = _bisect_event(lambda th: tracer.miss(th, cfg), th_a, th_b,
-                                   m_a, 1e-9, 40, strict=False)
-
-    point = tracer.point(theta_star, cfg)
+    point = tracer.point(theta, config)
     zeros = curve.ramification_points
-    eith = cmath.exp(1j * theta_star)
-    z_target = zeros[zi_target]
-
     if kind == "c":
-        traj = point.critical[key]
-        d = [abs(p - z_target) for p in traj.points]
-        kmin = d.index(min(d))
-        if d[kmin] > 100 * cfg.delta_hit:
-            raise NumericalError(
-                f"assembled trajectory misses the zero by {d[kmin]:.2e}")
-        T = traj.chain[kmin]
-        T += _endpoint_chain_correction(traj, 0, zeros[key[0]])
-        T += _endpoint_chain_correction(traj, kmin, z_target)
-        Z = eith * T
-        charge, res = identify_charge(Z, period_map, residual_rel, charge_box)
-        return FiniteWeb(theta_star=theta_star, charge=charge,
+        end = point.critical[key]
+        T = _endpoint_chain_correction(end, 0, zeros[key[0]])
+    else:
+        end = point.children.get(key)
+        if end is None:
+            raise NumericalError("lost the junction child during web assembly")
+        zJ, ia, ta, ib, tb = point.child_meta[key]
+        trajA, trajB = point.critical[key[0]], point.critical[key[1]]
+        T = (_interp_chain(trajA, ia, ta) + _interp_chain(trajB, ib, tb)
+             + _endpoint_chain_correction(trajA, 0, zeros[key[0][0]])
+             + _endpoint_chain_correction(trajB, 0, zeros[key[1][0]]))
+    d = [abs(p - zeros[zi_target]) for p in end.points]
+    kmin = d.index(min(d))
+    if d[kmin] > 100 * config.delta_hit:
+        raise NumericalError(
+            f"assembled {'trajectory' if kind == 'c' else 'child'} misses "
+            f"the zero by {d[kmin]:.2e}")
+    T += end.chain[kmin] + _endpoint_chain_correction(end, kmin, zeros[zi_target])
+    Z = cmath.exp(1j * theta) * T
+    charge, res = identify_charge(Z, period_map, residual_rel, charge_box)
+    if kind == "c":
+        return FiniteWeb(theta_star=theta, charge=charge,
                          topology="single_string", period=Z, residual=res,
                          zeros=(key[0], zi_target),
-                         segments=[traj.points[:kmin + 1]],
+                         segments=[end.points[:kmin + 1]],
                          detail={"miss": d[kmin]})
-
-    child = point.children.get(key)
-    if child is None:
-        raise NumericalError("lost the junction child during web assembly")
-    zJ, ia, ta, ib, tb = point.child_meta[key]
-    pa, pb = key
-    trajA, trajB = point.critical[pa], point.critical[pb]
-    d = [abs(p - z_target) for p in child.points]
-    kmin = d.index(min(d))
-    if d[kmin] > 100 * cfg.delta_hit:
-        raise NumericalError(f"assembled child misses the zero by {d[kmin]:.2e}")
-    T = (_interp_chain(trajA, ia, ta) + _interp_chain(trajB, ib, tb)
-         + child.chain[kmin])
-    T += _endpoint_chain_correction(trajA, 0, zeros[pa[0]])
-    T += _endpoint_chain_correction(trajB, 0, zeros[pb[0]])
-    T += _endpoint_chain_correction(child, kmin, z_target)
-    Z = eith * T
-    charge, res = identify_charge(Z, period_map, residual_rel, charge_box)
-    return FiniteWeb(theta_star=theta_star, charge=charge,
+    return FiniteWeb(theta_star=theta, charge=charge,
                      topology="three_string_junction", period=Z, residual=res,
-                     zeros=(pa[0], pb[0], zi_target),
+                     zeros=(key[0][0], key[1][0], zi_target),
                      segments=[trajA.points[:ia + 1] + [zJ],
                                trajB.points[:ib + 1] + [zJ],
-                               child.points[:kmin + 1]],
+                               end.points[:kmin + 1]],
                      detail={"miss": d[kmin], "junction": zJ})
 
 
@@ -1001,13 +988,18 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
                theta_tol=1e-6, scan_generations=1, progress=None):
     """Scan a phase interval for finite webs and identify their charges.
 
-    Webs are located by bisection on the sign change of the signed miss
-    distance between a trajectory and a zero of P0; supported topologies
-    are single strings (a critical trajectory hits another zero) and
-    three-string junctions (a first-generation child hits a zero).
-    Deeper-generation webs are outside the supported set.  A sign change
-    that does not give a web is reported as a WebEventDropped warning.
-    Returns FiniteWeb records sorted by phase.
+    Each sign change of the signed miss distance between a trajectory and
+    a zero of P0 is bisected at scan quality, and the charge gamma is
+    identified there at 10 * residual_rel.  An event of a charge already
+    found ends there.  Otherwise the web's phase is theta* = arg Z_gamma
+    from the period map, which must lie within 2.5e-4 of the bracket, and
+    the event's rays are traced once at theta* with the assembly config
+    for the web's period and residual.  Supported topologies are single
+    strings (a critical trajectory hits another zero) and three-string
+    junctions (a first-generation child hits a zero); deeper-generation
+    webs are outside the supported set.  A sign change that does not give
+    a web is reported as a WebEventDropped warning.  Returns FiniteWeb
+    records sorted by phase.
     """
     if scan_generations > 1:
         raise UnsupportedWebTopology(
@@ -1052,22 +1044,32 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
                     continue
                 tracer = _EventTracer(curve, ev, rays, cfg.delta0, window)
                 try:
-                    if m0 == 0.0 or m1 == 0.0:
-                        # an exact hit at a grid point: the assembly pass
-                        # re-refines inside its own bracket
-                        th_star = th_prev if m0 == 0.0 else th
-                    else:
-                        th_star = _bisect_event(
-                            lambda t: tracer.miss(t, cfg), th_prev, th, m0,
-                            theta_tol, 80, strict=True)
-                    web = _assemble_web(curve, th_star, tracer, fine, pm,
+                    th_a, th_b = _bisect_event(
+                        lambda t: tracer.miss(t, cfg), th_prev, th, m0, m1,
+                        theta_tol, 80)
+                    estimate = 0.5 * (th_a + th_b)
+                    charge = _assemble_web(curve, tracer, estimate, cfg, pm,
+                                           10 * residual_rel,
+                                           charge_box).charge
+                    if charge.components in seen:
+                        continue
+                    # the web's mass exp(-i theta) Z is real and positive
+                    th_star = estimate + _wrap(cmath.phase(pm.Z(charge))
+                                               - estimate)
+                    if not th_a - 2.5e-4 <= th_star <= th_b + 2.5e-4:
+                        raise NumericalError(
+                            f"arg Z{charge.components} = {th_star!r} lies "
+                            "outside the scan bracket")
+                    web = _assemble_web(curve, tracer, th_star, fine, pm,
                                         residual_rel, charge_box)
+                    if web.charge.components != charge.components:
+                        raise ChargeIdentificationFailed(
+                            f"the web at arg Z{charge.components} matches "
+                            f"{web.charge.components}")
                 except NumericalError as exc:
                     _warn_dropped(ev, bracket, exc)
                     continue
-                if web.charge.components in seen:
-                    continue
-                seen.add(web.charge.components)
+                seen.add(charge.components)
                 webs.append(web)
         prev = (th, rays, events)
     webs.sort(key=lambda w: w.theta_star)
@@ -1082,26 +1084,24 @@ def _warn_dropped(event, bracket, reason):
         WebEventDropped, stacklevel=3)
 
 
-def _bisect_event(miss_at, th_a, th_b, m_a, tol, max_iter, strict):
-    """Bisect a sign change of miss_at(theta) on [th_a, th_b], m_a being the
-    miss at th_a; returns the final bracket midpoint, or a phase where the
-    trajectory hits the zero.  When the trajectory leaves the window a
-    strict bisection raises, and a lenient one keeps its bracket."""
+def _bisect_event(miss_at, th_a, th_b, m_a, m_b, tol, max_iter):
+    """Bisect a sign change of miss_at(theta) on [th_a, th_b], whose ends
+    miss by m_a and m_b, down to a bracket narrower than tol.  A miss of
+    exactly 0.0 is a recorded hit, and the bracket closes onto its phase."""
     for _ in range(max_iter):
+        if m_a == 0.0 or m_b == 0.0:
+            th_a = th_b = th_a if m_a == 0.0 else th_b
+            break
+        if th_b - th_a < tol:
+            break
         mid = 0.5 * (th_a + th_b)
         m_mid = miss_at(mid)
         if m_mid is None:
-            if strict:
-                raise NumericalError(
-                    f"lost the event's trajectory at theta = {mid!r}: no birth "
-                    "crossing, or no approach within the window")
-            break
-        if m_mid == 0.0:
-            return mid
+            raise NumericalError(
+                f"lost the event's trajectory at theta = {mid!r}: no birth "
+                "crossing, or no approach within the window")
         if (m_mid < 0) == (m_a < 0):
             th_a, m_a = mid, m_mid
         else:
-            th_b = mid
-        if abs(th_b - th_a) < tol:
-            break
-    return 0.5 * (th_a + th_b)
+            th_b, m_b = mid, m_mid
+    return th_a, th_b

@@ -12,6 +12,7 @@ test checks 0.1961 against its own pair and the summed coefficient
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from trigon.asymptotics import (build_prediction, decay_table,
                                 linear_coefficient, solver_coefficient)
 from trigon.bps import builtin_spectrum, spectrum_from_webs
 from trigon.curve import Charge, LiftedPath, PeriodMap
+from trigon.errors import WebEventDropped
 from trigon.network import detect_bps, grow_network
 from trigon.polygon import ProjectivePolygon, builtin_expression, cross_ratio
 from trigon.reference import HEXAGON, pentagon_closed_form
@@ -33,20 +35,24 @@ def _criterion(n, name, ok, detail):
 
 # ---------------- shared heavy computations ----------------
 
+def _sweep(defn, pm, theta_range):
+    """detect_bps over a full sweep: (webs, seconds, dropped-event warnings)."""
+    t0 = time.time()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", WebEventDropped)
+        webs = detect_bps(defn.curve, defn.lattice, theta_range, period_map=pm)
+    dropped = [w for w in caught if issubclass(w.category, WebEventDropped)]
+    return webs, time.time() - t0, dropped
+
+
 @pytest.fixture(scope="module")
 def pentagon_sweep(pentagon, pentagon_pm):
-    t0 = time.time()
-    webs = detect_bps(pentagon.curve, pentagon.lattice, (-math.pi, math.pi),
-                      period_map=pentagon_pm)
-    return webs, time.time() - t0
+    return _sweep(pentagon, pentagon_pm, (-math.pi, math.pi))
 
 
 @pytest.fixture(scope="module")
 def hexagon_sweep(hexagon, hexagon_pm):
-    t0 = time.time()
-    webs = detect_bps(hexagon.curve, hexagon.lattice, (0.0, 2 * math.pi),
-                      period_map=hexagon_pm)
-    return webs, time.time() - t0
+    return _sweep(hexagon, hexagon_pm, (0.0, 2 * math.pi))
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +119,7 @@ def _web_phases_match_periods(webs, pm):
 
 
 def test_criterion_4_pentagon_bps(pentagon_sweep, pentagon_pm):
-    webs, dt = pentagon_sweep
+    webs, dt, _ = pentagon_sweep
     phases = sorted(w.theta_star for w in webs)
     want = [-5 * math.pi / 6, -math.pi / 2, -math.pi / 6,
             math.pi / 6, math.pi / 2, 5 * math.pi / 6]
@@ -132,7 +138,7 @@ def test_criterion_4_pentagon_bps(pentagon_sweep, pentagon_pm):
 
 
 def test_criterion_5_hexagon_bps(hexagon_sweep, hexagon_pm):
-    webs, dt = hexagon_sweep
+    webs, dt, _ = hexagon_sweep
     harvested = spectrum_from_webs(webs, rank=4)
     builtin = builtin_spectrum("hexagon")
     set_ok = set(harvested.charges()) == set(builtin.charges())
@@ -147,6 +153,21 @@ def test_criterion_5_hexagon_bps(hexagon_sweep, hexagon_pm):
                       f"24 charges match: {set_ok}, theta=0.36 web "
                       f"{near[0].charge if near else None}, arg match "
                       f"{arg_err:.1e}, {dt:.0f}s (< 900s)")
+
+
+@pytest.mark.parametrize("sweep, pm", [("pentagon_sweep", "pentagon_pm"),
+                                      ("hexagon_sweep", "hexagon_pm")])
+def test_sweep_webs_sit_at_arg_z(sweep, pm, request):
+    # a web of charge gamma exists only at theta = arg Z(gamma), and a
+    # single string's period is Z(gamma) itself
+    webs, _, dropped = request.getfixturevalue(sweep)
+    pm = request.getfixturevalue(pm)
+    assert dropped == []
+    assert _web_phases_match_periods(webs, pm) < 1e-12
+    for w in webs:
+        if w.topology == "single_string":
+            Z = pm.Z(w.charge)
+            assert abs(w.period - Z) < 1e-10 * abs(Z)
 
 
 def test_criterion_6_tba_spot_value(pentagon, pentagon_pm):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from trigon import cli
 from trigon.cli import main
+from trigon.curve import Charge
 from trigon.errors import NumericalError, TrigonError, ValidationError
 
 
@@ -90,6 +92,18 @@ def test_network_bps_narrow_window(tmp_path):
     assert w["topology"] == "single_string"
     assert abs(w["theta_star"] - math.pi / 6) < 1e-3
     assert w["residual"] < 1e-4 * abs(complex(*w["period"]))
+
+
+def test_network_bps_deterministic_at_arg_z(tmp_path, pentagon_pm):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        assert run(["network", "bps", "--example", "pentagon",
+                    "--theta-min", "0.45", "--theta-max", "0.6",
+                    "--scan-step", "0.04", "--out", str(path)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    w, = json.loads(a.read_text())["webs"]
+    arg = cmath.phase(pentagon_pm.Z(Charge(w["charge"])))
+    assert abs(w["theta_star"] - arg) < 1e-12
 
 
 def test_bps_dump_validate_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from trigon import network
-from trigon.curve import OMEGA, Charge, Polynomial, SpectralCurve
+from trigon.curve import OMEGA, Charge, PeriodMap, Polynomial, SpectralCurve
 from trigon.errors import (
     ChargeIdentificationFailed,
     PatternViolation,
@@ -345,11 +345,15 @@ def test_web_segments_recorded(pentagon, pentagon_pm):
 def _counted_scan(defn, pm, theta_range, scan_step):
     """detect_bps on one window, recording the scan grid, the phases that
     RayBook.rays_at is asked for, the traces made by each _ScanPoint build
-    (with its phase and generation depth), and any WebEventDropped."""
+    (with its phase and generation depth), the phases of the builds at the
+    assembly config, the (residual_rel, charge) of every charge
+    identification, and any WebEventDropped."""
     lo, hi = theta_range
     n = max(2, int(math.ceil((hi - lo) / scan_step)))
     grid = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    fine = network._web_trace_config(TraceConfig(), defn.curve, fine=True)
     rays_at_thetas, builds, off_grid_traces = [], [], []
+    fine_builds, identified = [], []
 
     def rays_at(self, theta, refresh=False):
         rays_at_thetas.append(theta)
@@ -364,22 +368,32 @@ def _counted_scan(defn, pm, theta_range, scan_step):
 
     def init(self, curve, theta, config, rays, generations=1):
         builds.append([theta, generations, 0])
+        if config == fine:
+            fine_builds.append(theta)
         real_init(self, curve, theta, config, rays, generations)
+
+    def identify(Z, period_map, residual_rel=1e-4, max_coeff=4):
+        charge, res = real_identify(Z, period_map, residual_rel, max_coeff)
+        identified.append((residual_rel, charge.components))
+        return charge, res
 
     real_rays_at = network.RayBook.rays_at
     real_trace = network.trace
     real_init = network._ScanPoint.__init__
+    real_identify = network.identify_charge
     with pytest.MonkeyPatch.context() as mp, \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", WebEventDropped)
         mp.setattr(network.RayBook, "rays_at", rays_at)
         mp.setattr(network, "trace", trace)
         mp.setattr(network._ScanPoint, "__init__", init)
+        mp.setattr(network, "identify_charge", identify)
         webs = detect_bps(defn.curve, defn.lattice, theta_range,
                           period_map=pm, scan_step=scan_step)
     dropped = [w for w in caught if issubclass(w.category, WebEventDropped)]
     return {"webs": webs, "grid": grid, "rays_at": rays_at_thetas,
-            "builds": builds, "off_grid": off_grid_traces, "dropped": dropped}
+            "builds": builds, "off_grid": off_grid_traces,
+            "fine": fine_builds, "identified": identified, "dropped": dropped}
 
 
 @pytest.fixture(scope="module")
@@ -408,12 +422,33 @@ def test_event_refinement_traces_only_the_event(scan, before, request):
     assert len(run["off_grid"]) < before / 5
 
 
+# sign-changing events that see the one web of each window
+@pytest.mark.parametrize("scan, events", [("pentagon_window_scan", 2),
+                                          ("hexagon_window_scan", 3)])
+def test_each_web_is_assembled_once(scan, events, request):
+    run = request.getfixturevalue(scan)
+    web, = run["webs"]
+    # one trace at the assembly config, at the web's phase
+    assert run["fine"] == [web.theta_star]
+    # every event is identified at scan quality (10 * residual_rel); only
+    # the first goes on to the assembly, the duplicates stop there
+    charge = web.charge.components
+    assert run["identified"] == ([(1e-3, charge), (1e-4, charge)]
+                                 + [(1e-3, charge)] * (events - 1))
+
+
+def _arg_gap(web, pm):
+    return abs(network._wrap(web.theta_star - cmath.phase(pm.Z(web.charge))))
+
+
 def test_window_webs_pinned_and_nothing_dropped(pentagon_window_scan,
-                                                hexagon_window_scan):
+                                                hexagon_window_scan,
+                                                pentagon_pm, hexagon_pm):
     pent, = pentagon_window_scan["webs"]
-    assert abs(pent.theta_star - (-0.523598876953125)) < 1e-8
+    assert _arg_gap(pent, pentagon_pm) < 1e-12
+    assert abs(pent.theta_star + math.pi / 6) < 1e-8
     hexa, = hexagon_window_scan["webs"]
-    assert abs(hexa.theta_star - 0.523596740722656) < 1e-8
+    assert _arg_gap(hexa, hexagon_pm) < 1e-12
     assert pentagon_window_scan["dropped"] == []
     assert hexagon_window_scan["dropped"] == []
 
@@ -424,13 +459,36 @@ def test_webscan_windows_pin_the_web_phases(pentagon, pentagon_pm, hexagon,
     lo = -math.pi / 6 - 0.023
     pent, = detect_bps(pentagon.curve, pentagon.lattice, (lo, lo + 0.07),
                        period_map=pentagon_pm)
+    assert _arg_gap(pent, pentagon_pm) < 1e-12
     assert abs(pent.theta_star + math.pi / 6) < 1e-8
     lo = math.pi / 6 - 0.023
     hexa, = detect_bps(hexagon.curve, hexagon.lattice, (lo, lo + 0.06),
                        period_map=hexagon_pm)
-    assert abs(hexa.theta_star - 0.5235967004029862) < 1e-8
-    period = 7.773323829 + 4.487909097j
+    assert _arg_gap(hexa, hexagon_pm) < 1e-12
+    # the junction point sits on parent polyline chords, which keeps the
+    # junction web's period a few 1e-6 off Z(gamma)
+    Z = hexagon_pm.Z(hexa.charge)
+    assert abs(hexa.period - Z) < 5e-6 * abs(Z)
+    period = 7.773329911 + 4.487934116j
     assert abs(hexa.period - period) < 1e-7 * abs(period)
+
+
+@pytest.mark.parametrize("tilt, reason", [
+    # arg Z(gamma) falls 5e-4 off the web, outside the scan bracket
+    (5e-4, "outside the scan bracket"),
+    # arg Z(gamma) falls 1e-4 off the web: the fine trace misses the zero
+    # by 1.5e-3, above 100 delta_hit
+    (1e-4, "assembled trajectory misses the zero by"),
+])
+def test_web_off_its_period_phase_is_dropped(tilt, reason, pentagon,
+                                             pentagon_pm):
+    # rotating every period keeps the charge identifiable at scan quality
+    # (1e-3 relative) but moves arg Z(gamma) off the web
+    tilted = PeriodMap(pentagon_pm.basis_values * cmath.exp(1j * tilt))
+    with pytest.warns(WebEventDropped, match=reason):
+        webs = detect_bps(pentagon.curve, pentagon.lattice, (-0.62, -0.43),
+                          period_map=tilted, scan_step=math.pi / 80)
+    assert webs == []
 
 
 def test_failed_event_is_dropped_with_a_warning(pentagon, pentagon_pm,
