@@ -11,6 +11,9 @@ stage, and u = x_i - x_j.  Networks start from the 8
 critical trajectories emanating from each simple zero of P0, then grow by
 the junction birth rule: at every crossing whose labels chain as
 (i,j),(j,k) a new trajectory labeled (i,k) is seeded at the crossing.
+Each critical ray carries a label (zero, m), m = 0..7, from the local
+model x^3 ~ -P0'(z0) (z - z0); the label is continuous in theta, so rays
+at different phases match by label.
 
 Finite webs (a trajectory running into a zero, or a junction child doing
 so) are bracketed by bisecting the signed miss distance in theta, and
@@ -21,10 +24,10 @@ and positive, so the web's phase comes from the period map: each new
 charge is traced once more, at arg Z_gamma and assembly quality, and an
 event whose charge is already known stops at its scan-quality
 identification.  The scan traces every critical ray and its
-first-generation children at each grid phase, and only there does the
-RayBook advance.  Refining an event traces only that event's own rays:
-one critical ray, or two parents and their child, each re-found from a
-warm start local to the event.  An event that cannot be refined is
+first-generation children at each grid phase, from the RayBook's table
+of labelled rays.  Refining an event traces only that event's own rays:
+one critical ray, or two parents and their child, each re-found by its
+label at the phase asked for.  An event that cannot be refined is
 dropped with a WebEventDropped warning that says why.
 """
 
@@ -92,7 +95,7 @@ class TraceConfig:
 class TrajectorySeed:
     z: complex
     pair: tuple                   # (x_i, x_j) at z
-    origin: tuple                 # ("critical", zero_idx, ray_id, phi)
+    origin: tuple                 # ("critical", zero_idx, label m, phi)
                                   # or ("junction", parent_key_a, parent_key_b)
     theta: float
 
@@ -127,153 +130,78 @@ def _bisect_ray(curve, z0, theta, delta0, phi_a, phi_b, x_ref, p, q):
     return (phi % TWO_PI, (triple[p], triple[q]))
 
 
-def _rays_of_zero(curve, z0, theta, delta0):
-    """Outgoing critical directions around one zero, by a full angular scan.
-
-    A direction phi is critical for the ordered pair (p, q) when
-    W = exp(-i*theta) * (x_p - x_q) * exp(i*phi) lands on the positive
-    real axis: the trajectory through that point then moves radially
-    outward.  Exactly 8 directions exist at a simple zero.
-    """
-    M = 1024
-    x = cube_roots(-curve.polynomial(z0 + delta0))[0]
-    samples = []
-    eith = cmath.exp(-1j * theta)
-    for k in range(M + 1):
-        phi = TWO_PI * k / M
-        z = z0 + delta0 * cmath.exp(1j * phi)
-        rts = cube_roots(-curve.polynomial(z))
-        x = rts[nearest_root(rts, x)]
-        triple = (x, x * OMEGA, x * OMEGA * OMEGA)
-        Ws = [eith * (triple[p] - triple[q]) * cmath.exp(1j * phi)
-              for p in range(3) for q in range(3) if p != q]
-        samples.append((phi, x, Ws))
-    pairs = [(p, q) for p in range(3) for q in range(3) if p != q]
-    found = []
-    for k in range(M):
-        phi_a, xa, Wa = samples[k]
-        phi_b, _, Wb = samples[k + 1]
-        for m, (p, q) in enumerate(pairs):
-            if (Wa[m].imag < 0) == (Wb[m].imag < 0):
-                continue
-            if Wa[m].real <= 0 and Wb[m].real <= 0:
-                continue
-            r = _bisect_ray(curve, z0, theta, delta0, phi_a, phi_b, xa, p, q)
-            if r is not None:
-                found.append(r)
-    found.sort(key=lambda t: t[0])
-    merged = []
-    for phi, pair in found:
-        if merged and abs(_wrap(phi - merged[-1][0])) < 1e-9:
-            continue
-        merged.append((phi, pair))
-    while len(merged) > 1 and abs(_wrap(merged[0][0] - merged[-1][0])) < 1e-9:
-        merged.pop()
-    return merged
-
-
-def _refine_ray(curve, z0, theta, delta0, phi0, width=0.06):
-    """Re-find one critical direction near a warm-start angle."""
+def _refine_ray(curve, z0, theta, delta0, phi0):
+    """The critical direction within pi/8, half the rays' spacing, of phi0."""
     z = z0 + delta0 * cmath.exp(1j * phi0)
     x_ref = cube_roots(-curve.polynomial(z))[0]
-    best = None
     for p in range(3):
         for q in range(3):
             if p == q:
                 continue
-            r = _bisect_ray(curve, z0, theta, delta0,
-                            phi0 - width, phi0 + width, x_ref, p, q)
-            if r is None:
-                continue
-            d = abs(_wrap(r[0] - phi0))
-            if best is None or d < best[0]:
-                best = (d, r)
-    return best[1] if best else None
+            r = _bisect_ray(curve, z0, theta, delta0, phi0 - math.pi / 8,
+                            phi0 + math.pi / 8, x_ref, p, q)
+            if r is not None:
+                return r
+    return None
+
+
+def _critical_ray(curve, zi, m, theta, delta0):
+    """The critical ray labelled m = 0..7 at zero zi: (phi, (x_p, x_q)).
+
+    A direction phi is critical for the ordered pair (p, q) when
+    W = exp(-i*theta) * (x_p - x_q) * exp(i*phi) at z0 + delta0 e^(i phi)
+    lands on the positive real axis: the trajectory through that point
+    then moves radially outward.  Near a simple zero z0 the local model
+    x^3 ~ -P0'(z0) (z - z0) puts the 8 of them at
+
+        phi_m = (3/4) (theta - arg(-P0'(z0))/3 - pi/6 - m pi/3)  mod 2 pi,
+
+    continuous in theta for each label m.  The model direction is refined
+    by bisecting W within pi/8 of it.
+    """
+    z0 = curve.ramification_points[zi]
+    a = -curve.polynomial.derivative()(z0)
+    phi0 = 0.75 * (theta - cmath.phase(a) / 3 - math.pi / 6
+                   - m * math.pi / 3) % TWO_PI
+    r = _refine_ray(curve, z0, theta, delta0, phi0)
+    if r is None:
+        raise NumericalError(f"lost critical ray {(zi, m)} at theta = {theta!r}")
+    return r
 
 
 class RayBook:
-    """Persistent identities for the 8n critical rays across nearby phases.
+    """The labelled critical rays of every zero of P0 at one phase.
 
-    Ray directions rotate smoothly with theta; identities are carried by
-    nearest-angle matching against the previous phase, so sweep bookkeeping
-    survives index reshuffles at the 0/2pi seam.
+    rays_at(theta) is {zero: [(m, phi, pair)]} for m = 0..7.  A label
+    names the same ray at every phase, so tables at different phases match
+    by label and the book keeps no state between calls.  It stays a class
+    because perfbench/tracing.py wraps RayBook.rays_at to count scan points.
     """
 
     def __init__(self, curve, delta0):
         self.curve = curve
         self.delta0 = delta0
-        self.known = None      # {zero: [(ray_id, phi)]}
-        self._next_id = 0
 
-    def rays_at(self, theta, refresh=False):
-        out = {}
-        for zi, z0 in enumerate(self.curve.ramification_points):
-            if self.known is None or refresh or zi not in self.known:
-                rays = _rays_of_zero(self.curve, z0, theta, self.delta0)
-            else:
-                rays = []
-                for rid, phi0 in self.known[zi]:
-                    r = _refine_ray(self.curve, z0, theta, self.delta0, phi0)
-                    if r is None:
-                        rays = _rays_of_zero(self.curve, z0, theta, self.delta0)
-                        break
-                    rays.append(r)
-                else:
-                    unique = []
-                    for phi, pair in sorted(rays, key=lambda t: t[0]):
-                        if unique and abs(_wrap(phi - unique[-1][0])) < 1e-9:
-                            continue
-                        unique.append((phi, pair))
-                    rays = unique
-                    if len(rays) != 8:
-                        rays = _rays_of_zero(self.curve, z0, theta, self.delta0)
-            if len(rays) != 8:
-                raise NumericalError(
-                    f"found {len(rays)} critical directions at zero {zi}, "
-                    f"expected 8")
-            rays.sort(key=lambda t: t[0])
-            out[zi] = rays
-        # assign / carry identities
-        book = {}
-        for zi, rays in out.items():
-            prev = self.known.get(zi) if self.known else None
-            entries = []
-            for phi, pair in rays:
-                if prev:
-                    rid = min(prev, key=lambda e: abs(_wrap(e[1] - phi)))[0]
-                else:
-                    rid = self._next_id
-                    self._next_id += 1
-                entries.append((rid, phi, pair))
-            if len({e[0] for e in entries}) != len(entries):
-                # ambiguous matching; hand out fresh ids
-                entries = []
-                for phi, pair in rays:
-                    entries.append((self._next_id, phi, pair))
-                    self._next_id += 1
-            book[zi] = entries
-        self.known = {zi: [(rid, phi) for rid, phi, _ in entries]
-                      for zi, entries in book.items()}
-        return book
+    def rays_at(self, theta):
+        return {zi: [(m,) + _critical_ray(self.curve, zi, m, theta, self.delta0)
+                     for m in range(8)]
+                for zi in range(len(self.curve.ramification_points))}
+
+
+def _critical_seeds(curve, theta, delta0, rays):
+    """Seeds delta0 out from each zero along the rays of a ray table."""
+    return [TrajectorySeed(z=curve.ramification_points[zi]
+                           + delta0 * cmath.exp(1j * phi),
+                           pair=pair, origin=("critical", zi, m, phi),
+                           theta=theta)
+            for zi, entries in rays.items() for m, phi, pair in entries]
 
 
 def seed_critical(curve, theta, config=None):
     """All critical-trajectory seeds at one phase: 8 per zero of P0."""
     config = config or TraceConfig()
-    seeds = []
-    for zi, z0 in enumerate(curve.ramification_points):
-        rays = _rays_of_zero(curve, z0, theta, config.delta0)
-        if len(rays) != 8:
-            raise NumericalError(
-                f"found {len(rays)} critical directions at zero {zi}, expected 8")
-        for ri, (phi, pair) in enumerate(rays):
-            seeds.append(TrajectorySeed(
-                z=z0 + config.delta0 * cmath.exp(1j * phi),
-                pair=pair,
-                origin=("critical", zi, ri, phi),
-                theta=theta,
-            ))
-    return seeds
+    return _critical_seeds(curve, theta, config.delta0,
+                           RayBook(curve, config.delta0).rays_at(theta))
 
 
 # ----------------------------------------------------------------------
@@ -527,34 +455,43 @@ class SpectralNetwork:
         return len(self.junctions)
 
 
-def _classify_crossing(curve, trajA, trajB, hit, dedup, known_points):
-    """One crossing: ("birth", (z, child_pair)) / ("head_on", z) / (None, None).
+def _crossings(curve, trajA, trajB, arrA, arrB, dedup, known):
+    """Junction births and head-on collisions where two trajectories cross.
 
-    Crossings within the dedup radius of a known junction or of either
-    trajectory's first point are discarded (they are re-detections of an
-    existing junction or of a child's own birth point).
+    Yields ("birth", hit, child_pair) and ("head_on", hit, None) in order
+    along trajA, hit being polyline_intersections' (z, ia, ta, ib, tb).  A
+    birth is a crossing whose labels chain as (i,j),(j,k); its child is
+    labeled (i,k).  Crossings within the dedup radius of a point in `known`
+    or of either trajectory's first point are skipped (they are
+    re-detections of an existing junction or of a child's own birth
+    point), and each crossing yielded joins `known`.
     """
-    z, ia, ta, ib, tb = hit
-    for zk in known_points:
-        if abs(z - zk) < dedup:
-            return (None, None)
-    if abs(z - trajA.points[0]) < dedup or abs(z - trajB.points[0]) < dedup:
-        return (None, None)
-    rts = cube_roots(-curve.polynomial(z))
-    pairA = [rts[nearest_root(rts, v)] for v in _interp_pair(trajA, ia, ta)]
-    pairB = [rts[nearest_root(rts, v)] for v in _interp_pair(trajB, ib, tb)]
-    sep = min(abs(rts[0] - rts[1]), abs(rts[1] - rts[2]), abs(rts[0] - rts[2]))
-    tol = max(1e-6 * sep, 1e-12)
+    hits = polyline_intersections(arrA, arrB)
+    hits.sort(key=lambda h: h[1] + h[2])
+    for hit in hits:
+        z, ia, ta, ib, tb = hit
+        if any(abs(z - zk) < dedup
+               for zk in known + [trajA.points[0], trajB.points[0]]):
+            continue
+        rts = cube_roots(-curve.polynomial(z))
+        pairA = [rts[nearest_root(rts, v)] for v in _interp_pair(trajA, ia, ta)]
+        pairB = [rts[nearest_root(rts, v)] for v in _interp_pair(trajB, ib, tb)]
+        sep = min(abs(rts[0] - rts[1]), abs(rts[1] - rts[2]),
+                  abs(rts[0] - rts[2]))
+        tol = max(1e-6 * sep, 1e-12)
 
-    def same(u, v):
-        return abs(u - v) <= tol
+        def same(u, v):
+            return abs(u - v) <= tol
 
-    if same(pairA[0], pairB[1]) and same(pairA[1], pairB[0]):
-        return ("head_on", z)
-    for p1, p2 in ((pairA, pairB), (pairB, pairA)):
-        if same(p1[1], p2[0]) and not same(p1[0], p2[1]):
-            return ("birth", (z, (p1[0], p2[1])))
-    return (None, None)
+        if same(pairA[0], pairB[1]) and same(pairA[1], pairB[0]):
+            known.append(z)
+            yield ("head_on", hit, None)
+            continue
+        for p1, p2 in ((pairA, pairB), (pairB, pairA)):
+            if same(p1[1], p2[0]) and not same(p1[0], p2[1]):
+                known.append(z)
+                yield ("birth", hit, (p1[0], p2[1]))
+                break
 
 
 def grow_network(curve, theta, config=None, classify=True):
@@ -581,27 +518,24 @@ def grow_network(curve, theta, config=None, classify=True):
                 if i == j or key in tested:
                     continue
                 tested.add(key)
-                for hit in polyline_intersections(arrays[key[0]], arrays[key[1]]):
-                    kind, payload = _classify_crossing(
-                        curve, trajectories[key[0]], trajectories[key[1]],
-                        hit, config.dedup_radius, known)
+                a, b = key
+                for kind, hit, child_pair in _crossings(
+                        curve, trajectories[a], trajectories[b], arrays[a],
+                        arrays[b], config.dedup_radius, known):
                     if kind == "head_on":
-                        head_on.append(payload)
-                        known.append(payload)
-                    elif kind == "birth":
-                        z, child_pair = payload
-                        births.append((key, hit, z, child_pair))
-                        known.append(z)
+                        head_on.append(hit[0])
+                    else:
+                        births.append((key, hit, child_pair))
         frontier = []
-        for (key, hit, z, child_pair) in births:
-            seed = TrajectorySeed(z=z, pair=child_pair,
+        for (key, hit, child_pair) in births:
+            seed = TrajectorySeed(z=hit[0], pair=child_pair,
                                   origin=("junction", key[0], key[1]),
                                   theta=theta)
             child = trace(curve, seed, config)
             idx = len(trajectories)
             trajectories.append(child)
             frontier.append(idx)
-            junctions.append(Junction(point=z, parents=key, child=idx,
+            junctions.append(Junction(point=hit[0], parents=key, child=idx,
                                       parent_params=((hit[1], hit[2]),
                                                      (hit[3], hit[4]))))
 
@@ -807,19 +741,15 @@ def _signed_miss(traj, z0, window):
 
 class _ScanPoint:
     """Sweep state at one phase: the critical trajectories of a ray table
-    {zero: [(ray_id, phi, pair)]} plus their first-generation junction
-    children."""
+    {zero: [(m, phi, pair)]} plus their first-generation junction
+    children, one per pair of rays, born at the pair's first birth
+    crossing along the lower-keyed ray."""
 
     def __init__(self, curve, theta, config, rays, generations=1):
         self.theta = theta
-        self.critical = {}
-        for zi, entries in rays.items():
-            z0 = curve.ramification_points[zi]
-            for rid, phi, pair in entries:
-                seed = TrajectorySeed(
-                    z=z0 + config.delta0 * cmath.exp(1j * phi),
-                    pair=pair, origin=("critical", zi, rid, phi), theta=theta)
-                self.critical[(zi, rid)] = trace(curve, seed, config)
+        self.critical = {
+            seed.origin[1:3]: trace(curve, seed, config)
+            for seed in _critical_seeds(curve, theta, config.delta0, rays)}
         self.children = {}
         self.child_meta = {}
         if generations >= 1:
@@ -831,23 +761,16 @@ class _ScanPoint:
         for a in range(len(keys)):
             for b in range(a + 1, len(keys)):
                 ka, kb = keys[a], keys[b]
-                hits = polyline_intersections(arrays[ka], arrays[kb])
-                hits.sort(key=lambda h: h[1] + h[2])
-                for hit in hits:
-                    kind, payload = _classify_crossing(
+                for kind, hit, child_pair in _crossings(
                         curve, self.critical[ka], self.critical[kb],
-                        hit, config.dedup_radius, [])
-                    if kind != "birth":
-                        continue
-                    ck = (ka, kb)
-                    if ck in self.children:
-                        continue
-                    z, child_pair = payload
-                    seed = TrajectorySeed(z=z, pair=child_pair,
-                                          origin=("junction", ka, kb),
-                                          theta=self.theta)
-                    self.children[ck] = trace(curve, seed, config)
-                    self.child_meta[ck] = hit
+                        arrays[ka], arrays[kb], config.dedup_radius, []):
+                    if kind == "birth":
+                        seed = TrajectorySeed(z=hit[0], pair=child_pair,
+                                              origin=("junction", ka, kb),
+                                              theta=self.theta)
+                        self.children[(ka, kb)] = trace(curve, seed, config)
+                        self.child_meta[(ka, kb)] = hit
+                        break
 
     def events(self, curve, window):
         """{("c"|"j", key, target_zero): signed miss} at this phase."""
@@ -868,7 +791,7 @@ class _ScanPoint:
 
 
 def _ray_keys(event):
-    """The (zero, ray id) keys of the critical rays an event is about."""
+    """The (zero, label) keys of the critical rays an event is about."""
     kind, key, _ = event
     return [key] if kind == "c" else list(key)
 
@@ -878,27 +801,19 @@ class _EventTracer:
 
     A "c" event needs its critical ray; a "j" event its two parent rays,
     whose first birth crossing seeds the child.  Each ray is re-found by
-    _refine_ray at the scan's seeding radius, warm-started from the last
-    phase this event was traced at (first, the bracket's scan point), so
-    the shared RayBook is never touched.
+    its label with _critical_ray at the scan's seeding radius, not through
+    RayBook.rays_at, so the rays at a phase depend on that phase alone.
     """
 
-    def __init__(self, curve, event, scan_rays, delta0, window):
+    def __init__(self, curve, event, delta0, window):
         self.curve, self.event = curve, event
         self.delta0, self.window = delta0, window
-        self.warm = {k: phi for k in _ray_keys(event)
-                     for rid, phi, _ in scan_rays[k[0]] if rid == k[1]}
 
     def point(self, theta, config):
         rays = {}
-        for (zi, rid), phi0 in self.warm.items():
-            r = _refine_ray(self.curve, self.curve.ramification_points[zi],
-                            theta, self.delta0, phi0)
-            if r is None:
-                raise NumericalError(
-                    f"lost critical ray {(zi, rid)} at theta = {theta!r}")
-            self.warm[(zi, rid)] = r[0]
-            rays.setdefault(zi, []).append((rid,) + r)
+        for zi, m in _ray_keys(self.event):
+            rays.setdefault(zi, []).append(
+                (m,) + _critical_ray(self.curve, zi, m, theta, self.delta0))
         return _ScanPoint(self.curve, theta, config, rays,
                           generations=1 if self.event[0] == "j" else 0)
 
@@ -1022,27 +937,21 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
     seen = set()
     prev = None
     for idx, th in enumerate(thetas):
-        rays = ray_book.rays_at(th)
-        point = _ScanPoint(curve, th, cfg, rays, generations=scan_generations)
+        point = _ScanPoint(curve, th, cfg, ray_book.rays_at(th),
+                           generations=scan_generations)
         events = point.events(curve, window)
         if progress:
             progress(idx, len(thetas), th, len(webs))
         if prev is not None:
-            th_prev, prev_rays, prev_events = prev
+            th_prev, prev_events = prev
             bracket = (th_prev, th)
-            renamed = [zi for zi, entries in rays.items()
-                       if {e[0] for e in entries} != {e[0] for e in prev_rays[zi]}]
-            for ev in prev_events:
-                if any(k[0] in renamed for k in _ray_keys(ev)):
-                    _warn_dropped(ev, bracket, "the RayBook reassigned the ray "
-                                  f"ids at zeros {renamed}, so it has no match")
             for ev, m1 in events.items():
                 m0 = prev_events.get(ev)
                 if m0 is None:
                     continue
                 if not ((m0 < 0) != (m1 < 0) or m0 == 0.0 or m1 == 0.0):
                     continue
-                tracer = _EventTracer(curve, ev, rays, cfg.delta0, window)
+                tracer = _EventTracer(curve, ev, cfg.delta0, window)
                 try:
                     th_a, th_b = _bisect_event(
                         lambda t: tracer.miss(t, cfg), th_prev, th, m0, m1,
@@ -1071,7 +980,7 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
                     continue
                 seen.add(charge.components)
                 webs.append(web)
-        prev = (th, rays, events)
+        prev = (th, events)
     webs.sort(key=lambda w: w.theta_star)
     return webs
 

@@ -3,7 +3,9 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trigon import network
 from trigon.curve import OMEGA, Charge, PeriodMap, Polynomial, SpectralCurve
@@ -33,8 +35,39 @@ TWO_PI = 2 * math.pi
 
 # ---------------- seeds ----------------
 
+def _model_phi(curve, zi, m, theta):
+    """Critical direction m at zero zi from x^3 ~ -P0'(z0) (z - z0)."""
+    a = -curve.polynomial.derivative()(curve.ramification_points[zi])
+    return 0.75 * (theta - cmath.phase(a) / 3 - math.pi / 6
+                   - m * math.pi / 3) % TWO_PI
+
+
+def _model_bound(curve, zi, delta0):
+    """4 delta0 / (distance to the nearest other zero), plus 1e-9 for the
+    round-off of z0 + delta0 exp(i phi) - z0, relative to delta0."""
+    zs = curve.ramification_points
+    sep = min((abs(z - zs[zi]) for k, z in enumerate(zs) if k != zi),
+              default=math.inf)
+    return 4 * delta0 / sep + 1e-9
+
+
+def _check_labelled_seeds(curve, theta):
+    seeds = seed_critical(curve, theta)
+    per_zero = {}
+    for s in seeds:
+        kind, zi, m, phi = s.origin
+        assert kind == "critical" and m in range(8)
+        assert abs(network._wrap(phi - _model_phi(curve, zi, m, theta))) \
+            <= _model_bound(curve, zi, 1e-4)
+        per_zero.setdefault(zi, []).append(m)
+    assert sorted(per_zero) == list(range(len(curve.ramification_points)))
+    for labels in per_zero.values():
+        assert sorted(labels) == list(range(8))
+    return seeds
+
+
 def test_pentagon_seed_count(pentagon):
-    seeds = seed_critical(pentagon.curve, 0.0)
+    seeds = _check_labelled_seeds(pentagon.curve, 0.0)
     assert len(seeds) == 16
     per_zero = {}
     for s in seeds:
@@ -48,7 +81,50 @@ def test_pentagon_seed_count(pentagon):
 
 
 def test_hexagon_seed_count(hexagon):
-    assert len(seed_critical(hexagon.curve, 0.1)) == 24
+    assert len(_check_labelled_seeds(hexagon.curve, 0.1)) == 24
+
+
+_coord = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _curves(draw):
+    """x^3 + P0 = 0 with P0 of degree 1-5, roots in [-2, 2]^2 at least 0.05
+    apart, and a random leading coefficient."""
+    roots = draw(st.lists(st.builds(complex, _coord, _coord),
+                          min_size=1, max_size=5))
+    assume(all(abs(a - b) >= 0.05
+               for i, a in enumerate(roots) for b in roots[i + 1:]))
+    lead = cmath.rect(draw(st.floats(0.2, 5.0)),
+                      draw(st.floats(-math.pi, math.pi)))
+    coeffs = lead * np.poly(roots)[::-1]
+    return SpectralCurve(Polynomial(coeffs))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(curve=_curves(), theta=st.floats(-math.pi, math.pi),
+       eps=st.floats(-0.1, 0.1))
+def test_labelled_rays_follow_the_local_model(curve, theta, eps):
+    delta0 = TraceConfig().delta0
+    book = network.RayBook(curve, delta0)
+    tables = book.rays_at(theta), book.rays_at(theta + eps)
+    for zi, z0 in enumerate(curve.ramification_points):
+        bound = _model_bound(curve, zi, delta0)
+        rays, moved = tables[0][zi], tables[1][zi]
+        assert [m for m, _, _ in rays] == list(range(8))
+        phis = sorted(phi for _, phi, _ in rays)
+        assert min(b - a for a, b in zip(phis, phis[1:] + [phis[0] + TWO_PI])) \
+            > math.pi / 8
+        for (m, phi, (xp, xq)), (m1, phi1, _) in zip(rays, moved):
+            z = z0 + delta0 * cmath.exp(1j * phi)
+            for x in (xp, xq):
+                assert abs(x ** 3 + curve.polynomial(z)) < 1e-9 * abs(x) ** 3
+            W = cmath.exp(-1j * theta) * (xp - xq) * cmath.exp(1j * phi)
+            assert W.real > 0 and abs(W.imag) < 1e-9 * abs(W)
+            assert abs(network._wrap(phi - _model_phi(curve, zi, m, theta))) \
+                <= bound
+            assert m1 == m
+            assert abs(network._wrap(phi1 - phi - 0.75 * eps)) <= bound
 
 
 def test_seed_pairs_move_outward(pentagon):
@@ -355,9 +431,9 @@ def _counted_scan(defn, pm, theta_range, scan_step):
     rays_at_thetas, builds, off_grid_traces = [], [], []
     fine_builds, identified = [], []
 
-    def rays_at(self, theta, refresh=False):
+    def rays_at(self, theta):
         rays_at_thetas.append(theta)
-        return real_rays_at(self, theta, refresh)
+        return real_rays_at(self, theta)
 
     def trace(curve, seed, config=None):
         if seed.theta not in grid:
@@ -505,27 +581,21 @@ def test_failed_event_is_dropped_with_a_warning(pentagon, pentagon_pm,
     assert "'c'" in message and "theta bracket" in message
 
 
-def _renumber_zero_0_after_first_call(monkeypatch):
-    real = network.RayBook.rays_at
-    calls = []
+def _lose_every_refined_ray(monkeypatch):
+    # the scan grid's rays, from RayBook.rays_at, are found; every ray an
+    # event's refinement re-finds off the grid is lost
+    real_refine, real_rays_at = network._refine_ray, network.RayBook.rays_at
 
-    def rays_at(self, theta, refresh=False):
-        book = real(self, theta, refresh)
-        calls.append(theta)
-        if len(calls) > 1:
-            book[0] = [(rid + 100 * len(calls), phi, pair)
-                       for rid, phi, pair in book[0]]
-        return book
+    def rays_at(self, theta):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "_refine_ray", real_refine)
+            return real_rays_at(self, theta)
 
     monkeypatch.setattr(network.RayBook, "rays_at", rays_at)
-
-
-def _lose_every_refined_ray(monkeypatch):
     monkeypatch.setattr(network, "_refine_ray", lambda *args, **kw: None)
 
 
 @pytest.mark.parametrize("fault, reason", [
-    (_renumber_zero_0_after_first_call, "reassigned the ray ids at zeros [0]"),
     (_lose_every_refined_ray, "lost critical ray"),
 ])
 def test_unrefinable_events_are_dropped_with_a_warning(
