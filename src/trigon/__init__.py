@@ -24,6 +24,7 @@ from .network import (
     grow_network,
     seed_critical,
     trace,
+    trace_lanes,
 )
 from .tba import SolverConfig, TbaSolution, evaluate, integral_term, log_x, \
     semiflat, solve, spectral_coordinate

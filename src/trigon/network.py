@@ -23,11 +23,15 @@ only at theta = arg Z_gamma, where its mass exp(-i*theta) Z_gamma is real
 and positive, so the web's phase comes from the period map: each new
 charge is traced once more, at arg Z_gamma and assembly quality, and an
 event whose charge is already known stops at its scan-quality
-identification.  The scan traces every critical ray and its
-first-generation children at each grid phase, from the RayBook's table
-of labelled rays.  Refining an event traces only that event's own rays:
-one critical ray, or two parents and their child, each re-found by its
-label at the phase asked for.  An event that cannot be refined is
+identification.  The scan runs over blocks of grid phases holding about
+SCAN_BLOCK_LANES critical rays.  A block's critical rays, from the
+RayBook's table of labelled rays at each phase, are traced as one batch
+of numpy lanes (trace_lanes); each phase's first-generation births are
+found with one crossing search per ray against its later rays
+(later_crossings); and the block's children are traced as a second batch.
+Refining an event traces only that event's own rays with the scalar
+trace: one critical ray, or two parents and their child, each re-found
+by its label at the phase asked for.  An event that cannot be refined is
 dropped with a WebEventDropped warning that says why.
 """
 
@@ -365,6 +369,225 @@ def trace(curve, seed, config=None):
     return Trajectory(points, pairs, chain, status, hit, seed, seed.theta)
 
 
+_ROTATION = np.array([1, OMEGA, OMEGA * OMEGA])
+
+
+def _lane_sheet(coeffs, w, x, inv_cube):
+    """The cube root of -P0(w) nearest x, per lane, given -1/x^3.
+
+    It is x times the cube root of -P0(w)/x^3 whose argument lies within
+    pi/3 of 0, the principal one: the three roots have one modulus, so
+    the nearest in angle is the nearest.
+    """
+    acc = np.full_like(w, coeffs[0])
+    for c in coeffs[1:]:
+        acc = acc * w + c
+    rho = acc * inv_cube
+    arg = np.arctan2(rho.imag, rho.real) * (1.0 / 3.0)
+    root = np.empty_like(w)
+    root.real = np.cos(arg)
+    root.imag = np.sin(arg)
+    return x * np.cbrt(np.abs(rho)) * root
+
+
+def trace_lanes(curve, seeds, config=None):
+    """trace for many seeds at once: one Cash-Karp loop over numpy lanes.
+
+    Each lane keeps its own step size and runs every test of trace: step
+    collapse, the h/4 retry after an RK stage lands on a zero, error
+    control, the sheet margin, the disarmed start zero, and the hit,
+    outward-escape and truncation tests.  All live lanes attempt a step
+    together and a finished lane leaves the arrays, so a lane's trajectory
+    does not depend on the rest of its batch.  It follows trace's without
+    matching it bit for bit: its cube roots round differently, so the
+    accepted steps drift apart slowly.  A seed that trace would reject
+    fails the whole batch.
+    """
+    if not seeds:
+        return []
+    return list(_lane_trajectories(seeds, _trace_lanes(curve, seeds, config)))
+
+
+def _lane_trajectories(seeds, lanes):
+    """Each lane's Trajectory, built only when it is asked for: a lane in
+    list form takes about five times the memory of its arrays."""
+    z, x, chain, k, ends, status, hit_zero = lanes
+    start = 0
+    for a, seed in enumerate(seeds):
+        end = ends[a]
+        xs = x[start:end]
+        yield Trajectory(z[start:end].tolist(),
+                         list(zip(xs.tolist(), (xs * _ROTATION[k[a]]).tolist())),
+                         chain[start:end].tolist(), status[a], hit_zero[a],
+                         seed, seed.theta)
+        start = end
+
+
+def _trace_lanes(curve, seeds, config):
+    """The lane loop: z, x_i and chain at every lane's points, lane after
+    lane in seed order; each lane's partner index k and end index in
+    them; statuses; hit zeros."""
+    config = config or TraceConfig()
+    n = len(seeds)
+    esc = config.resolved_escape_radius(curve)
+    zeros = np.asarray(curve.ramification_points, dtype=complex)
+    coeffs = tuple(reversed(curve.polynomial.coefficients))
+    arm_radius = 4 * config.delta_hit
+
+    z, x, k = [], [], []
+    for seed in seeds:
+        rts = cube_roots(-curve.polynomial(complex(seed.z)))
+        i = nearest_root(rts, seed.pair[0])
+        kk = (nearest_root(rts, seed.pair[1]) - i) % 3
+        if kk == 0:
+            raise ValidationError("seed pair selects a single sheet")
+        z.append(complex(seed.z))
+        x.append(rts[i])
+        k.append(kk)
+    lane = np.arange(n)
+    z, x, k = np.array(z), np.array(x), np.array(k)
+    gap = 1 - _ROTATION[k]              # u = x_i - x_j = gap * x_i
+    inv_cube = -1 / x ** 3
+    eith = np.array([cmath.exp(1j * s.theta) for s in seeds])
+    status = ["truncated"] * n
+    hit_zero = [None] * n
+
+    def rhs(w):
+        u = _lane_sheet(coeffs, w, x, inv_cube) * gap
+        au = np.abs(u)
+        return eith * u.conjugate() / au, au
+
+    def distances(z):
+        if not len(zeros):
+            return np.full((len(z), 0), np.inf), np.full(len(z), np.inf)
+        dz = np.abs(z[:, None] - zeros[None, :])
+        return dz, dz.min(axis=1)
+
+    with np.errstate(all="ignore"):
+        # each accepted point as (lanes, index along the lane, z, x, chain)
+        records = [(lane, np.zeros(n, np.intp), z, x, np.zeros(n))]
+        length = np.ones(n, dtype=np.intp)
+        f1, g1 = rhs(z)
+        if (g1 == 0).any():
+            raise SheetAmbiguity(f"RK stage on a zero of P0 at z = {z[g1 == 0][0]}")
+        dz, dist = distances(z)
+        h = np.maximum(np.minimum(config.h_max,
+                                  0.05 * (dist if len(zeros) else 1.0)),
+                       64 * config.h_min)
+        disarmed = dz < arm_radius
+        chain = np.zeros(n)
+        s_total = np.zeros(n)
+        npts = np.ones(n, dtype=np.intp)
+        outward = np.zeros(n, dtype=np.intp)
+
+        while len(lane):
+            h = np.minimum(np.minimum(h, config.h_max),
+                           0.1 * dist + 0.5 * config.delta_hit)
+            if (h < config.h_min).any():
+                raise SheetAmbiguity(
+                    f"step size collapsed at z = {z[h < config.h_min][0]}")
+            # Cash-Karp embedded Runge-Kutta pair (orders 5 and 4)
+            f2, g2 = rhs(z + h * (1 / 5 * f1))
+            f3, g3 = rhs(z + h * (3 / 40 * f1 + 9 / 40 * f2))
+            f4, g4 = rhs(z + h * (3 / 10 * f1 - 9 / 10 * f2 + 6 / 5 * f3))
+            f5, g5 = rhs(z + h * (-11 / 54 * f1 + 5 / 2 * f2 - 70 / 27 * f3
+                                  + 35 / 27 * f4))
+            f6, g6 = rhs(z + h * (1631 / 55296 * f1 + 175 / 512 * f2
+                                  + 575 / 13824 * f3 + 44275 / 110592 * f4
+                                  + 253 / 4096 * f5))
+            on_zero = (g2 == 0) | (g3 == 0) | (g4 == 0) | (g5 == 0) | (g6 == 0)
+            z5 = z + h * (37 / 378 * f1 + 250 / 621 * f3 + 125 / 594 * f4
+                          + 512 / 1771 * f6)
+            z4 = z + h * (2825 / 27648 * f1 + 18575 / 48384 * f3
+                          + 13525 / 55296 * f4 + 277 / 14336 * f5 + 1 / 4 * f6)
+            T5 = h * (37 / 378 * g1 + 250 / 621 * g3 + 125 / 594 * g4
+                      + 512 / 1771 * g6)
+            T4 = h * (2825 / 27648 * g1 + 18575 / 48384 * g3
+                      + 13525 / 55296 * g4 + 277 / 14336 * g5 + 1 / 4 * g6)
+            err = np.abs(z5 - z4) + np.abs(T5 - T4)
+            tol = config.rk_tol * h + 4e-15 * (1.0 + np.abs(z))
+            too_big = ~on_zero & (err > tol)
+            # the re-tracked sheet must keep a safe margin: a third of the
+            # roots' separation sqrt(3) |x|
+            x5 = _lane_sheet(coeffs, z5, x, inv_cube)
+            unsafe = ~on_zero & ~too_big & (
+                np.abs(x5 - x) > np.abs(x5) * (1 / math.sqrt(3)))
+            ok = ~(on_zero | too_big | unsafe)
+
+            retry = h * np.where(on_zero, 0.25, np.where(
+                too_big, np.maximum(0.2, 0.9 * (tol / err) ** 0.25), 0.5))
+            if (on_zero & (retry < config.h_min)).any():
+                raise SheetAmbiguity(
+                    f"RK stage on a zero of P0 near z = "
+                    f"{z[on_zero & (retry < config.h_min)][0]}")
+            grown = np.minimum(config.h_max, h * np.where(
+                err > 0, np.minimum(5.0, 0.9 * (tol / err) ** 0.2), 5.0))
+            prev = z
+            s_total = np.where(ok, s_total + h, s_total)
+            h = np.where(ok, grown, retry)
+            z = np.where(ok, z5, z)
+            x = np.where(ok, x5, x)
+            inv_cube = np.where(ok, -1 / x5 ** 3, inv_cube)
+            u = x5 * gap
+            f1 = np.where(ok, eith * u.conjugate() / np.abs(u), f1)
+            g1 = np.where(ok, np.abs(u), g1)
+            chain = np.where(ok, chain + T5, chain)
+            records.append((lane[ok], npts[ok], z5[ok], x5[ok], chain[ok]))
+            npts += ok
+
+            dz, dist = distances(z)
+            disarmed &= dz < arm_radius
+            hit = ok & (dist < config.delta_hit)
+            if len(zeros):
+                near = dz.argmin(axis=1)
+                hit &= ~disarmed[np.arange(len(z)), near]
+            outside = ok & (np.abs(z) > esc)
+            outward = np.where(outside, np.where(
+                (z.conjugate() * (z - prev)).real > 0, outward + 1, 0), outward)
+            escaped = ~hit & outside & (outward >= config.outward_steps)
+            truncated = ok & ~hit & ~escaped & (
+                (s_total > config.max_arclength) | (npts >= config.max_points))
+            done = hit | escaped | truncated
+            if not done.any():
+                continue
+            for a in np.nonzero(hit)[0]:
+                status[lane[a]], hit_zero[lane[a]] = "hit_zero", int(near[a])
+            for a in np.nonzero(escaped)[0]:
+                status[lane[a]] = "escaped"
+            length[lane[done]] = npts[done]
+            keep = ~done
+            (lane, z, x, inv_cube, gap, eith, h, f1, g1, dist, disarmed,
+             chain, s_total, npts, outward) = (v[keep] for v in (
+                 lane, z, x, inv_cube, gap, eith, h, f1, g1, dist, disarmed,
+                 chain, s_total, npts, outward))
+
+    ends = np.cumsum(length)
+    first = ends - length
+    total = int(ends[-1])
+    z, x, chain = np.empty(total, complex), np.empty(total, complex), np.empty(total)
+    while records:
+        lanes, at, zr, xr, cr = records.pop()
+        idx = first[lanes] + at
+        z[idx], x[idx], chain[idx] = zr, xr, cr
+    return z, x, chain, k, ends.tolist(), status, hit_zero
+
+
+# batches at least this wide are traced as lanes; narrower ones by trace
+LANE_CROSSOVER = 32
+
+
+def trace_batch(curve, seeds, config=None):
+    """Trajectories of the seeds, in seed order, as an iterator.
+
+    A batch of at least LANE_CROSSOVER seeds is traced as lanes at once,
+    and each lane is turned into a Trajectory as the iterator reaches it;
+    a narrower batch makes one trace call per seed as it is reached.
+    """
+    if len(seeds) >= LANE_CROSSOVER:
+        return _lane_trajectories(seeds, _trace_lanes(curve, seeds, config))
+    return (trace(curve, s, config) for s in seeds)
+
+
 # ----------------------------------------------------------------------
 # polyline intersections
 # ----------------------------------------------------------------------
@@ -407,6 +630,65 @@ def polyline_intersections(pA, pB, chunk=64):
                 ss = float(s[ia_loc, ib_loc])
                 zc = pA[ia] + (pA[ia + 1] - pA[ia]) * tt
                 out.append((complex(zc), ia, tt, ib, ss))
+    return out
+
+
+def later_crossings(polylines, chunk=64):
+    """polyline_intersections of each polyline with every later one.
+
+    Returns {(a, b): hits} for a < b, listing only pairs that cross, each
+    hits list exactly as polyline_intersections(polylines[a],
+    polylines[b], chunk) gives it.  Polyline a is searched once: each
+    chunk of its segments is solved against the segments of all later
+    polylines whose bounding boxes meet the chunk's.
+    """
+    sizes = [len(p) for p in polylines]
+    pts = np.concatenate([np.asarray(p, dtype=complex) for p in polylines])
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    owner = np.repeat(np.arange(len(polylines)), sizes)
+    # segment g runs from pts[g] to pts[g + 1] inside one polyline
+    s0, s1 = pts[:-1], pts[1:]
+    joins = owner[:-1] == owner[1:]
+    x0, x1 = np.minimum(s0.real, s1.real), np.maximum(s0.real, s1.real)
+    y0, y1 = np.minimum(s0.imag, s1.imag), np.maximum(s0.imag, s1.imag)
+    out = {}
+    for a in range(len(polylines) - 1):
+        pA = pts[starts[a]:starts[a + 1]]
+        g0 = starts[a + 1]
+        for sa in range(0, len(pA) - 1, chunk):
+            ea = min(len(pA) - 1, sa + chunk)
+            segA = pA[sa:ea + 1]
+            g = g0 + np.nonzero(joins[g0:] & ~(
+                (segA.real.min() > x1[g0:]) | (x0[g0:] > segA.real.max())
+                | (segA.imag.min() > y1[g0:]) | (y0[g0:] > segA.imag.max())))[0]
+            # keep the segments whose boxes meet the box of one A segment
+            r = slice(starts[a] + sa, starts[a] + ea)
+            g = g[(~((x0[r, None] > x1[None, g]) | (x0[None, g] > x1[r, None])
+                     | (y0[r, None] > y1[None, g]) | (y0[None, g] > y1[r, None]))
+                   ).any(axis=0)]
+            if not len(g):
+                continue
+            a0 = pA[sa:ea][:, None]
+            d1 = (pA[sa + 1:ea + 1] - pA[sa:ea])[:, None]
+            b0 = s0[g][None, :]
+            d2 = (s1[g] - s0[g])[None, :]
+            w = b0 - a0
+            den = (d1.conjugate() * d2).imag
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (w.conjugate() * d2).imag / den
+                s = (w.conjugate() * d1).imag / den
+            mask = (np.abs(den) > 1e-30) & (t >= 0) & (t < 1) & (s >= 0) & (s < 1)
+            for ia_loc, ib_loc in zip(*np.nonzero(mask)):
+                ia, gb = sa + int(ia_loc), int(g[ib_loc])
+                b = int(owner[gb])
+                tt = float(t[ia_loc, ib_loc])
+                ss = float(s[ia_loc, ib_loc])
+                zc = pA[ia] + (pA[ia + 1] - pA[ia]) * tt
+                out.setdefault((a, b), []).append(
+                    (complex(zc), ia, tt, gb - int(starts[b]), ss))
+    # polyline_intersections' order: by chunk pair, then row-major
+    for hits in out.values():
+        hits.sort(key=lambda h: (h[1] // chunk, h[3] // chunk, h[1], h[3]))
     return out
 
 
@@ -455,20 +737,19 @@ class SpectralNetwork:
         return len(self.junctions)
 
 
-def _crossings(curve, trajA, trajB, arrA, arrB, dedup, known):
+def _crossings(curve, trajA, trajB, hits, dedup, known):
     """Junction births and head-on collisions where two trajectories cross.
 
     Yields ("birth", hit, child_pair) and ("head_on", hit, None) in order
-    along trajA, hit being polyline_intersections' (z, ia, ta, ib, tb).  A
-    birth is a crossing whose labels chain as (i,j),(j,k); its child is
-    labeled (i,k).  Crossings within the dedup radius of a point in `known`
-    or of either trajectory's first point are skipped (they are
-    re-detections of an existing junction or of a child's own birth
-    point), and each crossing yielded joins `known`.
+    along trajA, for hits as polyline_intersections gives them for the
+    two polylines: (z, ia, ta, ib, tb).  A birth is a crossing whose
+    labels chain as (i,j),(j,k); its child is labeled (i,k).  Crossings
+    within the dedup radius of a point in `known` or of either
+    trajectory's first point are skipped (they are re-detections of an
+    existing junction or of a child's own birth point), and each crossing
+    yielded joins `known`.
     """
-    hits = polyline_intersections(arrA, arrB)
-    hits.sort(key=lambda h: h[1] + h[2])
-    for hit in hits:
+    for hit in sorted(hits, key=lambda h: h[1] + h[2]):
         z, ia, ta, ib, tb = hit
         if any(abs(z - zk) < dedup
                for zk in known + [trajA.points[0], trajB.points[0]]):
@@ -520,8 +801,9 @@ def grow_network(curve, theta, config=None, classify=True):
                 tested.add(key)
                 a, b = key
                 for kind, hit, child_pair in _crossings(
-                        curve, trajectories[a], trajectories[b], arrays[a],
-                        arrays[b], config.dedup_radius, known):
+                        curve, trajectories[a], trajectories[b],
+                        polyline_intersections(arrays[a], arrays[b]),
+                        config.dedup_radius, known):
                     if kind == "head_on":
                         head_on.append(hit[0])
                     else:
@@ -740,54 +1022,89 @@ def _signed_miss(traj, z0, window):
 
 
 class _ScanPoint:
-    """Sweep state at one phase: the critical trajectories of a ray table
-    {zero: [(m, phi, pair)]} plus their first-generation junction
+    """Sweep state at one phase: the critical trajectories {(zero, m):
+    trajectory} of a ray table plus their first-generation junction
     children, one per pair of rays, born at the pair's first birth
     crossing along the lower-keyed ray."""
 
-    def __init__(self, curve, theta, config, rays, generations=1):
+    def __init__(self, theta, critical):
         self.theta = theta
-        self.critical = {
-            seed.origin[1:3]: trace(curve, seed, config)
-            for seed in _critical_seeds(curve, theta, config.delta0, rays)}
+        self.critical = critical
         self.children = {}
         self.child_meta = {}
-        if generations >= 1:
-            self._grow_children(curve, config)
 
-    def _grow_children(self, curve, config):
+    def births(self, curve, config):
+        """[(pair key, hit, child seed)] in key order: one crossing search
+        per ray against all later rays."""
         keys = sorted(self.critical)
-        arrays = {k: self.critical[k].points_array() for k in keys}
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                ka, kb = keys[a], keys[b]
-                for kind, hit, child_pair in _crossings(
-                        curve, self.critical[ka], self.critical[kb],
-                        arrays[ka], arrays[kb], config.dedup_radius, []):
-                    if kind == "birth":
-                        seed = TrajectorySeed(z=hit[0], pair=child_pair,
-                                              origin=("junction", ka, kb),
-                                              theta=self.theta)
-                        self.children[(ka, kb)] = trace(curve, seed, config)
-                        self.child_meta[(ka, kb)] = hit
-                        break
-
-    def events(self, curve, window):
-        """{("c"|"j", key, target_zero): signed miss} at this phase."""
-        out = {}
-        for key, traj in self.critical.items():
-            for zi, z0 in enumerate(curve.ramification_points):
-                if zi == key[0]:
-                    continue
-                miss = _signed_miss(traj, z0, window)
-                if miss is not None:
-                    out[("c", key, zi)] = miss
-        for ck, traj in self.children.items():
-            for zi, z0 in enumerate(curve.ramification_points):
-                miss = _signed_miss(traj, z0, window)
-                if miss is not None:
-                    out[("j", ck, zi)] = miss
+        hits = later_crossings([self.critical[k].points_array() for k in keys])
+        out = []
+        for (a, b), pair_hits in sorted(hits.items()):
+            ka, kb = keys[a], keys[b]
+            for kind, hit, child_pair in _crossings(
+                    curve, self.critical[ka], self.critical[kb], pair_hits,
+                    config.dedup_radius, []):
+                if kind == "birth":
+                    out.append(((ka, kb), hit, TrajectorySeed(
+                        z=hit[0], pair=child_pair, origin=("junction", ka, kb),
+                        theta=self.theta)))
+                    break
         return out
+
+
+def _misses(curve, kind, key, traj, window):
+    """{(kind, key, zero): signed miss} for the zeros a trajectory passes
+    within the window, leaving out a critical ray's own zero.  kind is "c"
+    for a critical ray and "j" for a junction child: together they are a
+    scan point's events."""
+    out = {}
+    for zi, z0 in enumerate(curve.ramification_points):
+        if kind == "c" and zi == key[0]:
+            continue
+        miss = _signed_miss(traj, z0, window)
+        if miss is not None:
+            out[(kind, key, zi)] = miss
+    return out
+
+
+def _scan_point(curve, theta, rays, config, generations):
+    """The scan point of one ray table, traced in full."""
+    seeds = _critical_seeds(curve, theta, config.delta0, rays)
+    point = _ScanPoint(theta, {s.origin[1:3]: traj for s, traj in zip(
+        seeds, trace_batch(curve, seeds, config))})
+    if generations >= 1:
+        births = point.births(curve, config)
+        for (key, hit, _), child in zip(births, trace_batch(
+                curve, [b[2] for b in births], config)):
+            point.children[key] = child
+            point.child_meta[key] = hit
+    return point
+
+
+def _scan_events(curve, thetas, tables, config, window, generations):
+    """The events {("c"|"j", key, target_zero): signed miss} at each phase
+    of a block, critical rays first, in key order.
+
+    Every critical ray of the block is traced in one batch, then every
+    first-generation child in a second.  A phase's critical trajectories
+    are dropped once its births and misses are known, so the block is
+    held in list form one phase at a time.
+    """
+    seeds = [_critical_seeds(curve, th, config.delta0, rays)
+             for th, rays in zip(thetas, tables)]
+    trajs = trace_batch(curve, [s for ss in seeds for s in ss], config)
+    events, births = [], []
+    for th, ss in zip(thetas, seeds):
+        point = _ScanPoint(th, {s.origin[1:3]: next(trajs) for s in ss})
+        births.append(point.births(curve, config) if generations >= 1 else [])
+        events.append({})
+        for key, traj in point.critical.items():
+            events[-1].update(_misses(curve, "c", key, traj, window))
+    children = trace_batch(curve, [b[2] for bs in births for b in bs], config)
+    for ev, bs in zip(events, births):
+        for key, _, _ in bs:
+            ev.update(_misses(curve, "j", key, next(children), window))
+    return events
 
 
 def _ray_keys(event):
@@ -814,8 +1131,8 @@ class _EventTracer:
         for zi, m in _ray_keys(self.event):
             rays.setdefault(zi, []).append(
                 (m,) + _critical_ray(self.curve, zi, m, theta, self.delta0))
-        return _ScanPoint(self.curve, theta, config, rays,
-                          generations=1 if self.event[0] == "j" else 0)
+        return _scan_point(self.curve, theta, rays, config,
+                           generations=1 if self.event[0] == "j" else 0)
 
     def miss(self, theta, config):
         kind, key, zi = self.event
@@ -898,12 +1215,17 @@ def _assemble_web(curve, tracer, theta, config, period_map, residual_rel,
                      detail={"miss": d[kmin], "junction": zJ})
 
 
+# phases per scan block: about this many critical lanes in one batch
+SCAN_BLOCK_LANES = 1000
+
+
 def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
                scan_step=math.pi / 300, residual_rel=1e-4, charge_box=4,
-               theta_tol=1e-6, scan_generations=1, progress=None):
+               theta_tol=1e-6, scan_generations=1):
     """Scan a phase interval for finite webs and identify their charges.
 
-    Each sign change of the signed miss distance between a trajectory and
+    The grid phases are traced in blocks (see _scan_events) and their
+    events compared at consecutive phases.  Each sign change of the signed miss distance between a trajectory and
     a zero of P0 is bisected at scan quality, and the charge gamma is
     identified there at 10 * residual_rel.  An event of a charge already
     found ends there.  Otherwise the web's phase is theta* = arg Z_gamma
@@ -933,15 +1255,17 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
     window = 0.35 * sep
 
     ray_book = RayBook(curve, cfg.delta0)
+    block = max(1, SCAN_BLOCK_LANES // (8 * len(curve.ramification_points)))
+    scan = []
+    for start in range(0, len(thetas), block):
+        phases = thetas[start:start + block]
+        scan += _scan_events(curve, phases,
+                             [ray_book.rays_at(th) for th in phases], cfg,
+                             window, scan_generations)
     webs = []
     seen = set()
     prev = None
-    for idx, th in enumerate(thetas):
-        point = _ScanPoint(curve, th, cfg, ray_book.rays_at(th),
-                           generations=scan_generations)
-        events = point.events(curve, window)
-        if progress:
-            progress(idx, len(thetas), th, len(webs))
+    for th, events in zip(thetas, scan):
         if prev is not None:
             th_prev, prev_events = prev
             bracket = (th_prev, th)
