@@ -28,7 +28,8 @@ SCAN_BLOCK_LANES critical rays.  A block's critical rays, from the
 RayBook's table of labelled rays at each phase, are traced as one batch
 of numpy lanes (trace_lanes); each phase's first-generation births are
 found with one crossing search per ray against its later rays
-(later_crossings); and the block's children are traced as a second batch.
+(later_crossings); and the block's children are traced as a second batch
+of lanes, however few, so a phase's events do not depend on its block.
 Refining an event traces only that event's own rays with the scalar
 trace: one critical ray, or two parents and their child, each re-found
 by its label at the phase asked for.  An event that cannot be refined is
@@ -403,15 +404,16 @@ def trace_lanes(curve, seeds, config=None):
     accepted steps drift apart slowly.  A seed that trace would reject
     fails the whole batch.
     """
+    return list(_lane_trajectories(curve, seeds, config))
+
+
+def _lane_trajectories(curve, seeds, config):
+    """trace_lanes as an iterator: each lane's Trajectory is built only
+    when it is reached, as a lane in list form takes about five times the
+    memory of its arrays."""
     if not seeds:
-        return []
-    return list(_lane_trajectories(seeds, _trace_lanes(curve, seeds, config)))
-
-
-def _lane_trajectories(seeds, lanes):
-    """Each lane's Trajectory, built only when it is asked for: a lane in
-    list form takes about five times the memory of its arrays."""
-    z, x, chain, k, ends, status, hit_zero = lanes
+        return
+    z, x, chain, k, ends, status, hit_zero = _trace_lanes(curve, seeds, config)
     start = 0
     for a, seed in enumerate(seeds):
         end = ends[a]
@@ -572,27 +574,15 @@ def _trace_lanes(curve, seeds, config):
     return z, x, chain, k, ends.tolist(), status, hit_zero
 
 
-# batches at least this wide are traced as lanes; narrower ones by trace
-LANE_CROSSOVER = 32
-
-
-def trace_batch(curve, seeds, config=None):
-    """Trajectories of the seeds, in seed order, as an iterator.
-
-    A batch of at least LANE_CROSSOVER seeds is traced as lanes at once,
-    and each lane is turned into a Trajectory as the iterator reaches it;
-    a narrower batch makes one trace call per seed as it is reached.
-    """
-    if len(seeds) >= LANE_CROSSOVER:
-        return _lane_trajectories(seeds, _trace_lanes(curve, seeds, config))
-    return (trace(curve, s, config) for s in seeds)
-
-
 # ----------------------------------------------------------------------
 # polyline intersections
 # ----------------------------------------------------------------------
 
-def polyline_intersections(pA, pB, chunk=64):
+# segments per bounding box in the crossing searches
+SEGMENT_CHUNK = 64
+
+
+def polyline_intersections(pA, pB, chunk=SEGMENT_CHUNK):
     """All transversal crossings of two polylines.
 
     Returns a list of (z, ia, ta, ib, tb): crossing point, segment index
@@ -633,14 +623,14 @@ def polyline_intersections(pA, pB, chunk=64):
     return out
 
 
-def later_crossings(polylines, chunk=64):
+def later_crossings(polylines):
     """polyline_intersections of each polyline with every later one.
 
     Returns {(a, b): hits} for a < b, listing only pairs that cross, each
-    hits list exactly as polyline_intersections(polylines[a],
-    polylines[b], chunk) gives it.  Polyline a is searched once: each
-    chunk of its segments is solved against the segments of all later
-    polylines whose bounding boxes meet the chunk's.
+    hits list holding polyline_intersections(polylines[a], polylines[b])'s
+    hit tuples in order of (ia, ib).  Polyline a is searched once: each
+    chunk of SEGMENT_CHUNK of its segments is solved against the segments
+    of all later polylines whose bounding boxes meet the chunk's.
     """
     sizes = [len(p) for p in polylines]
     pts = np.concatenate([np.asarray(p, dtype=complex) for p in polylines])
@@ -655,8 +645,8 @@ def later_crossings(polylines, chunk=64):
     for a in range(len(polylines) - 1):
         pA = pts[starts[a]:starts[a + 1]]
         g0 = starts[a + 1]
-        for sa in range(0, len(pA) - 1, chunk):
-            ea = min(len(pA) - 1, sa + chunk)
+        for sa in range(0, len(pA) - 1, SEGMENT_CHUNK):
+            ea = min(len(pA) - 1, sa + SEGMENT_CHUNK)
             segA = pA[sa:ea + 1]
             g = g0 + np.nonzero(joins[g0:] & ~(
                 (segA.real.min() > x1[g0:]) | (x0[g0:] > segA.real.max())
@@ -686,9 +676,6 @@ def later_crossings(polylines, chunk=64):
                 zc = pA[ia] + (pA[ia + 1] - pA[ia]) * tt
                 out.setdefault((a, b), []).append(
                     (complex(zc), ia, tt, gb - int(starts[b]), ss))
-    # polyline_intersections' order: by chunk pair, then row-major
-    for hits in out.values():
-        hits.sort(key=lambda h: (h[1] // chunk, h[3] // chunk, h[1], h[3]))
     return out
 
 
@@ -1068,15 +1055,13 @@ def _misses(curve, kind, key, traj, window):
 
 
 def _scan_point(curve, theta, rays, config, generations):
-    """The scan point of one ray table, traced in full."""
+    """The scan point of one ray table, traced in full with trace."""
     seeds = _critical_seeds(curve, theta, config.delta0, rays)
-    point = _ScanPoint(theta, {s.origin[1:3]: traj for s, traj in zip(
-        seeds, trace_batch(curve, seeds, config))})
+    point = _ScanPoint(theta, {s.origin[1:3]: trace(curve, s, config)
+                               for s in seeds})
     if generations >= 1:
-        births = point.births(curve, config)
-        for (key, hit, _), child in zip(births, trace_batch(
-                curve, [b[2] for b in births], config)):
-            point.children[key] = child
+        for key, hit, seed in point.births(curve, config):
+            point.children[key] = trace(curve, seed, config)
             point.child_meta[key] = hit
     return point
 
@@ -1085,14 +1070,15 @@ def _scan_events(curve, thetas, tables, config, window, generations):
     """The events {("c"|"j", key, target_zero): signed miss} at each phase
     of a block, critical rays first, in key order.
 
-    Every critical ray of the block is traced in one batch, then every
-    first-generation child in a second.  A phase's critical trajectories
-    are dropped once its births and misses are known, so the block is
-    held in list form one phase at a time.
+    Every critical ray of the block is traced in one batch of lanes, then
+    every first-generation child in a second, however few: a lane does
+    not depend on its batch, so neither do a phase's events.  A phase's
+    critical trajectories are dropped once its births and misses are
+    known, so the block is held in list form one phase at a time.
     """
     seeds = [_critical_seeds(curve, th, config.delta0, rays)
              for th, rays in zip(thetas, tables)]
-    trajs = trace_batch(curve, [s for ss in seeds for s in ss], config)
+    trajs = _lane_trajectories(curve, [s for ss in seeds for s in ss], config)
     events, births = [], []
     for th, ss in zip(thetas, seeds):
         point = _ScanPoint(th, {s.origin[1:3]: next(trajs) for s in ss})
@@ -1100,7 +1086,9 @@ def _scan_events(curve, thetas, tables, config, window, generations):
         events.append({})
         for key, traj in point.critical.items():
             events[-1].update(_misses(curve, "c", key, traj, window))
-    children = trace_batch(curve, [b[2] for bs in births for b in bs], config)
+    del trajs
+    children = _lane_trajectories(curve, [b[2] for bs in births for b in bs],
+                                  config)
     for ev, bs in zip(events, births):
         for key, _, _ in bs:
             ev.update(_misses(curve, "j", key, next(children), window))
@@ -1215,8 +1203,11 @@ def _assemble_web(curve, tracer, theta, config, period_map, residual_rel,
                      detail={"miss": d[kmin], "junction": zJ})
 
 
-# phases per scan block: about this many critical lanes in one batch
-SCAN_BLOCK_LANES = 1000
+# phases per scan block: about this many critical lanes in one batch.  On
+# the full pentagon and hexagon sweeps, blocks of 256 lanes ran about 20%
+# slower and blocks of 1000 or 2000 only 5-8% faster, while a block's
+# arrays take 10-13 kB of peak memory per lane
+SCAN_BLOCK_LANES = 500
 
 
 def detect_bps(curve, lattice, theta_range, config=None, period_map=None,

@@ -311,6 +311,36 @@ def test_a_lane_does_not_depend_on_its_batch(window_lanes):
         assert _as_tuple(alone) == _as_tuple(lanes[i])
 
 
+@pytest.mark.parametrize("name, theta_range, step", [
+    ("pentagon", (-0.62, -0.43), math.pi / 80),
+    ("hexagon", (0.47, 0.58), math.pi / 120)], ids=["pentagon", "hexagon"])
+def test_scan_events_do_not_depend_on_the_block(name, theta_range, step,
+                                                request):
+    # the window's grid as one block, and as blocks of 5 phases that end
+    # in a one-phase block; all batches are lanes, so every phase's misses
+    # are the same
+    curve = request.getfixturevalue(name).curve
+    cfg = network._web_trace_config(TraceConfig(), curve, fine=False)
+    book = network.RayBook(curve, cfg.delta0)
+    lo, hi = theta_range
+    n = max(2, int(math.ceil((hi - lo) / step)))
+    thetas = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    tables = [book.rays_at(th) for th in thetas]
+    zs = curve.ramification_points
+    window = 0.35 * min(abs(a - b) for i, a in enumerate(zs) for b in zs[i + 1:])
+    whole = network._scan_events(curve, thetas, tables, cfg, window, 1)
+    assert len(thetas) % 5 == 1 and any(whole)
+    split = [ev for b in range(0, len(thetas), 5)
+             for ev in network._scan_events(curve, thetas[b:b + 5],
+                                            tables[b:b + 5], cfg, window, 1)]
+    assert split == whole
+
+
+def _in_segment_order(hits):
+    """Hit tuples in later_crossings' order: by segment on A, then on B."""
+    return sorted(hits, key=lambda h: (h[1], h[3]))
+
+
 def test_later_crossings_match_pairwise_intersections(window_lanes):
     _, _, seeds, lanes = window_lanes
     phases = {}
@@ -323,7 +353,8 @@ def test_later_crossings_match_pairwise_intersections(window_lanes):
                     for b in range(a + 1, len(polylines))}
         found = later_crossings(polylines)
         assert found
-        assert found == {key: hits for key, hits in pairwise.items() if hits}
+        assert found == {key: _in_segment_order(hits)
+                         for key, hits in pairwise.items() if hits}
 
 
 @pytest.mark.parametrize("name, theta, n_points",
@@ -427,7 +458,7 @@ def test_polyline_intersections_basic():
     assert len(hits) == 2
     zs = sorted(h[0].real for h in hits)
     assert abs(zs[0] - 0.5) < 1e-12 and abs(zs[1] - 1.5) < 1e-12
-    assert later_crossings([a, b]) == {(0, 1): hits}
+    assert later_crossings([a, b]) == {(0, 1): _in_segment_order(hits)}
 
 
 def test_polyline_intersections_none():
