@@ -139,10 +139,6 @@ def builtin_spectrum(example):
     return BpsSpectrum(entries)
 
 
-def validate(spectrum, z3_action=None):
-    return spectrum.validate(z3_action)
-
-
 def spectrum_from_webs(webs, rank):
     """Harvest a spectrum from detected finite webs.
 

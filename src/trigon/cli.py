@@ -73,7 +73,7 @@ def _period_map(defn):
 def _write_polylines(net, path):
     with open(path, "w") as fh:
         for traj in net.trajectories:
-            for p in traj.points:
+            for p in traj.points.tolist():
                 fh.write(f"{p.real!r} {p.imag!r}\n")
             fh.write("\n")
 
@@ -87,7 +87,7 @@ def _network_doc(net):
         "n_born": net.n_born,
         "trajectories": [
             {
-                "points": [_c2pair(p) for p in t.points],
+                "points": [_c2pair(p) for p in t.points.tolist()],
                 "status": t.status,
                 "hit_zero": t.hit_zero,
                 "origin": list(map(str, t.seed.origin)),

@@ -121,11 +121,6 @@ class Polynomial:
         return polished
 
 
-def roots(p: Polynomial):
-    """Roots of p; see Polynomial.roots."""
-    return p.roots()
-
-
 @dataclass
 class LiftedPath:
     """A piecewise-linear base path with a chosen starting sheet.
@@ -297,14 +292,6 @@ class SpectralCurve:
         return nearest_root(frame if frame is not None else self.sheets_at(z), x)
 
 
-def sheets_at(curve: SpectralCurve, z):
-    return curve.sheets_at(z)
-
-
-def continue_sheet(curve: SpectralCurve, path: LiftedPath):
-    return curve.continue_sheet(path)
-
-
 # --- charges and the lattice ---
 
 @dataclass(frozen=True)
@@ -390,10 +377,6 @@ class ChargeLattice:
                     f"(|dx| = {abs(x_end - path.starting_sheet_value):.3e})")
 
 
-def pairing(lattice: ChargeLattice, gamma: Charge, mu: Charge):
-    return lattice.pairing(gamma, mu)
-
-
 # --- periods ---
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -466,13 +449,6 @@ class PeriodMap:
 
     def __call__(self, gamma):
         return self.Z(gamma)
-
-
-def period(curve: SpectralCurve, lattice: ChargeLattice, gamma: Charge,
-           rel_tol=1e-9, period_map=None):
-    """Z_gamma as the integer combination of basis contour periods."""
-    pm = period_map or PeriodMap.compute(curve, lattice, rel_tol)
-    return pm.Z(gamma)
 
 
 # --- example definitions on disk ---

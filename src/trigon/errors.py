@@ -51,10 +51,6 @@ class ChargeIdentificationFailed(NumericalError):
     """No (or no unique) integer charge matches a web period."""
 
 
-class UnsupportedWebTopology(NumericalError):
-    """A finite web is neither a single string nor a three-string junction."""
-
-
 # --- bps / tba ---
 
 class RayCollision(NumericalError):

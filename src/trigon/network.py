@@ -7,13 +7,14 @@ A trajectory with ordered sheet pair (x_i, x_j) solves
 integrated here in arclength form dz/ds = exp(i*theta) * conj(u)/|u|.
 The sheets over z are x, omega*x and omega^2*x, so x_j = omega^k x_i with
 k fixed at the seed: only x_i is tracked, one nearest cube root per RK
-stage, and u = x_i - x_j.  Networks start from the 8
-critical trajectories emanating from each simple zero of P0, then grow by
-the junction birth rule: at every crossing whose labels chain as
-(i,j),(j,k) a new trajectory labeled (i,k) is seeded at the crossing.
-Each critical ray carries a label (zero, m), m = 0..7, from the local
-model x^3 ~ -P0'(z0) (z - z0); the label is continuous in theta, so rays
-at different phases match by label.
+stage, and u = x_i - x_j; a Trajectory holds arrays of its points, x_i
+and chain integral, and the index k.  Networks start from the 8 critical
+trajectories emanating from each simple zero of P0, then grow by the
+junction birth rule: at every crossing whose labels chain as (i,j),(j,k)
+a new trajectory labeled (i,k) is seeded at the crossing.  Each critical
+ray carries a label (zero, m), m = 0..7, from the local model
+x^3 ~ -P0'(z0) (z - z0); the label is continuous in theta, so rays at
+different phases match by label.
 
 Finite webs (a trajectory running into a zero, or a junction child doing
 so) are bracketed by bisecting the signed miss distance in theta, and
@@ -23,16 +24,15 @@ only at theta = arg Z_gamma, where its mass exp(-i*theta) Z_gamma is real
 and positive, so the web's phase comes from the period map: each new
 charge is traced once more, at arg Z_gamma and assembly quality, and an
 event whose charge is already known stops at its scan-quality
-identification.  The scan runs over blocks of grid phases holding about
-SCAN_BLOCK_LANES critical rays.  A block's critical rays, from the
-RayBook's table of labelled rays at each phase, are traced as one batch
-of numpy lanes (trace_lanes); each phase's first-generation births are
-found with one crossing search per ray against its later rays
-(later_crossings); and the block's children are traced as a second batch
-of lanes, however few, so a phase's events do not depend on its block.
-Refining an event traces only that event's own rays with the scalar
-trace: one critical ray, or two parents and their child, each re-found
-by its label at the phase asked for.  An event that cannot be refined is
+identification.  _scan_points builds the scan points of a list of
+phases: their labelled critical rays traced as one batch, each phase's
+first-generation births found with one crossing search per ray against
+its later rays (later_crossings), and the children traced as a second
+batch.  The grid runs it on blocks of about SCAN_BLOCK_LANES critical
+rays with numpy lanes (trace_lanes), so a phase's events do not depend
+on its block; refining an event runs it at one phase on that event's own
+rays with the scalar trace: one critical ray, or two parents and their
+child, each re-found by its label.  An event that cannot be refined is
 dropped with a WebEventDropped warning that says why.
 """
 
@@ -52,7 +52,6 @@ from .errors import (
     NumericalError,
     PatternViolation,
     SheetAmbiguity,
-    UnsupportedWebTopology,
     ValidationError,
     WebEventDropped,
 )
@@ -213,36 +212,39 @@ def seed_critical(curve, theta, config=None):
 # tracing
 # ----------------------------------------------------------------------
 
-class Trajectory:
-    """A traced WKB trajectory: polyline, sheet pairs, chain integral.
+_ROTATION = np.array([1, OMEGA, OMEGA * OMEGA])
 
-    pairs[m] is (x_i, x_j) at point m: the tracked sheet and its partner
-    omega^k x_i, with k in {1, 2} fixed along the trajectory.  chain[m] is
-    the accumulated integral of |x_i - x_j| over arclength up to point m;
-    the complex integral of (x_i - x_j) dz along the curve is
-    exp(i*theta) * chain[m], a consequence of the trajectory equation.
+
+@dataclass(eq=False, slots=True)
+class Trajectory:
+    """A traced WKB trajectory: polyline, tracked sheet, chain integral.
+
+    points, x and chain are arrays over the polyline's points: x[m] is the
+    tracked sheet x_i at points[m], whose partner is omega^k x_i with k in
+    {1, 2} fixed along the trajectory.  chain[m] is the accumulated
+    integral of |x_i - x_j| over arclength up to point m; the complex
+    integral of (x_i - x_j) dz along the curve is exp(i*theta) * chain[m],
+    a consequence of the trajectory equation.
     """
 
-    __slots__ = ("points", "pairs", "chain", "status", "hit_zero", "seed", "theta")
-
-    def __init__(self, points, pairs, chain, status, hit_zero, seed, theta):
-        self.points = points
-        self.pairs = pairs
-        self.chain = chain
-        self.status = status          # "escaped" | "hit_zero" | "truncated"
-        self.hit_zero = hit_zero
-        self.seed = seed
-        self.theta = theta
+    points: np.ndarray
+    x: np.ndarray
+    k: int
+    chain: np.ndarray
+    status: str                   # "escaped" | "hit_zero" | "truncated"
+    hit_zero: int
+    seed: TrajectorySeed
+    theta: float
 
     def __len__(self):
         return len(self.points)
 
-    @property
-    def origin_kind(self):
-        return self.seed.origin[0]
-
-    def points_array(self):
-        return np.asarray(self.points, dtype=complex)
+    def pair(self, m, t=0.0):
+        """(x_i, x_j) at point m, or a fraction t along segment m."""
+        x = self.x[m]
+        if t:
+            x = x + (self.x[m + 1] - x) * t
+        return x, x * _ROTATION[self.k]
 
     def chain_integral(self, upto=None):
         T = self.chain[-1 if upto is None else upto]
@@ -286,7 +288,7 @@ def trace(curve, seed, config=None):
 
     f1, g1 = rhs(z)
     points = [z]
-    pairs = [(x, rts[(i + k) % 3])]
+    xs = [x]
     chain = [0.0]
     s_total = 0.0
     dz = [abs(z - z0) for z0 in zeros]
@@ -344,7 +346,7 @@ def trace(curve, seed, config=None):
         z, x, xj = z5, rts[i], rts[(i + k) % 3]
         s_total += h
         points.append(z)
-        pairs.append((x, xj))
+        xs.append(x)
         u = x - xj        # the next step's first stage, from these roots
         f1, g1 = eith * u.conjugate() / abs(u), abs(u)
         chain.append(chain[-1] + T5)
@@ -367,10 +369,8 @@ def trace(curve, seed, config=None):
             status = "truncated"
             break
 
-    return Trajectory(points, pairs, chain, status, hit, seed, seed.theta)
-
-
-_ROTATION = np.array([1, OMEGA, OMEGA * OMEGA])
+    return Trajectory(np.array(points), np.array(xs), k, np.array(chain),
+                      status, hit, seed, seed.theta)
 
 
 def _lane_sheet(coeffs, w, x, inv_cube):
@@ -402,27 +402,17 @@ def trace_lanes(curve, seeds, config=None):
     does not depend on the rest of its batch.  It follows trace's without
     matching it bit for bit: its cube roots round differently, so the
     accepted steps drift apart slowly.  A seed that trace would reject
-    fails the whole batch.
+    fails the whole batch.  Each Trajectory's arrays are slices of the
+    batch's.
     """
-    return list(_lane_trajectories(curve, seeds, config))
-
-
-def _lane_trajectories(curve, seeds, config):
-    """trace_lanes as an iterator: each lane's Trajectory is built only
-    when it is reached, as a lane in list form takes about five times the
-    memory of its arrays."""
     if not seeds:
-        return
+        return []
     z, x, chain, k, ends, status, hit_zero = _trace_lanes(curve, seeds, config)
-    start = 0
-    for a, seed in enumerate(seeds):
-        end = ends[a]
-        xs = x[start:end]
-        yield Trajectory(z[start:end].tolist(),
-                         list(zip(xs.tolist(), (xs * _ROTATION[k[a]]).tolist())),
-                         chain[start:end].tolist(), status[a], hit_zero[a],
-                         seed, seed.theta)
-        start = end
+    starts = [0] + ends[:-1]
+    return [Trajectory(z[a:b], x[a:b], int(kk), chain[a:b], st, hz, seed,
+                       seed.theta)
+            for a, b, kk, st, hz, seed in zip(starts, ends, k, status,
+                                              hit_zero, seeds)]
 
 
 def _trace_lanes(curve, seeds, config):
@@ -679,12 +669,6 @@ def later_crossings(polylines):
     return out
 
 
-def _interp_pair(traj, idx, t):
-    a0, b0 = traj.pairs[idx]
-    a1, b1 = traj.pairs[idx + 1]
-    return (a0 + (a1 - a0) * t, b0 + (b1 - b0) * t)
-
-
 def _interp_chain(traj, idx, t):
     return traj.chain[idx] + (traj.chain[idx + 1] - traj.chain[idx]) * t
 
@@ -742,8 +726,8 @@ def _crossings(curve, trajA, trajB, hits, dedup, known):
                for zk in known + [trajA.points[0], trajB.points[0]]):
             continue
         rts = cube_roots(-curve.polynomial(z))
-        pairA = [rts[nearest_root(rts, v)] for v in _interp_pair(trajA, ia, ta)]
-        pairB = [rts[nearest_root(rts, v)] for v in _interp_pair(trajB, ib, tb)]
+        pairA = [rts[nearest_root(rts, v)] for v in trajA.pair(ia, ta)]
+        pairB = [rts[nearest_root(rts, v)] for v in trajB.pair(ib, tb)]
         sep = min(abs(rts[0] - rts[1]), abs(rts[1] - rts[2]),
                   abs(rts[0] - rts[2]))
         tol = max(1e-6 * sep, 1e-12)
@@ -779,7 +763,6 @@ def grow_network(curve, theta, config=None, classify=True):
                 f"network still growing after {config.generation_cap} generations")
         known = [j.point for j in junctions] + head_on
         births = []
-        arrays = [t.points_array() for t in trajectories]
         for i in frontier:
             for j in range(len(trajectories)):
                 key = (min(i, j), max(i, j))
@@ -789,7 +772,8 @@ def grow_network(curve, theta, config=None, classify=True):
                 a, b = key
                 for kind, hit, child_pair in _crossings(
                         curve, trajectories[a], trajectories[b],
-                        polyline_intersections(arrays[a], arrays[b]),
+                        polyline_intersections(trajectories[a].points,
+                                               trajectories[b].points),
                         config.dedup_radius, known):
                     if kind == "head_on":
                         head_on.append(hit[0])
@@ -851,9 +835,10 @@ def classify_infinity(curve, net):
         raise ValidationError("classify_infinity needs every trajectory escaped")
     n = curve.polynomial.degree
     grid, step = direction_grid(curve, net.theta)
+    ends = [complex(t.points[-1]) for t in net.trajectories]
     occupied = {}
-    for ti, traj in enumerate(net.trajectories):
-        ang = cmath.phase(traj.points[-1]) % TWO_PI
+    for ti, zf in enumerate(ends):
+        ang = cmath.phase(zf) % TWO_PI
         k = min(range(len(grid)), key=lambda i: abs(_wrap(ang - grid[i])))
         err = abs(_wrap(ang - grid[k]))
         if err > 0.4 * step:
@@ -864,7 +849,7 @@ def classify_infinity(curve, net):
         raise PatternViolation(
             f"{len(occupied)} asymptotic directions occupied, expected {2 * n + 6}")
 
-    R = max(abs(t.points[-1]) for t in net.trajectories)
+    R = max(abs(zf) for zf in ends)
     ks = sorted(occupied)
     ang0 = grid[ks[0]]
     x_start = cube_roots(-curve.polynomial(R * cmath.exp(1j * ang0)))[0]
@@ -885,15 +870,15 @@ def classify_infinity(curve, net):
         walk_to(grid[k])
         labels = set()
         for ti in occupied[k]:
-            traj = net.trajectories[ti]
-            zf = traj.points[-1]
+            zf = ends[ti]
             xf = x_frame
             zc = R * cmath.exp(1j * cmath.phase(zf))
             for m in range(1, 5):
                 rts = cube_roots(-curve.polynomial(zc + (zf - zc) * m / 4.0))
                 xf = rts[nearest_root(rts, xf)]
             fr = (xf, xf * OMEGA, xf * OMEGA * OMEGA)
-            labels.add(tuple(nearest_root(fr, v) for v in traj.pairs[-1]))
+            labels.add(tuple(nearest_root(fr, v)
+                             for v in net.trajectories[ti].pair(-1)))
         if len(labels) != 1:
             raise PatternViolation(
                 f"conflicting labels {sorted(labels)} at direction {grid[k]:.4f}")
@@ -963,7 +948,14 @@ class FiniteWeb:
     detail: dict = field(default_factory=dict)
 
 
-def identify_charge(Z_web, period_map, residual_rel=1e-4, max_coeff=4):
+# a web's charge matches its period to RESIDUAL_REL relative, with
+# coefficients in [-CHARGE_BOX, CHARGE_BOX]
+RESIDUAL_REL = 1e-4
+CHARGE_BOX = 4
+
+
+def identify_charge(Z_web, period_map, residual_rel=RESIDUAL_REL,
+                    max_coeff=CHARGE_BOX):
     """Integer charge whose period matches Z_web, by bounded enumeration.
 
     The match must be unique inside the coefficient box; a second candidate
@@ -989,6 +981,13 @@ def identify_charge(Z_web, period_map, residual_rel=1e-4, max_coeff=4):
     return ch, float(d[inside[0]])
 
 
+def _nearest(points, z0):
+    """(index, distance) of the point nearest z0, the distance by Python's
+    abs, which can round differently from numpy's in the last bit."""
+    k = int(np.abs(points - z0).argmin())
+    return k, abs(complex(points[k]) - z0)
+
+
 def _signed_miss(traj, z0, window):
     """Signed closest approach of a trajectory to the zero z0.
 
@@ -997,101 +996,82 @@ def _signed_miss(traj, z0, window):
     than the window or happens at the very start of the polyline.
     """
     pts = traj.points
-    d = [abs(p - z0) for p in pts]
-    k = d.index(min(d))
-    if traj.status == "hit_zero" and d[k] < window:
+    k, dk = _nearest(pts, z0)
+    if traj.status == "hit_zero" and dk < window:
         return 0.0
-    if d[k] > window or k == 0:
+    if dk > window or k == 0:
         return None
     v = pts[k + 1] - pts[k] if k < len(pts) - 1 else pts[k] - pts[k - 1]
     sgn = (v.conjugate() * (z0 - pts[k])).imag
-    return d[k] if sgn >= 0 else -d[k]
+    return dk if sgn >= 0 else -dk
 
 
-class _ScanPoint:
-    """Sweep state at one phase: the critical trajectories {(zero, m):
-    trajectory} of a ray table plus their first-generation junction
-    children, one per pair of rays, born at the pair's first birth
-    crossing along the lower-keyed ray."""
-
-    def __init__(self, theta, critical):
-        self.theta = theta
-        self.critical = critical
-        self.children = {}
-        self.child_meta = {}
-
-    def births(self, curve, config):
-        """[(pair key, hit, child seed)] in key order: one crossing search
-        per ray against all later rays."""
-        keys = sorted(self.critical)
-        hits = later_crossings([self.critical[k].points_array() for k in keys])
-        out = []
-        for (a, b), pair_hits in sorted(hits.items()):
-            ka, kb = keys[a], keys[b]
-            for kind, hit, child_pair in _crossings(
-                    curve, self.critical[ka], self.critical[kb], pair_hits,
-                    config.dedup_radius, []):
-                if kind == "birth":
-                    out.append(((ka, kb), hit, TrajectorySeed(
-                        z=hit[0], pair=child_pair, origin=("junction", ka, kb),
-                        theta=self.theta)))
-                    break
-        return out
-
-
-def _misses(curve, kind, key, traj, window):
-    """{(kind, key, zero): signed miss} for the zeros a trajectory passes
-    within the window, leaving out a critical ray's own zero.  kind is "c"
-    for a critical ray and "j" for a junction child: together they are a
-    scan point's events."""
-    out = {}
-    for zi, z0 in enumerate(curve.ramification_points):
-        if kind == "c" and zi == key[0]:
-            continue
-        miss = _signed_miss(traj, z0, window)
-        if miss is not None:
-            out[(kind, key, zi)] = miss
+def _births(curve, theta, critical, config):
+    """[(pair key, hit, child seed)] of one phase's critical trajectories
+    {(zero, m): trajectory}, in key order: a pair of rays has at most one
+    child, born at its first birth crossing along the lower-keyed ray.
+    One crossing search per ray against all later rays."""
+    keys = sorted(critical)
+    hits = later_crossings([critical[k].points for k in keys])
+    out = []
+    for (a, b), pair_hits in sorted(hits.items()):
+        ka, kb = keys[a], keys[b]
+        for kind, hit, child_pair in _crossings(
+                curve, critical[ka], critical[kb], pair_hits,
+                config.dedup_radius, []):
+            if kind == "birth":
+                out.append(((ka, kb), hit, TrajectorySeed(
+                    z=hit[0], pair=child_pair, origin=("junction", ka, kb),
+                    theta=theta)))
+                break
     return out
 
 
-def _scan_point(curve, theta, rays, config, generations):
-    """The scan point of one ray table, traced in full with trace."""
-    seeds = _critical_seeds(curve, theta, config.delta0, rays)
-    point = _ScanPoint(theta, {s.origin[1:3]: trace(curve, s, config)
-                               for s in seeds})
-    if generations >= 1:
-        for key, hit, seed in point.births(curve, config):
-            point.children[key] = trace(curve, seed, config)
-            point.child_meta[key] = hit
-    return point
-
-
-def _scan_events(curve, thetas, tables, config, window, generations):
-    """The events {("c"|"j", key, target_zero): signed miss} at each phase
-    of a block, critical rays first, in key order.
-
-    Every critical ray of the block is traced in one batch of lanes, then
-    every first-generation child in a second, however few: a lane does
-    not depend on its batch, so neither do a phase's events.  A phase's
-    critical trajectories are dropped once its births and misses are
-    known, so the block is held in list form one phase at a time.
-    """
+def _scan_points(curve, thetas, tables, config, generations, tracer):
+    """The scan point (critical, children) of each phase, from its table
+    of labelled rays: critical is {(zero, m): trajectory}, and children is
+    {pair key: (birth hit, child)} for generations = 1, {} for 0.
+    tracer(curve, seeds, config) traces every critical ray of every phase
+    in one call, then every child in a second."""
     seeds = [_critical_seeds(curve, th, config.delta0, rays)
              for th, rays in zip(thetas, tables)]
-    trajs = _lane_trajectories(curve, [s for ss in seeds for s in ss], config)
-    events, births = [], []
-    for th, ss in zip(thetas, seeds):
-        point = _ScanPoint(th, {s.origin[1:3]: next(trajs) for s in ss})
-        births.append(point.births(curve, config) if generations >= 1 else [])
+    trajs = iter(tracer(curve, [s for ss in seeds for s in ss], config))
+    critical = [{s.origin[1:3]: next(trajs) for s in ss} for ss in seeds]
+    births = [_births(curve, th, crit, config) if generations else []
+              for th, crit in zip(thetas, critical)]
+    children = iter(tracer(curve, [seed for bs in births for _, _, seed in bs],
+                           config))
+    return [(crit, {key: (hit, next(children)) for key, hit, _ in bs})
+            for crit, bs in zip(critical, births)]
+
+
+def _trace_each(curve, seeds, config):
+    """trace for each seed: event refinement traces 1-3 rays at a phase,
+    far below the 32 lanes from which trace_lanes is faster."""
+    return [trace(curve, s, config) for s in seeds]
+
+
+def _scan_events(curve, thetas, tables, config, window):
+    """The events {("c"|"j", key, target_zero): signed miss} at each phase
+    of a block: the zeros that its critical rays ("c", leaving out a ray's
+    own zero) and then its junction children ("j") pass within the
+    window, in key order.  The block's critical rays are traced as one
+    batch of lanes and its children as a second, however few: a lane does
+    not depend on its batch, so neither do a phase's events.
+    """
+    events = []
+    for critical, children in _scan_points(curve, thetas, tables, config, 1,
+                                           trace_lanes):
+        legs = [("c", key, traj) for key, traj in critical.items()]
+        legs += [("j", key, child) for key, (_, child) in children.items()]
         events.append({})
-        for key, traj in point.critical.items():
-            events[-1].update(_misses(curve, "c", key, traj, window))
-    del trajs
-    children = _lane_trajectories(curve, [b[2] for bs in births for b in bs],
-                                  config)
-    for ev, bs in zip(events, births):
-        for key, _, _ in bs:
-            ev.update(_misses(curve, "j", key, next(children), window))
+        for kind, key, traj in legs:
+            for zi, z0 in enumerate(curve.ramification_points):
+                if kind == "c" and zi == key[0]:
+                    continue
+                miss = _signed_miss(traj, z0, window)
+                if miss is not None:
+                    events[-1][(kind, key, zi)] = miss
     return events
 
 
@@ -1115,19 +1095,21 @@ class _EventTracer:
         self.delta0, self.window = delta0, window
 
     def point(self, theta, config):
+        """The event's scan point (critical, children) at theta."""
         rays = {}
         for zi, m in _ray_keys(self.event):
             rays.setdefault(zi, []).append(
                 (m,) + _critical_ray(self.curve, zi, m, theta, self.delta0))
-        return _scan_point(self.curve, theta, rays, config,
-                           generations=1 if self.event[0] == "j" else 0)
+        point, = _scan_points(self.curve, [theta], [rays], config,
+                              1 if self.event[0] == "j" else 0, _trace_each)
+        return point
 
     def miss(self, theta, config):
         kind, key, zi = self.event
-        point = self.point(theta, config)
-        traj = (point.critical if kind == "c" else point.children).get(key)
-        if traj is None:
+        critical, children = self.point(theta, config)
+        if kind == "j" and key not in children:
             return None
+        traj = critical[key] if kind == "c" else children[key][1]
         return _signed_miss(traj, self.curve.ramification_points[zi],
                             self.window)
 
@@ -1150,13 +1132,11 @@ def _endpoint_chain_correction(traj, idx, zero):
     Near a simple zero |u| grows like c * r^(1/3), so the missing integral
     of |u| over the last stretch of length r is (3/4) |u(endpoint)| * r.
     """
-    r = abs(traj.points[idx] - zero)
-    u = abs(traj.pairs[idx][0] - traj.pairs[idx][1])
-    return 0.75 * u * r
+    x_i, x_j = traj.pair(idx)
+    return 0.75 * abs(x_i - x_j) * abs(traj.points[idx] - zero)
 
 
-def _assemble_web(curve, tracer, theta, config, period_map, residual_rel,
-                  charge_box):
+def _assemble_web(curve, tracer, theta, config, period_map, residual_rel):
     """Trace an event's rays once at theta and assemble the web they form.
 
     The period is the chain integral of every leg up to the target zero,
@@ -1165,42 +1145,40 @@ def _assemble_web(curve, tracer, theta, config, period_map, residual_rel,
     matches to residual_rel.
     """
     kind, key, zi_target = tracer.event
-    point = tracer.point(theta, config)
+    critical, children = tracer.point(theta, config)
     zeros = curve.ramification_points
     if kind == "c":
-        end = point.critical[key]
+        end = critical[key]
         T = _endpoint_chain_correction(end, 0, zeros[key[0]])
     else:
-        end = point.children.get(key)
-        if end is None:
+        if key not in children:
             raise NumericalError("lost the junction child during web assembly")
-        zJ, ia, ta, ib, tb = point.child_meta[key]
-        trajA, trajB = point.critical[key[0]], point.critical[key[1]]
+        (zJ, ia, ta, ib, tb), end = children[key]
+        trajA, trajB = critical[key[0]], critical[key[1]]
         T = (_interp_chain(trajA, ia, ta) + _interp_chain(trajB, ib, tb)
              + _endpoint_chain_correction(trajA, 0, zeros[key[0][0]])
              + _endpoint_chain_correction(trajB, 0, zeros[key[1][0]]))
-    d = [abs(p - zeros[zi_target]) for p in end.points]
-    kmin = d.index(min(d))
-    if d[kmin] > 100 * config.delta_hit:
+    kmin, miss = _nearest(end.points, zeros[zi_target])
+    if miss > 100 * config.delta_hit:
         raise NumericalError(
             f"assembled {'trajectory' if kind == 'c' else 'child'} misses "
-            f"the zero by {d[kmin]:.2e}")
+            f"the zero by {miss:.2e}")
     T += end.chain[kmin] + _endpoint_chain_correction(end, kmin, zeros[zi_target])
     Z = cmath.exp(1j * theta) * T
-    charge, res = identify_charge(Z, period_map, residual_rel, charge_box)
+    charge, res = identify_charge(Z, period_map, residual_rel)
     if kind == "c":
         return FiniteWeb(theta_star=theta, charge=charge,
                          topology="single_string", period=Z, residual=res,
                          zeros=(key[0], zi_target),
                          segments=[end.points[:kmin + 1]],
-                         detail={"miss": d[kmin]})
+                         detail={"miss": miss})
     return FiniteWeb(theta_star=theta, charge=charge,
                      topology="three_string_junction", period=Z, residual=res,
                      zeros=(key[0][0], key[1][0], zi_target),
-                     segments=[trajA.points[:ia + 1] + [zJ],
-                               trajB.points[:ib + 1] + [zJ],
+                     segments=[np.append(trajA.points[:ia + 1], zJ),
+                               np.append(trajB.points[:ib + 1], zJ),
                                end.points[:kmin + 1]],
-                     detail={"miss": d[kmin], "junction": zJ})
+                     detail={"miss": miss, "junction": zJ})
 
 
 # phases per scan block: about this many critical lanes in one batch.  On
@@ -1208,31 +1186,29 @@ def _assemble_web(curve, tracer, theta, config, period_map, residual_rel,
 # slower and blocks of 1000 or 2000 only 5-8% faster, while a block's
 # arrays take 10-13 kB of peak memory per lane
 SCAN_BLOCK_LANES = 500
+# an event's bisection stops at a theta bracket narrower than this
+THETA_TOL = 1e-6
 
 
 def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
-               scan_step=math.pi / 300, residual_rel=1e-4, charge_box=4,
-               theta_tol=1e-6, scan_generations=1):
+               scan_step=math.pi / 300):
     """Scan a phase interval for finite webs and identify their charges.
 
     The grid phases are traced in blocks (see _scan_events) and their
-    events compared at consecutive phases.  Each sign change of the signed miss distance between a trajectory and
-    a zero of P0 is bisected at scan quality, and the charge gamma is
-    identified there at 10 * residual_rel.  An event of a charge already
-    found ends there.  Otherwise the web's phase is theta* = arg Z_gamma
-    from the period map, which must lie within 2.5e-4 of the bracket, and
-    the event's rays are traced once at theta* with the assembly config
-    for the web's period and residual.  Supported topologies are single
-    strings (a critical trajectory hits another zero) and three-string
-    junctions (a first-generation child hits a zero); deeper-generation
-    webs are outside the supported set.  A sign change that does not give
-    a web is reported as a WebEventDropped warning.  Returns FiniteWeb
-    records sorted by phase.
+    events compared at consecutive phases.  Each sign change of the signed
+    miss distance between a trajectory and a zero of P0 is bisected at
+    scan quality, to a bracket narrower than THETA_TOL, and the charge
+    gamma is identified there at 10 * RESIDUAL_REL.  An event of a charge
+    already found ends there.  Otherwise the web's phase is theta* =
+    arg Z_gamma from the period map, which must lie within 2.5e-4 of the
+    bracket, and the event's rays are traced once at theta* with the
+    assembly config for the web's period and residual, at RESIDUAL_REL.
+    Supported topologies are single strings (a critical trajectory hits
+    another zero) and three-string junctions (a first-generation child
+    hits a zero); the scan looks no deeper.  A sign change that does not
+    give a web is reported as a WebEventDropped warning.  Returns
+    FiniteWeb records sorted by phase.
     """
-    if scan_generations > 1:
-        raise UnsupportedWebTopology(
-            "only single strings and three-string junctions are supported; "
-            "scan_generations must be 1")
     base = config or TraceConfig()
     cfg = _web_trace_config(base, curve, fine=False)
     fine = _web_trace_config(base, curve, fine=True)
@@ -1252,7 +1228,7 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
         phases = thetas[start:start + block]
         scan += _scan_events(curve, phases,
                              [ray_book.rays_at(th) for th in phases], cfg,
-                             window, scan_generations)
+                             window)
     webs = []
     seen = set()
     prev = None
@@ -1270,11 +1246,10 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
                 try:
                     th_a, th_b = _bisect_event(
                         lambda t: tracer.miss(t, cfg), th_prev, th, m0, m1,
-                        theta_tol, 80)
+                        THETA_TOL, 80)
                     estimate = 0.5 * (th_a + th_b)
                     charge = _assemble_web(curve, tracer, estimate, cfg, pm,
-                                           10 * residual_rel,
-                                           charge_box).charge
+                                           10 * RESIDUAL_REL).charge
                     if charge.components in seen:
                         continue
                     # the web's mass exp(-i theta) Z is real and positive
@@ -1285,7 +1260,7 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
                             f"arg Z{charge.components} = {th_star!r} lies "
                             "outside the scan bracket")
                     web = _assemble_web(curve, tracer, th_star, fine, pm,
-                                        residual_rel, charge_box)
+                                        RESIDUAL_REL)
                     if web.charge.components != charge.components:
                         raise ChargeIdentificationFailed(
                             f"the web at arg Z{charge.components} matches "
