@@ -13,27 +13,27 @@ trajectories emanating from each simple zero of P0, then grow by the
 junction birth rule: at every crossing whose labels chain as (i,j),(j,k)
 a new trajectory labeled (i,k) is seeded at the crossing.  Each critical
 ray carries a label (zero, m), m = 0..7, from the local model
-x^3 ~ -P0'(z0) (z - z0); the label is continuous in theta, so rays at
-different phases match by label.
+x^3 ~ -P0'(z0) (z - z0), continuous in theta; _critical_rays finds any
+list of labelled rays in one array bisection.
 
 Finite webs (a trajectory running into a zero, or a junction child doing
-so) are bracketed by bisecting the signed miss distance in theta, and
-their charge is read off by matching the chain integral of x dz against
-integer combinations of the basis periods.  A web of charge gamma exists
-only at theta = arg Z_gamma, where its mass exp(-i*theta) Z_gamma is real
-and positive, so the web's phase comes from the period map: each new
-charge is traced once more, at arg Z_gamma and assembly quality, and an
-event whose charge is already known stops at its scan-quality
-identification.  _scan_points builds the scan points of a list of
-phases: their labelled critical rays traced as one batch, each phase's
-first-generation births found with one crossing search per ray against
-its later rays (later_crossings), and the children traced as a second
+so) are bracketed by the sign changes of the signed miss distance in
+theta, and their charge is read off by matching the chain integral of
+x dz against integer combinations of the basis periods.  A web of charge
+gamma exists only at theta = arg Z_gamma, where its mass
+exp(-i*theta) Z_gamma is real and positive.  So each new charge is traced
+once more, at arg Z_gamma and assembly quality, and an event near the
+phase of a web already found is traced once there and ends if it gives
+that web's charge; the others are bisected.  _scan_points builds the
+scan points of a list of phases: their critical rays traced as one
+batch, each phase's first-generation births found with one crossing
+search per ray (later_crossings), and the children traced as a second
 batch.  The grid runs it on blocks of about SCAN_BLOCK_LANES critical
-rays with numpy lanes (trace_lanes), so a phase's events do not depend
-on its block; refining an event runs it at one phase on that event's own
-rays with the scalar trace: one critical ray, or two parents and their
-child, each re-found by its label.  An event that cannot be refined is
-dropped with a WebEventDropped warning that says why.
+rays, found by one RayBook.rays_at call and traced as numpy lanes
+(trace_lanes); refining an event runs it at one phase on the event's own
+rays (one critical ray, or two parents and their child) with the scalar
+trace.  No phase's result depends on its block.  An event that cannot be
+refined is dropped with a WebEventDropped warning that says why.
 """
 
 from __future__ import annotations
@@ -104,92 +104,89 @@ class TrajectorySeed:
     theta: float
 
 
-def _ray_W(curve, z0, theta, delta0, phi, x_ref, p, q):
-    z = z0 + delta0 * cmath.exp(1j * phi)
-    rts = cube_roots(-curve.polynomial(z))
-    x = rts[nearest_root(rts, x_ref)]
-    triple = (x, x * OMEGA, x * OMEGA * OMEGA)
-    W = cmath.exp(-1j * theta) * (triple[p] - triple[q]) * cmath.exp(1j * phi)
-    return W, x, triple
+# halvings that take a critical ray's pi/4 bracket below 1e-13
+_RAY_STEPS = math.ceil(math.log2(math.pi / 4 / 1e-13))
+_PAIRS = np.array([(p, q) for p in range(3) for q in range(3) if p != q])
 
 
-def _bisect_ray(curve, z0, theta, delta0, phi_a, phi_b, x_ref, p, q):
-    Wa, xa, _ = _ray_W(curve, z0, theta, delta0, phi_a, x_ref, p, q)
-    Wb, _, _ = _ray_W(curve, z0, theta, delta0, phi_b, xa, p, q)
-    if (Wa.imag < 0) == (Wb.imag < 0):
-        return None
-    for _ in range(60):
-        mid = 0.5 * (phi_a + phi_b)
-        Wm, xm, _ = _ray_W(curve, z0, theta, delta0, mid, xa, p, q)
-        if (Wm.imag < 0) == (Wa.imag < 0):
-            phi_a, Wa, xa = mid, Wm, xm
-        else:
-            phi_b, Wb = mid, Wm
-        if abs(phi_b - phi_a) < 1e-13:
-            break
-    phi = 0.5 * (phi_a + phi_b)
-    Wm, _, triple = _ray_W(curve, z0, theta, delta0, phi, xa, p, q)
-    if Wm.real <= 0:
-        return None
-    return (phi % TWO_PI, (triple[p], triple[q]))
-
-
-def _refine_ray(curve, z0, theta, delta0, phi0):
-    """The critical direction within pi/8, half the rays' spacing, of phi0."""
-    z = z0 + delta0 * cmath.exp(1j * phi0)
-    x_ref = cube_roots(-curve.polynomial(z))[0]
-    for p in range(3):
-        for q in range(3):
-            if p == q:
-                continue
-            r = _bisect_ray(curve, z0, theta, delta0, phi0 - math.pi / 8,
-                            phi0 + math.pi / 8, x_ref, p, q)
-            if r is not None:
-                return r
-    return None
-
-
-def _critical_ray(curve, zi, m, theta, delta0):
-    """The critical ray labelled m = 0..7 at zero zi: (phi, (x_p, x_q)).
+def _critical_rays(curve, rays, delta0):
+    """The critical rays [(phi, (x_p, x_q))] of a list of (theta, zero, m).
 
     A direction phi is critical for the ordered pair (p, q) when
     W = exp(-i*theta) * (x_p - x_q) * exp(i*phi) at z0 + delta0 e^(i phi)
     lands on the positive real axis: the trajectory through that point
     then moves radially outward.  Near a simple zero z0 the local model
-    x^3 ~ -P0'(z0) (z - z0) puts the 8 of them at
+    x^3 ~ -P0'(z0) (z - z0) puts the 8 of them, m = 0..7, at
 
-        phi_m = (3/4) (theta - arg(-P0'(z0))/3 - pi/6 - m pi/3)  mod 2 pi,
+        phi_m = (3/4) (theta - arg(-P0'(z0))/3 - pi/6 - m pi/3)  mod 2 pi.
 
-    continuous in theta for each label m.  The model direction is refined
-    by bisecting W within pi/8 of it.
+    Each ray takes the pair whose W at phi_m lies nearest the positive real
+    axis, and Im W is bisected within pi/8 (half the rays' spacing) of
+    phi_m for all rays at once, each in _RAY_STEPS halvings, so a ray does
+    not depend on the rest of the list.  A ray with no sign change, or
+    with Re W <= 0 at the end, raises NumericalError.
     """
-    z0 = curve.ramification_points[zi]
-    a = -curve.polynomial.derivative()(z0)
-    phi0 = 0.75 * (theta - cmath.phase(a) / 3 - math.pi / 6
+    if not rays:
+        return []
+    theta, zi, m = (np.array(v) for v in zip(*rays))
+    zeros = np.asarray(curve.ramification_points, dtype=complex)
+    slope = np.angle(-curve.polynomial.derivative()(zeros))
+    phi0 = 0.75 * (theta - slope[zi] / 3 - math.pi / 6
                    - m * math.pi / 3) % TWO_PI
-    r = _refine_ray(curve, z0, theta, delta0, phi0)
-    if r is None:
-        raise NumericalError(f"lost critical ray {(zi, m)} at theta = {theta!r}")
-    return r
+    coeffs = tuple(reversed(curve.polynomial.coefficients))
+    z0 = zeros[zi]
+    x0 = (-curve.polynomial(z0 + delta0 * np.exp(1j * phi0))) ** (1 / 3)
+    inv_cube = -1 / x0 ** 3
+    rot = np.exp(-1j * theta)
+    diffs = _ROTATION[_PAIRS[:, 0]] - _ROTATION[_PAIRS[:, 1]]
+    pair = (rot * x0 * np.exp(1j * phi0) * diffs[:, None]).real.argmax(axis=0)
+    rot = rot * diffs[pair]
+
+    def sheet_and_W(phi):
+        turn = np.exp(1j * phi)
+        x = _lane_sheet(coeffs, z0 + delta0 * turn, x0, inv_cube)
+        return x, rot * x * turn
+
+    a, b = phi0 - math.pi / 8, phi0 + math.pi / 8
+    below = sheet_and_W(a)[1].imag < 0
+    lost = below == (sheet_and_W(b)[1].imag < 0)
+    for _ in range(_RAY_STEPS):
+        mid = 0.5 * (a + b)
+        left = (sheet_and_W(mid)[1].imag < 0) == below
+        a, b = np.where(left, mid, a), np.where(left, b, mid)
+    phi = 0.5 * (a + b)
+    x, W = sheet_and_W(phi)
+    lost |= W.real <= 0
+    if lost.any():
+        i = int(lost.argmax())
+        raise NumericalError(f"lost critical ray {(int(zi[i]), int(m[i]))} "
+                             f"at theta = {float(theta[i])!r}")
+    p, q = _PAIRS[pair].T
+    return list(zip((phi % TWO_PI).tolist(), zip(
+        (x * _ROTATION[p]).tolist(), (x * _ROTATION[q]).tolist())))
 
 
 class RayBook:
-    """The labelled critical rays of every zero of P0 at one phase.
+    """The labelled critical rays of every zero of P0 at a block of phases.
 
-    rays_at(theta) is {zero: [(m, phi, pair)]} for m = 0..7.  A label
-    names the same ray at every phase, so tables at different phases match
-    by label and the book keeps no state between calls.  It stays a class
-    because perfbench/tracing.py wraps RayBook.rays_at to count scan points.
+    rays_at(thetas) is one table {zero: [(m, phi, pair)]}, m = 0..7, per
+    phase, all found by one _critical_rays call.  A label names the same
+    ray at every phase, so tables at different phases match by label and
+    the book keeps no state between calls.  It stays a class because
+    perfbench/tracing.py wraps RayBook.rays_at to count ray searches.
     """
 
     def __init__(self, curve, delta0):
         self.curve = curve
         self.delta0 = delta0
 
-    def rays_at(self, theta):
-        return {zi: [(m,) + _critical_ray(self.curve, zi, m, theta, self.delta0)
-                     for m in range(8)]
-                for zi in range(len(self.curve.ramification_points))}
+    def rays_at(self, thetas):
+        zeros = range(len(self.curve.ramification_points))
+        found = iter(_critical_rays(
+            self.curve, [(th, zi, m) for th in thetas for zi in zeros
+                         for m in range(8)], self.delta0))
+        return [{zi: [(m,) + next(found) for m in range(8)] for zi in zeros}
+                for _ in thetas]
 
 
 def _critical_seeds(curve, theta, delta0, rays):
@@ -205,7 +202,7 @@ def seed_critical(curve, theta, config=None):
     """All critical-trajectory seeds at one phase: 8 per zero of P0."""
     config = config or TraceConfig()
     return _critical_seeds(curve, theta, config.delta0,
-                           RayBook(curve, config.delta0).rays_at(theta))
+                           RayBook(curve, config.delta0).rays_at([theta])[0])
 
 
 # ----------------------------------------------------------------------
@@ -572,6 +569,26 @@ def _trace_lanes(curve, seeds, config):
 SEGMENT_CHUNK = 64
 
 
+def _segment_crossings(pA, b0, b1):
+    """The transversal crossings (z, ia, ta, ib, tb) of polyline pA's
+    segments with the segments b0[ib] -> b1[ib], in order of (ia, ib):
+    z = pA[ia] + ta (pA[ia + 1] - pA[ia]) = b0[ib] + tb (b1[ib] - b0[ib])
+    with ta and tb in [0, 1)."""
+    d1 = (pA[1:] - pA[:-1])[:, None]
+    d2 = (b1 - b0)[None, :]
+    w = b0[None, :] - pA[:-1, None]
+    den = (d1.conjugate() * d2).imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w.conjugate() * d2).imag / den
+        s = (w.conjugate() * d1).imag / den
+    ia, ib = np.nonzero((np.abs(den) > 1e-30) & (t >= 0) & (t < 1)
+                        & (s >= 0) & (s < 1))
+    ta, tb = t[ia, ib], s[ia, ib]
+    z = pA[ia] + (pA[ia + 1] - pA[ia]) * ta
+    return list(zip(z.tolist(), ia.tolist(), ta.tolist(), ib.tolist(),
+                    tb.tolist()))
+
+
 def polyline_intersections(pA, pB, chunk=SEGMENT_CHUNK):
     """All transversal crossings of two polylines.
 
@@ -594,22 +611,8 @@ def polyline_intersections(pA, pB, chunk=SEGMENT_CHUNK):
             if (ax0 > segB.real.max() or segB.real.min() > ax1 or
                     ay0 > segB.imag.max() or segB.imag.min() > ay1):
                 continue
-            a0 = pA[sa:ea][:, None]
-            d1 = (pA[sa + 1:ea + 1] - pA[sa:ea])[:, None]
-            b0 = pB[sb:eb][None, :]
-            d2 = (pB[sb + 1:eb + 1] - pB[sb:eb])[None, :]
-            w = b0 - a0
-            den = (d1.conjugate() * d2).imag
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (w.conjugate() * d2).imag / den
-                s = (w.conjugate() * d1).imag / den
-            mask = (np.abs(den) > 1e-30) & (t >= 0) & (t < 1) & (s >= 0) & (s < 1)
-            for ia_loc, ib_loc in zip(*np.nonzero(mask)):
-                ia, ib = sa + int(ia_loc), sb + int(ib_loc)
-                tt = float(t[ia_loc, ib_loc])
-                ss = float(s[ia_loc, ib_loc])
-                zc = pA[ia] + (pA[ia + 1] - pA[ia]) * tt
-                out.append((complex(zc), ia, tt, ib, ss))
+            out += [(z, sa + ia, ta, sb + ib, tb) for z, ia, ta, ib, tb
+                    in _segment_crossings(segA, pB[sb:eb], pB[sb + 1:eb + 1])]
     return out
 
 
@@ -648,24 +651,10 @@ def later_crossings(polylines):
                    ).any(axis=0)]
             if not len(g):
                 continue
-            a0 = pA[sa:ea][:, None]
-            d1 = (pA[sa + 1:ea + 1] - pA[sa:ea])[:, None]
-            b0 = s0[g][None, :]
-            d2 = (s1[g] - s0[g])[None, :]
-            w = b0 - a0
-            den = (d1.conjugate() * d2).imag
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (w.conjugate() * d2).imag / den
-                s = (w.conjugate() * d1).imag / den
-            mask = (np.abs(den) > 1e-30) & (t >= 0) & (t < 1) & (s >= 0) & (s < 1)
-            for ia_loc, ib_loc in zip(*np.nonzero(mask)):
-                ia, gb = sa + int(ia_loc), int(g[ib_loc])
-                b = int(owner[gb])
-                tt = float(t[ia_loc, ib_loc])
-                ss = float(s[ia_loc, ib_loc])
-                zc = pA[ia] + (pA[ia + 1] - pA[ia]) * tt
+            for z, ia, ta, ib, tb in _segment_crossings(segA, s0[g], s1[g]):
+                b = int(owner[g[ib]])
                 out.setdefault((a, b), []).append(
-                    (complex(zc), ia, tt, gb - int(starts[b]), ss))
+                    (z, sa + ia, ta, int(g[ib] - starts[b]), tb))
     return out
 
 
@@ -1075,19 +1064,13 @@ def _scan_events(curve, thetas, tables, config, window):
     return events
 
 
-def _ray_keys(event):
-    """The (zero, label) keys of the critical rays an event is about."""
-    kind, key, _ = event
-    return [key] if kind == "c" else list(key)
-
-
 class _EventTracer:
     """Traces one event's own rays at phases near its scan bracket.
 
     A "c" event needs its critical ray; a "j" event its two parent rays,
     whose first birth crossing seeds the child.  Each ray is re-found by
-    its label with _critical_ray at the scan's seeding radius, not through
-    RayBook.rays_at, so the rays at a phase depend on that phase alone.
+    its label with _critical_rays at the scan's seeding radius, so the
+    rays at a phase depend on that phase alone.
     """
 
     def __init__(self, curve, event, delta0, window):
@@ -1096,12 +1079,14 @@ class _EventTracer:
 
     def point(self, theta, config):
         """The event's scan point (critical, children) at theta."""
+        kind, key, _ = self.event
+        keys = [key] if kind == "c" else list(key)
         rays = {}
-        for zi, m in _ray_keys(self.event):
-            rays.setdefault(zi, []).append(
-                (m,) + _critical_ray(self.curve, zi, m, theta, self.delta0))
+        for (zi, m), ray in zip(keys, _critical_rays(
+                self.curve, [(theta, zi, m) for zi, m in keys], self.delta0)):
+            rays.setdefault(zi, []).append((m,) + ray)
         point, = _scan_points(self.curve, [theta], [rays], config,
-                              1 if self.event[0] == "j" else 0, _trace_each)
+                              1 if kind == "j" else 0, _trace_each)
         return point
 
     def miss(self, theta, config):
@@ -1188,20 +1173,27 @@ def _assemble_web(curve, tracer, theta, config, period_map, residual_rel):
 SCAN_BLOCK_LANES = 500
 # an event's bisection stops at a theta bracket narrower than this
 THETA_TOL = 1e-6
+# a web's phase arg Z_gamma may lie this far outside the grid or bisection
+# bracket of an event that sees it
+THETA_SLACK = 2.5e-4
 
 
 def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
                scan_step=math.pi / 300):
     """Scan a phase interval for finite webs and identify their charges.
 
-    The grid phases are traced in blocks (see _scan_events) and their
-    events compared at consecutive phases.  Each sign change of the signed
-    miss distance between a trajectory and a zero of P0 is bisected at
-    scan quality, to a bracket narrower than THETA_TOL, and the charge
-    gamma is identified there at 10 * RESIDUAL_REL.  An event of a charge
-    already found ends there.  Otherwise the web's phase is theta* =
-    arg Z_gamma from the period map, which must lie within 2.5e-4 of the
-    bracket, and the event's rays are traced once at theta* with the
+    The grid phases are traced in blocks (see _scan_events), each block's
+    critical rays found by one RayBook.rays_at call, and their events
+    compared at consecutive phases.  A sign change of the signed miss
+    distance between a trajectory and a zero of P0 is first traced once,
+    with the scan config, at the theta* of each web already found within
+    THETA_SLACK of its grid bracket; if it forms a web of that charge
+    there, it is another leg of that web and ends.  Otherwise it is
+    bisected at scan quality, to a bracket narrower than THETA_TOL, and
+    its charge gamma identified there at 10 * RESIDUAL_REL; a charge
+    already found ends it.  Otherwise the web's phase is theta* =
+    arg Z_gamma from the period map, which must lie within THETA_SLACK of
+    the bracket, and the event's rays are traced once at theta* with the
     assembly config for the web's period and residual, at RESIDUAL_REL.
     Supported topologies are single strings (a critical trajectory hits
     another zero) and three-string junctions (a first-generation child
@@ -1226,53 +1218,60 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
     scan = []
     for start in range(0, len(thetas), block):
         phases = thetas[start:start + block]
-        scan += _scan_events(curve, phases,
-                             [ray_book.rays_at(th) for th in phases], cfg,
+        scan += _scan_events(curve, phases, ray_book.rays_at(phases), cfg,
                              window)
     webs = []
-    seen = set()
-    prev = None
-    for th, events in zip(thetas, scan):
-        if prev is not None:
-            th_prev, prev_events = prev
-            bracket = (th_prev, th)
-            for ev, m1 in events.items():
-                m0 = prev_events.get(ev)
-                if m0 is None:
+    points = list(zip(thetas, scan))
+    for (th_prev, prev_events), (th, events) in zip(points, points[1:]):
+        for ev, m1 in events.items():
+            m0 = prev_events.get(ev)
+            if m0 is None or not ((m0 < 0) != (m1 < 0) or m0 == 0.0
+                                  or m1 == 0.0):
+                continue
+            tracer = _EventTracer(curve, ev, cfg.delta0, window)
+            if any(_is_leg_of(curve, tracer, web, cfg, pm) for web in webs
+                   if th_prev - THETA_SLACK <= web.theta_star
+                   <= th + THETA_SLACK):
+                continue
+            try:
+                th_a, th_b = _bisect_event(
+                    lambda t: tracer.miss(t, cfg), th_prev, th, m0, m1,
+                    THETA_TOL, 80)
+                estimate = 0.5 * (th_a + th_b)
+                charge = _assemble_web(curve, tracer, estimate, cfg, pm,
+                                       10 * RESIDUAL_REL).charge
+                if any(w.charge == charge for w in webs):
                     continue
-                if not ((m0 < 0) != (m1 < 0) or m0 == 0.0 or m1 == 0.0):
-                    continue
-                tracer = _EventTracer(curve, ev, cfg.delta0, window)
-                try:
-                    th_a, th_b = _bisect_event(
-                        lambda t: tracer.miss(t, cfg), th_prev, th, m0, m1,
-                        THETA_TOL, 80)
-                    estimate = 0.5 * (th_a + th_b)
-                    charge = _assemble_web(curve, tracer, estimate, cfg, pm,
-                                           10 * RESIDUAL_REL).charge
-                    if charge.components in seen:
-                        continue
-                    # the web's mass exp(-i theta) Z is real and positive
-                    th_star = estimate + _wrap(cmath.phase(pm.Z(charge))
-                                               - estimate)
-                    if not th_a - 2.5e-4 <= th_star <= th_b + 2.5e-4:
-                        raise NumericalError(
-                            f"arg Z{charge.components} = {th_star!r} lies "
-                            "outside the scan bracket")
-                    web = _assemble_web(curve, tracer, th_star, fine, pm,
-                                        RESIDUAL_REL)
-                    if web.charge.components != charge.components:
-                        raise ChargeIdentificationFailed(
-                            f"the web at arg Z{charge.components} matches "
-                            f"{web.charge.components}")
-                except NumericalError as exc:
-                    _warn_dropped(ev, bracket, exc)
-                    continue
-                seen.add(charge.components)
-                webs.append(web)
-        prev = (th, events)
+                # the web's mass exp(-i theta) Z is real and positive
+                th_star = estimate + _wrap(cmath.phase(pm.Z(charge))
+                                           - estimate)
+                if not th_a - THETA_SLACK <= th_star <= th_b + THETA_SLACK:
+                    raise NumericalError(
+                        f"arg Z{charge.components} = {th_star!r} lies "
+                        "outside the scan bracket")
+                web = _assemble_web(curve, tracer, th_star, fine, pm,
+                                    RESIDUAL_REL)
+                if web.charge.components != charge.components:
+                    raise ChargeIdentificationFailed(
+                        f"the web at arg Z{charge.components} matches "
+                        f"{web.charge.components}")
+            except NumericalError as exc:
+                _warn_dropped(ev, (th_prev, th), exc)
+                continue
+            webs.append(web)
     webs.sort(key=lambda w: w.theta_star)
     return webs
+
+
+def _is_leg_of(curve, tracer, web, config, period_map):
+    """Whether an event's rays, traced at a found web's phase, form a web
+    of its charge at 10 * RESIDUAL_REL: the event is another leg of it."""
+    try:
+        charge = _assemble_web(curve, tracer, web.theta_star, config,
+                               period_map, 10 * RESIDUAL_REL).charge
+    except NumericalError:
+        return False
+    return charge == web.charge
 
 
 def _warn_dropped(event, bracket, reason):

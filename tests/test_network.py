@@ -10,6 +10,7 @@ from trigon import network
 from trigon.curve import OMEGA, Charge, PeriodMap, Polynomial, SpectralCurve
 from trigon.errors import (
     ChargeIdentificationFailed,
+    NumericalError,
     PatternViolation,
     SheetAmbiguity,
     ValidationError,
@@ -111,8 +112,7 @@ def _ray_cases(n, seed):
 def test_labelled_rays_follow_the_local_model(lead, roots, theta, eps):
     curve = SpectralCurve(Polynomial(lead * np.poly(roots)[::-1]))
     delta0 = TraceConfig().delta0
-    book = network.RayBook(curve, delta0)
-    tables = book.rays_at(theta), book.rays_at(theta + eps)
+    tables = network.RayBook(curve, delta0).rays_at([theta, theta + eps])
     for zi, z0 in enumerate(curve.ramification_points):
         bound = _model_bound(curve, zi, delta0)
         rays, moved = tables[0][zi], tables[1][zi]
@@ -257,12 +257,11 @@ def window_lanes(request):
     name, (lo, hi), step = request.param
     curve = request.getfixturevalue(name).curve
     cfg = network._web_trace_config(TraceConfig(), curve, fine=False)
-    book = network.RayBook(curve, cfg.delta0)
     n = max(2, int(math.ceil((hi - lo) / step)))
-    seeds = [s for k in range(n + 1)
-             for s in network._critical_seeds(
-                 curve, lo + (hi - lo) * k / n, cfg.delta0,
-                 book.rays_at(lo + (hi - lo) * k / n))]
+    thetas = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    seeds = [s for th, rays in zip(
+                 thetas, network.RayBook(curve, cfg.delta0).rays_at(thetas))
+             for s in network._critical_seeds(curve, th, cfg.delta0, rays)]
     return curve, cfg, seeds, trace_lanes(curve, seeds, cfg)
 
 
@@ -327,11 +326,10 @@ def test_scan_events_do_not_depend_on_the_block(name, theta_range, step,
     # are the same
     curve = request.getfixturevalue(name).curve
     cfg = network._web_trace_config(TraceConfig(), curve, fine=False)
-    book = network.RayBook(curve, cfg.delta0)
     lo, hi = theta_range
     n = max(2, int(math.ceil((hi - lo) / step)))
     thetas = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    tables = [book.rays_at(th) for th in thetas]
+    tables = network.RayBook(curve, cfg.delta0).rays_at(thetas)
     zs = curve.ramification_points
     window = 0.35 * min(abs(a - b) for i, a in enumerate(zs) for b in zs[i + 1:])
     whole = network._scan_events(curve, thetas, tables, cfg, window)
@@ -340,6 +338,33 @@ def test_scan_events_do_not_depend_on_the_block(name, theta_range, step,
              for ev in network._scan_events(curve, thetas[b:b + 5],
                                             tables[b:b + 5], cfg, window)]
     assert split == whole
+
+
+@pytest.mark.parametrize("name, theta_range, step", [
+    ("pentagon", (-0.62, -0.43), math.pi / 80),
+    ("hexagon", (0.47, 0.58), math.pi / 120)], ids=["pentagon", "hexagon"])
+def test_critical_rays_do_not_depend_on_the_block(name, theta_range, step,
+                                                  request):
+    # a phase's rays are the same found with the window's grid as one
+    # block, in blocks of 5, or alone; and one ray found on its own, as an
+    # event's refinement finds it, is the same ray
+    curve = request.getfixturevalue(name).curve
+    delta0 = network._web_trace_config(TraceConfig(), curve,
+                                       fine=False).delta0
+    book = network.RayBook(curve, delta0)
+    lo, hi = theta_range
+    n = max(2, int(math.ceil((hi - lo) / step)))
+    thetas = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    whole = book.rays_at(thetas)
+    assert len(whole) == len(thetas) and len(thetas) % 5 == 1
+    assert [table for b in range(0, len(thetas), 5)
+            for table in book.rays_at(thetas[b:b + 5])] == whole
+    assert [book.rays_at([th])[0] for th in thetas] == whole
+    zeros = len(curve.ramification_points)
+    for p, (theta, table) in enumerate(zip(thetas, whole)):
+        zi, m = p % zeros, p % 8
+        assert network._critical_rays(curve, [(theta, zi, m)], delta0) \
+            == [table[zi][m][1:]]
 
 
 def _in_segment_order(hits):
@@ -560,26 +585,31 @@ def test_web_segments_recorded(pentagon, pentagon_pm):
 
 # ---------------- web detection: work counts, pinned phases, drops ----
 
-def _counted_scan(defn, pm, theta_range, scan_step):
-    """detect_bps on one window, recording the scan grid, the phases that
-    RayBook.rays_at is asked for, the critical lanes traced at each grid
-    phase, the traces (scalar or lane) made by each event refinement
-    build (with its phase and generation depth), every trace off the
-    grid, the phases of the builds at the assembly config, the
-    (residual_rel, charge) of every charge identification, and any
-    WebEventDropped."""
+def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
+    """detect_bps on one window, recording the scan grid, the blocks of
+    phases that RayBook.rays_at is asked for, the critical lanes traced at
+    each grid phase, the traces (scalar or lane) made by each event
+    refinement build (with its phase and generation depth), every trace
+    off the grid, the phases of the builds at the assembly config, the
+    grid bracket of every event bisection, the (residual_rel, charge) of
+    every charge identification, and any WebEventDropped.  fault(mp), if
+    given, patches network further through the MonkeyPatch mp."""
     lo, hi = theta_range
     n = max(2, int(math.ceil((hi - lo) / scan_step)))
     grid = [lo + (hi - lo) * k / n for k in range(n + 1)]
     fine = network._web_trace_config(TraceConfig(), defn.curve, fine=True)
-    rays_at_thetas, builds, off_grid_traces = [], [], []
-    fine_builds, identified = [], []
+    rays_at_blocks, builds, off_grid_traces = [], [], []
+    fine_builds, identified, bisected = [], [], []
     critical_lanes = {theta: 0 for theta in grid}
     building = []
 
-    def rays_at(self, theta):
-        rays_at_thetas.append(theta)
-        return real_rays_at(self, theta)
+    def rays_at(self, thetas):
+        rays_at_blocks.append(list(thetas))
+        return real_rays_at(self, thetas)
+
+    def bisect_event(miss_at, th_a, th_b, *args):
+        bisected.append((th_a, th_b))
+        return real_bisect_event(miss_at, th_a, th_b, *args)
 
     def count(seed):
         if seed.theta not in grid:
@@ -619,6 +649,7 @@ def _counted_scan(defn, pm, theta_range, scan_step):
     real_trace_lanes = network._trace_lanes
     real_point = network._EventTracer.point
     real_identify = network.identify_charge
+    real_bisect_event = network._bisect_event
     with pytest.MonkeyPatch.context() as mp, \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", WebEventDropped)
@@ -627,13 +658,17 @@ def _counted_scan(defn, pm, theta_range, scan_step):
         mp.setattr(network, "_trace_lanes", trace_lanes)
         mp.setattr(network._EventTracer, "point", point)
         mp.setattr(network, "identify_charge", identify)
+        mp.setattr(network, "_bisect_event", bisect_event)
+        if fault:
+            fault(mp)
         webs = detect_bps(defn.curve, defn.lattice, theta_range,
                           period_map=pm, scan_step=scan_step)
     dropped = [w for w in caught if issubclass(w.category, WebEventDropped)]
-    return {"webs": webs, "grid": grid, "rays_at": rays_at_thetas,
+    return {"webs": webs, "grid": grid, "rays_at": rays_at_blocks,
             "critical_lanes": critical_lanes, "builds": builds,
             "off_grid": off_grid_traces, "fine": fine_builds,
-            "identified": identified, "dropped": dropped,
+            "identified": identified, "bisected": bisected,
+            "dropped": dropped,
             "zeros": len(defn.curve.ramification_points)}
 
 
@@ -653,8 +688,10 @@ def hexagon_window_scan(hexagon, hexagon_pm):
                                           ("hexagon_window_scan", 2010)])
 def test_event_refinement_traces_only_the_event(scan, before, request):
     run = request.getfixturevalue(scan)
-    # the shared ray book is asked once per scan point, and only there
-    assert run["rays_at"] == run["grid"]
+    # the shared ray book is asked for the rays of each scan point once,
+    # and only there: each window is one scan block
+    assert [th for block in run["rays_at"] for th in block] == run["grid"]
+    assert len(run["rays_at"]) == 1
     # every grid phase traces its 8 critical rays per zero as lanes
     assert set(run["critical_lanes"].values()) == {8 * run["zeros"]}
     midpoints = [b for b in run["builds"] if b[0] not in run["grid"]]
@@ -678,6 +715,59 @@ def test_each_web_is_assembled_once(scan, events, request):
     charge = web.charge.components
     assert run["identified"] == ([(1e-3, charge), (1e-4, charge)]
                                  + [(1e-3, charge)] * (events - 1))
+
+
+# the same windows and event counts as above
+@pytest.mark.parametrize("scan, events", [("pentagon_window_scan", 2),
+                                          ("hexagon_window_scan", 3)])
+def test_duplicate_events_are_settled_at_the_web_phase(scan, events,
+                                                       request):
+    run = request.getfixturevalue(scan)
+    web, = run["webs"]
+    # one event is bisected; every other event of the web costs one
+    # scan-quality build at theta*, beside the web's one fine assembly
+    assert len(run["bisected"]) == 1
+    at_web = [b for b in run["builds"] if b[0] == web.theta_star]
+    assert len(at_web) == 1 + (events - 1)
+    assert run["fine"] == [web.theta_star]
+
+
+def _misidentify_settles(mp):
+    # a scan-quality assembly at the phase of a web already assembled (the
+    # duplicate check) gives the negated charge
+    real_assemble = network._assemble_web
+    assembled = []
+
+    def assemble(curve, tracer, theta, config, period_map, residual_rel):
+        web = real_assemble(curve, tracer, theta, config, period_map,
+                            residual_rel)
+        if residual_rel == network.RESIDUAL_REL:
+            assembled.append(theta)
+        elif theta in assembled:
+            web.charge = -web.charge
+        return web
+
+    mp.setattr(network, "_assemble_web", assemble)
+
+
+@pytest.mark.parametrize("name, theta_range, step, scan, events", [
+    ("pentagon", (-0.62, -0.43), math.pi / 80, "pentagon_window_scan", 2),
+    ("hexagon", (0.47, 0.58), math.pi / 120, "hexagon_window_scan", 3)],
+    ids=["pentagon", "hexagon"])
+def test_a_failed_duplicate_check_falls_back_to_bisection(
+        name, theta_range, step, scan, events, request):
+    # every event is then bisected, as it was before the check, and the
+    # duplicates stop at their scan-quality identification
+    run = _counted_scan(request.getfixturevalue(name),
+                        request.getfixturevalue(f"{name}_pm"), theta_range,
+                        step, fault=_misidentify_settles)
+    assert len(run["bisected"]) == events
+    assert run["dropped"] == []
+    web, = run["webs"]
+    ref, = request.getfixturevalue(scan)["webs"]
+    assert (web.charge, web.topology, web.zeros, web.theta_star,
+            web.period) == (ref.charge, ref.topology, ref.zeros,
+                            ref.theta_star, ref.period)
 
 
 def _arg_gap(web, pm):
@@ -749,17 +839,20 @@ def test_failed_event_is_dropped_with_a_warning(pentagon, pentagon_pm,
 
 
 def _lose_every_refined_ray(monkeypatch):
-    # the scan grid's rays, from RayBook.rays_at, are found; every ray an
-    # event's refinement re-finds off the grid is lost
-    real_refine, real_rays_at = network._refine_ray, network.RayBook.rays_at
+    # the rays of the scan grid are found; every ray that an event's
+    # refinement re-finds off the grid is lost, as the finder reports it
+    lo, hi = -0.62, -0.43
+    grid = {lo + (hi - lo) * k / 5 for k in range(6)}
+    real_critical_rays = network._critical_rays
 
-    def rays_at(self, theta):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(network, "_refine_ray", real_refine)
-            return real_rays_at(self, theta)
+    def critical_rays(curve, rays, delta0):
+        for theta, zi, m in rays:
+            if theta not in grid:
+                raise NumericalError(
+                    f"lost critical ray {(zi, m)} at theta = {theta!r}")
+        return real_critical_rays(curve, rays, delta0)
 
-    monkeypatch.setattr(network.RayBook, "rays_at", rays_at)
-    monkeypatch.setattr(network, "_refine_ray", lambda *args, **kw: None)
+    monkeypatch.setattr(network, "_critical_rays", critical_rays)
 
 
 @pytest.mark.parametrize("fault, reason", [
