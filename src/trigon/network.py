@@ -18,22 +18,22 @@ list of labelled rays in one array bisection.
 
 Finite webs (a trajectory running into a zero, or a junction child doing
 so) are bracketed by the sign changes of the signed miss distance in
-theta, and their charge is read off by matching the chain integral of
-x dz against integer combinations of the basis periods.  A web of charge
-gamma exists only at theta = arg Z_gamma, where its mass
-exp(-i*theta) Z_gamma is real and positive.  So each new charge is traced
-once more, at arg Z_gamma and assembly quality, and an event near the
-phase of a web already found is traced once there and ends if it gives
-that web's charge; the others are bisected.  _scan_points builds the
-scan points of a list of phases: their critical rays traced as one
-batch, each phase's first-generation births found with one crossing
-search per ray (later_crossings), and the children traced as a second
-batch.  The grid runs it on blocks of about SCAN_BLOCK_LANES critical
-rays, found by one RayBook.rays_at call and traced as numpy lanes
-(trace_lanes); refining an event runs it at one phase on the event's own
-rays (one critical ray, or two parents and their child) with the scalar
-trace.  No phase's result depends on its block.  An event that cannot be
-refined is dropped with a WebEventDropped warning that says why.
+theta on a scan grid.  _scan_points builds the scan points of a list of
+phases: their critical rays traced as one batch, each phase's
+first-generation births found with one crossing search per ray
+(later_crossings), and the children traced as a second batch.  The grid
+runs it on blocks of about SCAN_BLOCK_LANES critical rays, found by one
+RayBook.rays_at call and traced as numpy lanes (trace_lanes); an event's
+probes run it at one phase on the event's own rays (one critical ray, or
+two parents and their child) with the scalar trace.  No phase's result
+depends on its block.  Each probe sits at the false-position phase of the
+event's miss and reads a charge by matching the chain integral of x dz
+against integer combinations of the basis periods.  A web of charge gamma
+exists only at theta = arg Z_gamma, where its mass exp(-i*theta) Z_gamma
+is real and positive, so the first charge whose arg Z_gamma lies in the
+event's grid bracket settles it, and each new charge is traced once more,
+at arg Z_gamma and assembly quality.  An event that does not settle is
+dropped with a WebEventDropped warning that says why.
 """
 
 from __future__ import annotations
@@ -616,14 +616,16 @@ def polyline_intersections(pA, pB, chunk=SEGMENT_CHUNK):
     return out
 
 
-def later_crossings(polylines):
-    """polyline_intersections of each polyline with every later one.
+def later_crossings(polylines, new=0):
+    """polyline_intersections of each polyline with every later one, for
+    the pairs whose later polyline has index new or more.
 
-    Returns {(a, b): hits} for a < b, listing only pairs that cross, each
-    hits list holding polyline_intersections(polylines[a], polylines[b])'s
-    hit tuples in order of (ia, ib).  Polyline a is searched once: each
-    chunk of SEGMENT_CHUNK of its segments is solved against the segments
-    of all later polylines whose bounding boxes meet the chunk's.
+    Returns {(a, b): hits} for a < b and b >= new, listing only pairs that
+    cross, each hits list holding polyline_intersections(polylines[a],
+    polylines[b])'s hit tuples in order of (ia, ib).  Polyline a is
+    searched once: each chunk of SEGMENT_CHUNK of its segments is solved
+    against the segments of all the pairs' later polylines whose bounding
+    boxes meet the chunk's.
     """
     sizes = [len(p) for p in polylines]
     pts = np.concatenate([np.asarray(p, dtype=complex) for p in polylines])
@@ -637,7 +639,7 @@ def later_crossings(polylines):
     out = {}
     for a in range(len(polylines) - 1):
         pA = pts[starts[a]:starts[a + 1]]
-        g0 = starts[a + 1]
+        g0 = starts[max(a + 1, new)]
         for sa in range(0, len(pA) - 1, SEGMENT_CHUNK):
             ea = min(len(pA) - 1, sa + SEGMENT_CHUNK)
             segA = pA[sa:ea + 1]
@@ -736,7 +738,10 @@ def _crossings(curve, trajA, trajB, hits, dedup, known):
 
 
 def grow_network(curve, theta, config=None, classify=True):
-    """Grow the full network at one phase by the junction birth rule."""
+    """Grow the full network at one phase by the junction birth rule.
+
+    A generation's frontier is the trajectories born last, at the end of
+    the list, so one later_crossings call finds its untested pairs."""
     config = config or TraceConfig()
     seeds = seed_critical(curve, theta, config)
     trajectories = [trace(curve, s, config) for s in seeds]
@@ -751,6 +756,7 @@ def grow_network(curve, theta, config=None, classify=True):
             raise GenerationCapExceeded(
                 f"network still growing after {config.generation_cap} generations")
         known = [j.point for j in junctions] + head_on
+        hits = later_crossings([t.points for t in trajectories], frontier[0])
         births = []
         for i in frontier:
             for j in range(len(trajectories)):
@@ -761,9 +767,7 @@ def grow_network(curve, theta, config=None, classify=True):
                 a, b = key
                 for kind, hit, child_pair in _crossings(
                         curve, trajectories[a], trajectories[b],
-                        polyline_intersections(trajectories[a].points,
-                                               trajectories[b].points),
-                        config.dedup_radius, known):
+                        hits.get(key, []), config.dedup_radius, known):
                     if kind == "head_on":
                         head_on.append(hit[0])
                     else:
@@ -1034,12 +1038,6 @@ def _scan_points(curve, thetas, tables, config, generations, tracer):
             for crit, bs in zip(critical, births)]
 
 
-def _trace_each(curve, seeds, config):
-    """trace for each seed: event refinement traces 1-3 rays at a phase,
-    far below the 32 lanes from which trace_lanes is faster."""
-    return [trace(curve, s, config) for s in seeds]
-
-
 def _scan_events(curve, thetas, tables, config, window):
     """The events {("c"|"j", key, target_zero): signed miss} at each phase
     of a block: the zeros that its critical rays ("c", leaving out a ray's
@@ -1064,39 +1062,25 @@ def _scan_events(curve, thetas, tables, config, window):
     return events
 
 
-class _EventTracer:
-    """Traces one event's own rays at phases near its scan bracket.
+def _event_point(curve, event, theta, config, delta0):
+    """The scan point (critical, children) of one event's own rays at theta.
 
     A "c" event needs its critical ray; a "j" event its two parent rays,
     whose first birth crossing seeds the child.  Each ray is re-found by
-    its label with _critical_rays at the scan's seeding radius, so the
+    its label with _critical_rays at the seeding radius delta0, so the
     rays at a phase depend on that phase alone.
     """
-
-    def __init__(self, curve, event, delta0, window):
-        self.curve, self.event = curve, event
-        self.delta0, self.window = delta0, window
-
-    def point(self, theta, config):
-        """The event's scan point (critical, children) at theta."""
-        kind, key, _ = self.event
-        keys = [key] if kind == "c" else list(key)
-        rays = {}
-        for (zi, m), ray in zip(keys, _critical_rays(
-                self.curve, [(theta, zi, m) for zi, m in keys], self.delta0)):
-            rays.setdefault(zi, []).append((m,) + ray)
-        point, = _scan_points(self.curve, [theta], [rays], config,
-                              1 if kind == "j" else 0, _trace_each)
-        return point
-
-    def miss(self, theta, config):
-        kind, key, zi = self.event
-        critical, children = self.point(theta, config)
-        if kind == "j" and key not in children:
-            return None
-        traj = critical[key] if kind == "c" else children[key][1]
-        return _signed_miss(traj, self.curve.ramification_points[zi],
-                            self.window)
+    kind, key, _ = event
+    keys = [key] if kind == "c" else list(key)
+    rays = {}
+    for (zi, m), ray in zip(keys, _critical_rays(
+            curve, [(theta, zi, m) for zi, m in keys], delta0)):
+        rays.setdefault(zi, []).append((m,) + ray)
+    # the scalar trace: 1-3 rays, far below the 32 lanes from which
+    # trace_lanes is faster
+    point, = _scan_points(curve, [theta], [rays], config, 1 if kind == "j" else 0,
+                          lambda c, seeds, cf: [trace(c, s, cf) for s in seeds])
+    return point
 
 
 def _web_trace_config(base, curve, fine):
@@ -1121,16 +1105,18 @@ def _endpoint_chain_correction(traj, idx, zero):
     return 0.75 * abs(x_i - x_j) * abs(traj.points[idx] - zero)
 
 
-def _assemble_web(curve, tracer, theta, config, period_map, residual_rel):
-    """Trace an event's rays once at theta and assemble the web they form.
+def _assemble_web(curve, event, point, theta, config, period_map,
+                  residual_rel):
+    """Assemble the web that an event's scan point, built at theta with
+    config, forms.
 
     The period is the chain integral of every leg up to the target zero,
     plus the missing end piece at each zero; the leg into the target must
     pass within 100 delta_hit of it.  The charge is the one that period
     matches to residual_rel.
     """
-    kind, key, zi_target = tracer.event
-    critical, children = tracer.point(theta, config)
+    kind, key, zi_target = event
+    critical, children = point
     zeros = curve.ramification_points
     if kind == "c":
         end = critical[key]
@@ -1171,10 +1157,11 @@ def _assemble_web(curve, tracer, theta, config, period_map, residual_rel):
 # slower and blocks of 1000 or 2000 only 5-8% faster, while a block's
 # arrays take 10-13 kB of peak memory per lane
 SCAN_BLOCK_LANES = 500
-# an event's bisection stops at a theta bracket narrower than this
+# an event whose probes read no charge is dropped once their bracket is
+# narrower than this
 THETA_TOL = 1e-6
-# a web's phase arg Z_gamma may lie this far outside the grid or bisection
-# bracket of an event that sees it
+# a web's phase arg Z_gamma may lie this far outside the grid bracket of
+# an event whose probe reads its charge
 THETA_SLACK = 2.5e-4
 
 
@@ -1184,28 +1171,33 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
 
     The grid phases are traced in blocks (see _scan_events), each block's
     critical rays found by one RayBook.rays_at call, and their events
-    compared at consecutive phases.  A sign change of the signed miss
-    distance between a trajectory and a zero of P0 is first traced once,
-    with the scan config, at the theta* of each web already found within
-    THETA_SLACK of its grid bracket; if it forms a web of that charge
-    there, it is another leg of that web and ends.  Otherwise it is
-    bisected at scan quality, to a bracket narrower than THETA_TOL, and
-    its charge gamma identified there at 10 * RESIDUAL_REL; a charge
-    already found ends it.  Otherwise the web's phase is theta* =
-    arg Z_gamma from the period map, which must lie within THETA_SLACK of
-    the bracket, and the event's rays are traced once at theta* with the
-    assembly config for the web's period and residual, at RESIDUAL_REL.
-    Supported topologies are single strings (a critical trajectory hits
-    another zero) and three-string junctions (a first-generation child
-    hits a zero); the scan looks no deeper.  A sign change that does not
-    give a web is reported as a WebEventDropped warning.  Returns
-    FiniteWeb records sorted by phase.
+    compared at consecutive phases.  Each sign change of the signed miss
+    distance between a trajectory and a zero of P0 is settled by
+    _settle_event: probes at the false-position phase of the miss, each
+    tracing the event's rays once with the scan config, until one reads a
+    charge gamma whose theta* = arg Z_gamma lies in the grid bracket.  A
+    charge already found ends the event; a new one is traced once more, at
+    theta* with the assembly config, for the web's period and residual at
+    RESIDUAL_REL, and must still pass within 100 delta_hit of the zero and
+    give gamma.  Supported topologies are single strings (a critical
+    trajectory hits another zero) and three-string junctions (a
+    first-generation child hits a zero).  An event that gives no web is
+    reported as a WebEventDropped warning.  A scan_step that is not
+    positive and finite, or a theta_range (lo, hi) that is not finite with
+    lo < hi, raises ValidationError; a curve with fewer than two zeros has
+    no finite web.  Returns FiniteWeb records sorted by phase.
     """
+    lo, hi = theta_range
+    if not (math.isfinite(scan_step) and scan_step > 0):
+        raise ValidationError(f"scan step {scan_step!r} is not positive and finite")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(f"theta range ({lo!r}, {hi!r}) is not finite with lo < hi")
+    if len(curve.ramification_points) < 2:
+        return []
     base = config or TraceConfig()
     cfg = _web_trace_config(base, curve, fine=False)
     fine = _web_trace_config(base, curve, fine=True)
     pm = period_map or PeriodMap.compute(curve, lattice)
-    lo, hi = theta_range
     n_steps = max(2, int(math.ceil((hi - lo) / scan_step)))
     thetas = [lo + (hi - lo) * k / n_steps for k in range(n_steps + 1)]
     sep = min(abs(a - b)
@@ -1228,29 +1220,15 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
             if m0 is None or not ((m0 < 0) != (m1 < 0) or m0 == 0.0
                                   or m1 == 0.0):
                 continue
-            tracer = _EventTracer(curve, ev, cfg.delta0, window)
-            if any(_is_leg_of(curve, tracer, web, cfg, pm) for web in webs
-                   if th_prev - THETA_SLACK <= web.theta_star
-                   <= th + THETA_SLACK):
-                continue
             try:
-                th_a, th_b = _bisect_event(
-                    lambda t: tracer.miss(t, cfg), th_prev, th, m0, m1,
-                    THETA_TOL, 80)
-                estimate = 0.5 * (th_a + th_b)
-                charge = _assemble_web(curve, tracer, estimate, cfg, pm,
-                                       10 * RESIDUAL_REL).charge
+                charge, th_star = _settle_event(curve, ev, (th_prev, th),
+                                                (m0, m1), cfg, pm, window)
                 if any(w.charge == charge for w in webs):
                     continue
-                # the web's mass exp(-i theta) Z is real and positive
-                th_star = estimate + _wrap(cmath.phase(pm.Z(charge))
-                                           - estimate)
-                if not th_a - THETA_SLACK <= th_star <= th_b + THETA_SLACK:
-                    raise NumericalError(
-                        f"arg Z{charge.components} = {th_star!r} lies "
-                        "outside the scan bracket")
-                web = _assemble_web(curve, tracer, th_star, fine, pm,
-                                    RESIDUAL_REL)
+                web = _assemble_web(
+                    curve, ev, _event_point(curve, ev, th_star, fine,
+                                            cfg.delta0),
+                    th_star, fine, pm, RESIDUAL_REL)
                 if web.charge.components != charge.components:
                     raise ChargeIdentificationFailed(
                         f"the web at arg Z{charge.components} matches "
@@ -1263,15 +1241,58 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
     return webs
 
 
-def _is_leg_of(curve, tracer, web, config, period_map):
-    """Whether an event's rays, traced at a found web's phase, form a web
-    of its charge at 10 * RESIDUAL_REL: the event is another leg of it."""
-    try:
-        charge = _assemble_web(curve, tracer, web.theta_star, config,
-                               period_map, 10 * RESIDUAL_REL).charge
-    except NumericalError:
-        return False
-    return charge == web.charge
+def _settle_event(curve, event, bracket, misses, config, period_map, window):
+    """(charge, theta*) of the web that an event sees in its grid bracket.
+
+    Each probe traces the event's rays once with the scan config, at the
+    false-position phase of the signed misses at the ends of the bracket
+    (at a grid end whose miss is a recorded hit, alone), and reads the
+    charge gamma from that build at 10 * RESIDUAL_REL.  The first charge
+    whose theta* = arg Z_gamma, on the branch nearest the probe, lies
+    within THETA_SLACK of the grid bracket settles the event.  Otherwise
+    the probe's own miss replaces the bracket end of its sign, and an end
+    kept twice in a row has its miss halved (the Illinois rule).  A
+    recorded hit, or a bracket narrower than THETA_TOL, with no charge
+    raises the last probe's reason; so does a probe that loses the
+    event's trajectory, with its own.
+    """
+    kind, key, zi = event
+    (th_a, th_b), (m_a, m_b) = bracket, misses
+    kept = None
+    while True:
+        theta = (th_a if m_a == 0.0 else th_b if m_b == 0.0
+                 else th_a + m_a * (th_b - th_a) / (m_a - m_b))
+        critical, children = point = _event_point(curve, event, theta, config,
+                                                  config.delta0)
+        try:
+            charge = _assemble_web(curve, event, point, theta, config,
+                                   period_map, 10 * RESIDUAL_REL).charge
+            # the web's mass exp(-i theta) Z is real and positive
+            arg = cmath.phase(period_map.Z(charge))
+            th_star = arg + TWO_PI * round((theta - arg) / TWO_PI)
+            if bracket[0] - THETA_SLACK <= th_star <= bracket[1] + THETA_SLACK:
+                return charge, th_star
+            reason = NumericalError(f"arg Z{charge.components} = {th_star!r} "
+                                    "lies outside the grid bracket")
+        except NumericalError as exc:
+            reason = exc
+        miss = None if kind == "j" and key not in children else _signed_miss(
+            critical[key] if kind == "c" else children[key][1],
+            curve.ramification_points[zi], window)
+        if miss is None:
+            raise NumericalError(
+                f"lost the event's trajectory at theta = {theta!r}: no birth "
+                "crossing, or no approach within the window")
+        if 0.0 in (miss, m_a, m_b):
+            raise reason
+        if (miss < 0) == (m_a < 0):
+            th_a, m_a, m_b = theta, miss, m_b / 2 if kept == "b" else m_b
+            kept = "b"
+        else:
+            th_b, m_b, m_a = theta, miss, m_a / 2 if kept == "a" else m_a
+            kept = "a"
+        if th_b - th_a < THETA_TOL:
+            raise reason
 
 
 def _warn_dropped(event, bracket, reason):
@@ -1280,26 +1301,3 @@ def _warn_dropped(event, bracket, reason):
         f"finite-web event ({kind!r}, {key}, zero {zi}) in theta bracket "
         f"[{bracket[0]!r}, {bracket[1]!r}] dropped: {reason}",
         WebEventDropped, stacklevel=3)
-
-
-def _bisect_event(miss_at, th_a, th_b, m_a, m_b, tol, max_iter):
-    """Bisect a sign change of miss_at(theta) on [th_a, th_b], whose ends
-    miss by m_a and m_b, down to a bracket narrower than tol.  A miss of
-    exactly 0.0 is a recorded hit, and the bracket closes onto its phase."""
-    for _ in range(max_iter):
-        if m_a == 0.0 or m_b == 0.0:
-            th_a = th_b = th_a if m_a == 0.0 else th_b
-            break
-        if th_b - th_a < tol:
-            break
-        mid = 0.5 * (th_a + th_b)
-        m_mid = miss_at(mid)
-        if m_mid is None:
-            raise NumericalError(
-                f"lost the event's trajectory at theta = {mid!r}: no birth "
-                "crossing, or no approach within the window")
-        if (m_mid < 0) == (m_a < 0):
-            th_a, m_a = mid, m_mid
-        else:
-            th_b, m_b = mid, m_mid
-    return th_a, th_b

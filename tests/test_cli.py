@@ -106,6 +106,36 @@ def test_network_bps_deterministic_at_arg_z(tmp_path, pentagon_pm):
     assert abs(w["theta_star"] - arg) < 1e-12
 
 
+@pytest.mark.parametrize("args", [
+    ["--scan-step", "0"], ["--scan-step", "-0.1"],
+    ["--theta-min", "1", "--theta-max", "0.5"]],
+    ids=["zero-step", "negative-step", "reversed-range"])
+def test_network_bps_rejects_a_bad_scan(args, tmp_path, capsys):
+    out = tmp_path / "webs.json"
+    assert run(["network", "bps", "--example", "pentagon", *args,
+                "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert not out.exists()
+
+
+def test_network_bps_one_zero_curve_has_no_webs(tmp_path):
+    # P0 = z: one zero, and a basis contour three times round it, which
+    # closes on its starting sheet
+    turn = [[math.cos(math.pi * k / 16), math.sin(math.pi * k / 16)]
+            for k in range(97)]
+    x0 = (-1 + 0j) ** (1 / 3)
+    curve = {"schema_version": 1, "name": "line", "basepoint": [1.0, 0.0],
+             "polynomial": {"coefficients": [[0.0, 0.0], [1.0, 0.0]]},
+             "lattice": {"pairing": [[0]], "contours": [
+                 {"waypoints": turn, "starting_sheet": [x0.real, x0.imag]}]}}
+    path, out = tmp_path / "line.json", tmp_path / "webs.json"
+    path.write_text(json.dumps(curve))
+    assert run(["network", "bps", "--curve-file", str(path),
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["webs"] == []
+
+
 def test_bps_dump_validate_roundtrip(tmp_path):
     spec_file = tmp_path / "spec.json"
     assert run(["bps", "dump", "--example", "pentagon",

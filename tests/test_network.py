@@ -386,6 +386,24 @@ def test_later_crossings_match_pairwise_intersections(window_lanes):
         assert found
         assert found == {key: _in_segment_order(hits)
                          for key, hits in pairwise.items() if hits}
+        # new bounds the later polyline of each pair, as grow_network's
+        # frontier does
+        for new in (1, len(polylines) // 2, len(polylines) - 1,
+                    len(polylines)):
+            assert later_crossings(polylines, new) == {
+                key: hits for key, hits in found.items() if key[1] >= new}
+
+
+@pytest.mark.parametrize("name, theta", [("pentagon", 0.0), ("hexagon", 0.1)])
+def test_junctions_sit_on_their_parents_crossings(name, theta, request):
+    curve = request.getfixturevalue(name).curve
+    net = grow_network(curve, theta)
+    assert net.junctions
+    for j in net.junctions:
+        a, b = (net.trajectories[i].points for i in j.parents)
+        assert (j.point, j.parent_params) in [
+            (z, ((ia, ta), (ib, tb)))
+            for z, ia, ta, ib, tb in polyline_intersections(a, b)]
 
 
 @pytest.mark.parametrize("name, theta, n_points",
@@ -583,23 +601,44 @@ def test_web_segments_recorded(pentagon, pentagon_pm):
     assert min(abs(seg[-1] - z) for z in zeros) < 1e-3
 
 
+@pytest.mark.parametrize("theta_range, step", [
+    ((0.45, 0.6), 0.0), ((0.45, 0.6), -0.1), ((0.45, 0.6), math.nan),
+    ((0.45, 0.6), math.inf), ((1.0, 0.5), 0.04), ((0.5, 0.5), 0.04),
+    ((0.0, math.inf), 0.04), ((math.nan, 1.0), 0.04)],
+    ids=["zero-step", "negative-step", "nan-step", "inf-step",
+         "reversed-range", "empty-range", "inf-range", "nan-range"])
+def test_bad_scan_step_or_range_is_rejected(theta_range, step, pentagon,
+                                            pentagon_pm):
+    with pytest.raises(ValidationError):
+        detect_bps(pentagon.curve, pentagon.lattice, theta_range,
+                   period_map=pentagon_pm, scan_step=step)
+
+
+@pytest.mark.parametrize("coefficients", [[1.0], [-0.5j, 1.0]],
+                         ids=["no-zero", "one-zero"])
+def test_no_webs_without_two_zeros(coefficients):
+    # a finite web joins two zeros, so there is nothing to scan for
+    curve = SpectralCurve(Polynomial(coefficients), basepoint=1.0)
+    assert detect_bps(curve, None, (0.0, 1.0)) == []
+
+
 # ---------------- web detection: work counts, pinned phases, drops ----
 
 def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
     """detect_bps on one window, recording the scan grid, the blocks of
     phases that RayBook.rays_at is asked for, the critical lanes traced at
-    each grid phase, the traces (scalar or lane) made by each event
-    refinement build (with its phase and generation depth), every trace
-    off the grid, the phases of the builds at the assembly config, the
-    grid bracket of every event bisection, the (residual_rel, charge) of
-    every charge identification, and any WebEventDropped.  fault(mp), if
-    given, patches network further through the MonkeyPatch mp."""
+    each grid phase, the traces (scalar or lane) made by each event build
+    (with its phase and generation depth), every trace off the grid, the
+    phases of the builds at the assembly config, the number of
+    scan-quality probes of each event settled, the (residual_rel, charge)
+    of every charge identification, and any WebEventDropped.  fault(mp),
+    if given, patches network further through the MonkeyPatch mp."""
     lo, hi = theta_range
     n = max(2, int(math.ceil((hi - lo) / scan_step)))
     grid = [lo + (hi - lo) * k / n for k in range(n + 1)]
     fine = network._web_trace_config(TraceConfig(), defn.curve, fine=True)
     rays_at_blocks, builds, off_grid_traces = [], [], []
-    fine_builds, identified, bisected = [], [], []
+    fine_builds, identified, probes = [], [], []
     critical_lanes = {theta: 0 for theta in grid}
     building = []
 
@@ -607,9 +646,9 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
         rays_at_blocks.append(list(thetas))
         return real_rays_at(self, thetas)
 
-    def bisect_event(miss_at, th_a, th_b, *args):
-        bisected.append((th_a, th_b))
-        return real_bisect_event(miss_at, th_a, th_b, *args)
+    def settle_event(*args):
+        probes.append(0)
+        return real_settle_event(*args)
 
     def count(seed):
         if seed.theta not in grid:
@@ -628,14 +667,16 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
                 critical_lanes[seed.theta] += 1
         return real_trace_lanes(curve, seeds, config)
 
-    def point(self, theta, config):
-        build = [theta, 1 if self.event[0] == "j" else 0, 0]
+    def event_point(curve, event, theta, config, delta0):
+        build = [theta, 1 if event[0] == "j" else 0, 0]
         builds.append(build)
         if config == fine:
             fine_builds.append(theta)
+        else:
+            probes[-1] += 1
         building.append(build)
         try:
-            return real_point(self, theta, config)
+            return real_event_point(curve, event, theta, config, delta0)
         finally:
             building.pop()
 
@@ -647,18 +688,18 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
     real_rays_at = network.RayBook.rays_at
     real_trace = network.trace
     real_trace_lanes = network._trace_lanes
-    real_point = network._EventTracer.point
+    real_event_point = network._event_point
     real_identify = network.identify_charge
-    real_bisect_event = network._bisect_event
+    real_settle_event = network._settle_event
     with pytest.MonkeyPatch.context() as mp, \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", WebEventDropped)
         mp.setattr(network.RayBook, "rays_at", rays_at)
         mp.setattr(network, "trace", trace)
         mp.setattr(network, "_trace_lanes", trace_lanes)
-        mp.setattr(network._EventTracer, "point", point)
+        mp.setattr(network, "_event_point", event_point)
         mp.setattr(network, "identify_charge", identify)
-        mp.setattr(network, "_bisect_event", bisect_event)
+        mp.setattr(network, "_settle_event", settle_event)
         if fault:
             fault(mp)
         webs = detect_bps(defn.curve, defn.lattice, theta_range,
@@ -667,7 +708,7 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
     return {"webs": webs, "grid": grid, "rays_at": rays_at_blocks,
             "critical_lanes": critical_lanes, "builds": builds,
             "off_grid": off_grid_traces, "fine": fine_builds,
-            "identified": identified, "bisected": bisected,
+            "identified": identified, "probes": probes,
             "dropped": dropped,
             "zeros": len(defn.curve.ramification_points)}
 
@@ -694,9 +735,9 @@ def test_event_refinement_traces_only_the_event(scan, before, request):
     assert len(run["rays_at"]) == 1
     # every grid phase traces its 8 critical rays per zero as lanes
     assert set(run["critical_lanes"].values()) == {8 * run["zeros"]}
-    midpoints = [b for b in run["builds"] if b[0] not in run["grid"]]
-    assert midpoints
-    for theta, generations, traces in midpoints:
+    off_grid = [b for b in run["builds"] if b[0] not in run["grid"]]
+    assert off_grid
+    for theta, generations, traces in off_grid:
         # one critical ray ("c"), or two parents and their child ("j")
         assert traces <= (3 if generations else 1)
     assert len(run["off_grid"]) < before / 5
@@ -711,7 +752,7 @@ def test_each_web_is_assembled_once(scan, events, request):
     # one trace at the assembly config, at the web's phase
     assert run["fine"] == [web.theta_star]
     # every event is identified at scan quality (10 * residual_rel); only
-    # the first goes on to the assembly, the duplicates stop there
+    # the first goes on to the assembly, the others stop there
     charge = web.charge.components
     assert run["identified"] == ([(1e-3, charge), (1e-4, charge)]
                                  + [(1e-3, charge)] * (events - 1))
@@ -720,33 +761,35 @@ def test_each_web_is_assembled_once(scan, events, request):
 # the same windows and event counts as above
 @pytest.mark.parametrize("scan, events", [("pentagon_window_scan", 2),
                                           ("hexagon_window_scan", 3)])
-def test_duplicate_events_are_settled_at_the_web_phase(scan, events,
-                                                       request):
+def test_each_event_settles_at_one_probe(scan, events, request):
     run = request.getfixturevalue(scan)
     web, = run["webs"]
-    # one event is bisected; every other event of the web costs one
-    # scan-quality build at theta*, beside the web's one fine assembly
-    assert len(run["bisected"]) == 1
-    at_web = [b for b in run["builds"] if b[0] == web.theta_star]
-    assert len(at_web) == 1 + (events - 1)
+    # each event costs one scan-quality probe, off the grid, and the web
+    # one fine build at theta*
+    assert run["probes"] == [1] * events
+    assert len(run["builds"]) == events + 1
+    assert all(b[0] not in run["grid"] for b in run["builds"])
     assert run["fine"] == [web.theta_star]
 
 
-def _misidentify_settles(mp):
-    # a scan-quality assembly at the phase of a web already assembled (the
-    # duplicate check) gives the negated charge
-    real_assemble = network._assemble_web
-    assembled = []
+def _fail_first_probes(mp):
+    # the first scan-quality charge reading of every event fails
+    real_settle, real_assemble = network._settle_event, network._assemble_web
+    fresh = [False]
 
-    def assemble(curve, tracer, theta, config, period_map, residual_rel):
-        web = real_assemble(curve, tracer, theta, config, period_map,
-                            residual_rel)
-        if residual_rel == network.RESIDUAL_REL:
-            assembled.append(theta)
-        elif theta in assembled:
-            web.charge = -web.charge
-        return web
+    def settle_event(*args):
+        fresh[0] = True
+        return real_settle(*args)
 
+    def assemble(curve, event, point, theta, config, period_map,
+                 residual_rel):
+        if residual_rel != network.RESIDUAL_REL and fresh[0]:
+            fresh[0] = False
+            raise ChargeIdentificationFailed("first probe (test)")
+        return real_assemble(curve, event, point, theta, config, period_map,
+                             residual_rel)
+
+    mp.setattr(network, "_settle_event", settle_event)
     mp.setattr(network, "_assemble_web", assemble)
 
 
@@ -754,14 +797,14 @@ def _misidentify_settles(mp):
     ("pentagon", (-0.62, -0.43), math.pi / 80, "pentagon_window_scan", 2),
     ("hexagon", (0.47, 0.58), math.pi / 120, "hexagon_window_scan", 3)],
     ids=["pentagon", "hexagon"])
-def test_a_failed_duplicate_check_falls_back_to_bisection(
+def test_a_failed_first_probe_falls_back_to_false_position(
         name, theta_range, step, scan, events, request):
-    # every event is then bisected, as it was before the check, and the
-    # duplicates stop at their scan-quality identification
+    # the probe's own miss shrinks the bracket, and the next probe settles
+    # the event on the same web, with no drop
     run = _counted_scan(request.getfixturevalue(name),
                         request.getfixturevalue(f"{name}_pm"), theta_range,
-                        step, fault=_misidentify_settles)
-    assert len(run["bisected"]) == events
+                        step, fault=_fail_first_probes)
+    assert run["probes"] == [2] * events
     assert run["dropped"] == []
     web, = run["webs"]
     ref, = request.getfixturevalue(scan)["webs"]
@@ -807,10 +850,12 @@ def test_webscan_windows_pin_the_web_phases(pentagon, pentagon_pm, hexagon,
 
 
 @pytest.mark.parametrize("tilt, reason", [
-    # arg Z(gamma) falls 5e-4 off the web, outside the scan bracket
-    (5e-4, "outside the scan bracket"),
+    # arg Z(gamma) falls 5e-4 off the web, inside the pi/80 grid bracket:
+    # the fine trace misses the zero by 5.16e-3, above 100 delta_hit
+    pytest.param(5e-4, "assembled trajectory misses the zero by 5.16e-03",
+                 id="0.0005-fine-miss"),
     # arg Z(gamma) falls 1e-4 off the web: the fine trace misses the zero
-    # by 1.5e-3, above 100 delta_hit
+    # by 1.5e-3
     (1e-4, "assembled trajectory misses the zero by"),
 ])
 def test_web_off_its_period_phase_is_dropped(tilt, reason, pentagon,
