@@ -10,13 +10,12 @@ symmetry check, but is not reconstructed here.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Charge
+from .curve import Charge, read_json
 from .errors import RayCollision, ValidationError
 
 _PENTAGON_POSITIVE = [(1, 0), (0, 1), (1, 1)]
@@ -95,10 +94,19 @@ class BpsSpectrum:
         }
 
     @classmethod
+    def from_entries(cls, doc):
+        """The spectrum a document's entries list, its symmetry unchecked;
+        a missing key raises ValidationError."""
+        try:
+            return cls([(e["charge"], e["omega"]) for e in doc["entries"]])
+        except KeyError as exc:
+            raise ValidationError(f"spectrum document lacks the key {exc}") from None
+
+    @classmethod
     def from_json(cls, doc):
         if doc.get("schema_version") != 1:
             raise ValidationError("unsupported spectrum schema_version")
-        spec = cls([(e["charge"], e["omega"]) for e in doc["entries"]])
+        spec = cls.from_entries(doc)
         rep = spec.validate()
         if rep.violations:
             raise ValidationError(
@@ -107,8 +115,7 @@ class BpsSpectrum:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 @dataclass

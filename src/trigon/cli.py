@@ -26,7 +26,7 @@ from . import reference
 from .asymptotics import (build_prediction, decay_table, linear_coefficient,
                           solver_coefficient)
 from .bps import BpsSpectrum, builtin_spectrum, spectrum_from_webs
-from .curve import Charge, PeriodMap, load_curve_file, load_example
+from .curve import Charge, PeriodMap, load_curve_file, load_example, read_json
 from .errors import NumericalError, TrigonError, ValidationError
 from .network import TraceConfig, detect_bps, grow_network
 from .polygon import (builtin_expression, builtin_expression_names,
@@ -68,6 +68,12 @@ def _load_definition(args):
 
 def _period_map(defn):
     return PeriodMap.compute(defn.curve, defn.lattice)
+
+
+def _spectrum(args, defn):
+    """The spectrum in the --spectrum file, or the built-in one of defn."""
+    return (BpsSpectrum.load(args.spectrum) if args.spectrum
+            else builtin_spectrum(defn.name))
 
 
 def _write_polylines(net, path):
@@ -158,7 +164,10 @@ def cmd_network_sweep(args):
     os.makedirs(args.out_dir, exist_ok=True)
     tasks = [(args.example, k, k * math.pi / 300.0, args.out_dir)
              for k in range(args.frames)]
-    workers = int(os.environ.get("TRIGON_WORKERS", "1"))
+    try:
+        workers = int(os.environ.get("TRIGON_WORKERS", "1"))
+    except ValueError:
+        raise ValidationError("TRIGON_WORKERS must be an integer") from None
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
@@ -210,9 +219,7 @@ def cmd_bps_dump(args):
 
 def cmd_bps_validate(args):
     if args.spectrum:
-        with open(args.spectrum) as fh:
-            doc = json.load(fh)
-        spec = BpsSpectrum([(e["charge"], e["omega"]) for e in doc["entries"]])
+        spec = BpsSpectrum.from_entries(read_json(args.spectrum))
     else:
         spec = builtin_spectrum(args.example)
     rep = spec.validate()
@@ -224,8 +231,7 @@ def cmd_bps_validate(args):
 def cmd_tba_solve(args):
     defn = _load_definition(args)
     pm = _period_map(defn)
-    spec = (BpsSpectrum.load(args.spectrum) if args.spectrum
-            else builtin_spectrum(defn.name))
+    spec = _spectrum(args, defn)
     cfg = SolverConfig(R=args.R, theta=args.theta, L=args.L, N=args.N,
                        tol=args.tol, max_iter=args.max_iter, relax=args.relax)
     sol = solve(cfg, spec, pm, defn.lattice.pairing)
@@ -258,8 +264,7 @@ def cmd_tba_solve(args):
 def cmd_asym_predict(args):
     defn = _load_definition(args)
     pm = _period_map(defn)
-    spec = (BpsSpectrum.load(args.spectrum) if args.spectrum
-            else builtin_spectrum(defn.name))
+    spec = _spectrum(args, defn)
     gamma = defn.lattice.charge(_parse_charge(args.charge).components)
     pred = build_prediction(gamma, args.theta, spec, pm, defn.lattice.pairing)
     doc = {
@@ -284,8 +289,7 @@ def cmd_asym_predict(args):
 def cmd_asym_check(args):
     defn = _load_definition(args)
     pm = _period_map(defn)
-    spec = (BpsSpectrum.load(args.spectrum) if args.spectrum
-            else builtin_spectrum(defn.name))
+    spec = _spectrum(args, defn)
     gamma = defn.lattice.charge(_parse_charge(args.charge).components)
     pred = build_prediction(gamma, args.theta, spec, pm, defn.lattice.pairing)
     grid = [float(tok) for tok in args.R_grid.split(",")]
@@ -305,8 +309,7 @@ def cmd_asym_check(args):
 
 
 def cmd_polygon_eval(args):
-    with open(args.vertices) as fh:
-        poly = polygon_from_json(json.load(fh))
+    poly = polygon_from_json(read_json(args.vertices))
     if ":" in args.expr:
         example, name = args.expr.split(":", 1)
         expr = builtin_expression(example, name)
@@ -337,6 +340,18 @@ class _Report:
         return all(c["ok"] for c in self.checks)
 
 
+def _census(report, defn, ref):
+    """The network census check at the reference phase."""
+    net = grow_network(defn.curve, ref["network_theta"], TraceConfig())
+    ok = (len(net.trajectories) == ref["trajectories"]
+          and net.n_born == ref["born"]
+          and len(net.infinity_marks) == ref["directions"])
+    report.add(f"network census (theta={ref['network_theta']:g})", ok,
+               f"{len(net.trajectories)} trajectories, {net.n_born} born, "
+               f"{len(net.infinity_marks)} directions "
+               f"(want {ref['trajectories']}/{ref['born']}/{ref['directions']})")
+
+
 def _reproduce_pentagon(report, fast):
     ref = reference.PENTAGON
     defn = load_example("pentagon")
@@ -352,14 +367,7 @@ def _reproduce_pentagon(report, fast):
                abs(pm.Z(g1) - cf) <= ref["closed_form_tol"],
                f"|dZ| = {abs(pm.Z(g1) - cf):.2e} (tol {ref['closed_form_tol']:.0e})")
 
-    net = grow_network(defn.curve, ref["network_theta"], TraceConfig())
-    ok = (len(net.trajectories) == ref["trajectories"]
-          and net.n_born == ref["born"]
-          and len(net.infinity_marks) == ref["directions"])
-    report.add("network census (theta=0)", ok,
-               f"{len(net.trajectories)} trajectories, {net.n_born} born, "
-               f"{len(net.infinity_marks)} directions "
-               f"(want {ref['trajectories']}/{ref['born']}/{ref['directions']})")
+    _census(report, defn, ref)
 
     spec = builtin_spectrum("pentagon")
     sol = solve(SolverConfig(R=ref["tba_R"], theta=ref["tba_theta"]),
@@ -411,14 +419,7 @@ def _reproduce_hexagon(report, fast):
     report.add("periods vs targets", max(errs) <= ref["Z_tol"],
                f"|dZ| = {max(errs):.2e} (tol {ref['Z_tol']:.0e})")
 
-    net = grow_network(defn.curve, ref["network_theta"], TraceConfig())
-    ok = (len(net.trajectories) == ref["trajectories"]
-          and net.n_born == ref["born"]
-          and len(net.infinity_marks) == ref["directions"])
-    report.add("network census (theta=0.1)", ok,
-               f"{len(net.trajectories)} trajectories, {net.n_born} born, "
-               f"{len(net.infinity_marks)} directions "
-               f"(want {ref['trajectories']}/{ref['born']}/{ref['directions']})")
+    _census(report, defn, ref)
 
     spec = builtin_spectrum("hexagon")
     worst = 0.0

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -54,6 +55,22 @@ def nearest_root(rts, x):
     """Index of the entry of the triple rts nearest to x; the first wins a tie."""
     d = [abs(r - x) for r in rts]
     return d.index(min(d))
+
+
+def continue_root(v, x):
+    """The cube root of v nearest x, the rule that continues a sheet.
+
+    It is x times the principal cube root of v/x^3, whose argument lies
+    within pi/3 of 0: the three roots share one modulus and lie
+    sqrt(3) |root| apart, so the nearest in angle is the nearest.
+    """
+    return x * (v / x ** 3) ** (1.0 / 3.0)
+
+
+def within_margin(x_new, x):
+    """Whether x_new, continued from x, is safely the root nearest x: within
+    a third of the roots' separation sqrt(3) |x_new|.  Works on arrays."""
+    return abs(x_new - x) <= abs(x_new) * (1 / math.sqrt(3))
 
 
 class Polynomial:
@@ -208,11 +225,8 @@ class SpectralCurve:
         Subdivides the step (straight in z) whenever the jump |x_new - x_prev|
         exceeds a third of the separation between sheets at the new point.
         """
-        rts = cube_roots(-self.polynomial(z_new))
-        i = nearest_root(rts, x_prev)
-        x_new = rts[i]
-        sep = min(abs(x_new - rts[(i + 1) % 3]), abs(x_new - rts[(i + 2) % 3]))
-        if abs(x_new - x_prev) <= sep / 3.0:
+        x_new = continue_root(-self.polynomial(z_new), x_prev)
+        if within_margin(x_new, x_prev):
             return x_new
         if depth >= 48 or z_prev is None:
             raise SheetAmbiguity(
@@ -286,10 +300,6 @@ class SpectralCurve:
                 route.append(zr - d * r_det * cmath.exp(-1j * ang))
         route.append(b)
         return route
-
-    def label_of(self, z, x, frame=None):
-        """Index k such that x is sheet k in the given frame triple at z."""
-        return nearest_root(frame if frame is not None else self.sheets_at(z), x)
 
 
 # --- charges and the lattice ---
@@ -497,14 +507,17 @@ def curve_to_json(defn: CurveDefinition):
 def curve_from_json(doc) -> CurveDefinition:
     if doc.get("schema_version") != 1:
         raise ValidationError("unsupported curve schema_version")
-    poly = Polynomial([_pair2c(p) for p in doc["polynomial"]["coefficients"]])
-    curve = SpectralCurve(poly, basepoint=_pair2c(doc["basepoint"]))
-    lat = doc["lattice"]
-    contours = [
-        LiftedPath([_pair2c(w) for w in c["waypoints"]], _pair2c(c["starting_sheet"]))
-        for c in lat["contours"]
-    ]
-    lattice = ChargeLattice(lat["pairing"], contours, names=lat.get("charges"))
+    try:
+        poly = Polynomial([_pair2c(p) for p in doc["polynomial"]["coefficients"]])
+        curve = SpectralCurve(poly, basepoint=_pair2c(doc["basepoint"]))
+        lat = doc["lattice"]
+        contours = [
+            LiftedPath([_pair2c(w) for w in c["waypoints"]], _pair2c(c["starting_sheet"]))
+            for c in lat["contours"]
+        ]
+        lattice = ChargeLattice(lat["pairing"], contours, names=lat.get("charges"))
+    except KeyError as exc:
+        raise ValidationError(f"curve document lacks the key {exc}") from None
     return CurveDefinition(
         name=doc.get("name", "unnamed"),
         curve=curve,
@@ -513,9 +526,18 @@ def curve_from_json(doc) -> CurveDefinition:
     )
 
 
+def read_json(path):
+    """The JSON document in the file at path; a file that is missing,
+    unreadable or not JSON raises ValidationError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read JSON from {path}: {exc}") from None
+
+
 def load_curve_file(path) -> CurveDefinition:
-    with open(path) as fh:
-        return curve_from_json(json.load(fh))
+    return curve_from_json(read_json(path))
 
 
 EXAMPLE_NAMES = ("pentagon", "hexagon")

@@ -6,9 +6,12 @@ A trajectory with ordered sheet pair (x_i, x_j) solves
 
 integrated here in arclength form dz/ds = exp(i*theta) * conj(u)/|u|.
 The sheets over z are x, omega*x and omega^2*x, so x_j = omega^k x_i with
-k fixed at the seed: only x_i is tracked, one nearest cube root per RK
-stage, and u = x_i - x_j; a Trajectory holds arrays of its points, x_i
-and chain integral, and the index k.  Networks start from the 8 critical
+k fixed at the seed: only x_i is tracked, continued at each RK stage by
+the one sheet rule curve.continue_root, and u = x_i - x_j; a Trajectory
+holds arrays of its points, x_i and chain integral, and the index k.  One
+Cash-Karp step (_cash_karp) has two drivers: trace for one seed on Python
+complex numbers, and trace_lanes for a batch as numpy lanes, where the
+rule takes its array form _lane_sheet.  Networks start from the 8 critical
 trajectories emanating from each simple zero of P0, then grow by the
 junction birth rule: at every crossing whose labels chain as (i,j),(j,k)
 a new trajectory labeled (i,k) is seeded at the crossing.  Each critical
@@ -45,7 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Charge, OMEGA, PeriodMap, cube_roots, nearest_root
+from .curve import (Charge, OMEGA, PeriodMap, continue_root, cube_roots,
+                    nearest_root, within_margin)
 from .errors import (
     ChargeIdentificationFailed,
     GenerationCapExceeded,
@@ -248,36 +252,66 @@ class Trajectory:
         return cmath.exp(1j * self.theta) * T
 
 
+def _seed_sheet(curve, seed):
+    """(z, x_i, k) of a seed: its point, the root of -P0 there nearest its
+    first sheet, and the index k of its second sheet omega^k x_i."""
+    z = complex(seed.z)
+    rts = cube_roots(-curve.polynomial(z))
+    i = nearest_root(rts, seed.pair[0])
+    k = (nearest_root(rts, seed.pair[1]) - i) % 3
+    # on a zero of P0 the three roots coincide, and so k = 0 there too
+    if k == 0:
+        raise ValidationError("seed pair selects a single sheet")
+    return z, rts[i], k
+
+
+def _cash_karp(rhs, z, h, f1, g1):
+    """One Cash-Karp step (orders 5 and 4) of dz/ds = f, dT/ds = g, with
+    rhs(w) = (f, g) and (f1, g1) = rhs(z), on Python complex numbers or on
+    numpy lanes: (z5, T5, |z5 - z4| + |T5 - T4|, (g2, ..., g6))."""
+    f2, g2 = rhs(z + h * (1 / 5 * f1))
+    f3, g3 = rhs(z + h * (3 / 40 * f1 + 9 / 40 * f2))
+    f4, g4 = rhs(z + h * (3 / 10 * f1 - 9 / 10 * f2 + 6 / 5 * f3))
+    f5, g5 = rhs(z + h * (-11 / 54 * f1 + 5 / 2 * f2 - 70 / 27 * f3
+                          + 35 / 27 * f4))
+    f6, g6 = rhs(z + h * (1631 / 55296 * f1 + 175 / 512 * f2
+                          + 575 / 13824 * f3 + 44275 / 110592 * f4
+                          + 253 / 4096 * f5))
+    z5 = z + h * (37 / 378 * f1 + 250 / 621 * f3 + 125 / 594 * f4
+                  + 512 / 1771 * f6)
+    z4 = z + h * (2825 / 27648 * f1 + 18575 / 48384 * f3
+                  + 13525 / 55296 * f4 + 277 / 14336 * f5 + 1 / 4 * f6)
+    T5 = h * (37 / 378 * g1 + 250 / 621 * g3 + 125 / 594 * g4
+              + 512 / 1771 * g6)
+    T4 = h * (2825 / 27648 * g1 + 18575 / 48384 * g3
+              + 13525 / 55296 * g4 + 277 / 14336 * g5 + 1 / 4 * g6)
+    return z5, T5, abs(z5 - z4) + abs(T5 - T4), (g2, g3, g4, g5, g6)
+
+
 def trace(curve, seed, config=None):
-    """Integrate one trajectory until escape, a zero hit, or truncation."""
+    """Integrate one trajectory until escape, a zero hit, or truncation.
+
+    The scalar driver of _cash_karp: each RK stage continues x_i by
+    continue_root, and a step whose end sheet is not within_margin is
+    halved.  trace_lanes has the same rule, two implementations.
+    """
     config = config or TraceConfig()
     eith = cmath.exp(1j * seed.theta)
     esc = config.resolved_escape_radius(curve)
     zeros = curve.ramification_points
     coeffs = tuple(reversed(curve.polynomial.coefficients))
+    z, x, k = _seed_sheet(curve, seed)
+    gap = 1 - complex(_ROTATION[k])     # u = x_i - x_j = gap * x_i
 
-    z = complex(seed.z)
-    rts = cube_roots(-curve.polynomial(z))
-    i = nearest_root(rts, seed.pair[0])
-    k = (nearest_root(rts, seed.pair[1]) - i) % 3
-    if k == 0:
-        raise ValidationError("seed pair selects a single sheet")
-    x = rts[i]
-
-    def rhs(w):
-        # nearest_root inlined: a call to it per stage slows trace by ~20%
+    def sheet(w):
+        # P0 inlined: a call to curve.polynomial per stage slows trace ~10%
         acc = 0j
         for c in coeffs:
             acc = acc * w + c
-        r0 = (-acc) ** (1.0 / 3.0) if acc != 0 else 0j
-        rts = (r0, r0 * OMEGA, r0 * OMEGA * OMEGA)
-        j, best = 0, abs(r0 - x)
-        d = abs(rts[1] - x)
-        if d < best:
-            j, best = 1, d
-        if abs(rts[2] - x) < best:
-            j = 2
-        u = rts[j] - rts[(j + k) % 3]
+        return continue_root(-acc, x)
+
+    def rhs(w):
+        u = sheet(w) * gap
         au = abs(u)
         if au == 0.0:
             raise SheetAmbiguity(f"RK stage on a zero of P0 at z = {w}")
@@ -302,49 +336,28 @@ def trace(curve, seed, config=None):
         h = min(h, config.h_max, 0.1 * dist + 0.5 * config.delta_hit)
         if h < config.h_min:
             raise SheetAmbiguity(f"step size collapsed at z = {z}")
-        # Cash-Karp embedded Runge-Kutta pair (orders 5 and 4)
         try:
-            f2, g2 = rhs(z + h * (1 / 5 * f1))
-            f3, g3 = rhs(z + h * (3 / 40 * f1 + 9 / 40 * f2))
-            f4, g4 = rhs(z + h * (3 / 10 * f1 - 9 / 10 * f2 + 6 / 5 * f3))
-            f5, g5 = rhs(z + h * (-11 / 54 * f1 + 5 / 2 * f2 - 70 / 27 * f3
-                                  + 35 / 27 * f4))
-            f6, g6 = rhs(z + h * (1631 / 55296 * f1 + 175 / 512 * f2
-                                  + 575 / 13824 * f3 + 44275 / 110592 * f4
-                                  + 253 / 4096 * f5))
+            z5, T5, err, _ = _cash_karp(rhs, z, h, f1, g1)
         except SheetAmbiguity:
             h *= 0.25
             if h < config.h_min:
                 raise
             continue
-        z5 = z + h * (37 / 378 * f1 + 250 / 621 * f3 + 125 / 594 * f4
-                      + 512 / 1771 * f6)
-        z4 = z + h * (2825 / 27648 * f1 + 18575 / 48384 * f3
-                      + 13525 / 55296 * f4 + 277 / 14336 * f5 + 1 / 4 * f6)
-        T5 = h * (37 / 378 * g1 + 250 / 621 * g3 + 125 / 594 * g4
-                  + 512 / 1771 * g6)
-        T4 = h * (2825 / 27648 * g1 + 18575 / 48384 * g3
-                  + 13525 / 55296 * g4 + 277 / 14336 * g5 + 1 / 4 * g6)
-        err = abs(z5 - z4) + abs(T5 - T4)
         # absolute floor keeps tiny steps near zeros feasible at roundoff
         tol = config.rk_tol * h + 4e-15 * (1.0 + abs(z))
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.25)
             continue
-        # accept the step if the re-tracked sheet keeps a safe margin
-        rts = cube_roots(-curve.polynomial(z5))
-        i = nearest_root(rts, x)
-        sep = min(abs(rts[0] - rts[1]), abs(rts[1] - rts[2]),
-                  abs(rts[0] - rts[2]))
-        if abs(rts[i] - x) > sep / 3.0:
+        x5 = sheet(z5)
+        if not within_margin(x5, x):
             h *= 0.5
             continue
         prev = z
-        z, x, xj = z5, rts[i], rts[(i + k) % 3]
+        z, x = z5, x5
         s_total += h
         points.append(z)
         xs.append(x)
-        u = x - xj        # the next step's first stage, from these roots
+        u = x * gap       # the next step's first stage
         f1, g1 = eith * u.conjugate() / abs(u), abs(u)
         chain.append(chain[-1] + T5)
         h = min(config.h_max,
@@ -371,12 +384,9 @@ def trace(curve, seed, config=None):
 
 
 def _lane_sheet(coeffs, w, x, inv_cube):
-    """The cube root of -P0(w) nearest x, per lane, given -1/x^3.
-
-    It is x times the cube root of -P0(w)/x^3 whose argument lies within
-    pi/3 of 0, the principal one: the three roots have one modulus, so
-    the nearest in angle is the nearest.
-    """
+    """continue_root(-P0(w), x) per lane, given -1/x^3: the array form of
+    the one sheet rule, with the principal cube root spelled out (numpy's
+    complex power is slower on lanes)."""
     acc = np.full_like(w, coeffs[0])
     for c in coeffs[1:]:
         acc = acc * w + c
@@ -396,11 +406,11 @@ def trace_lanes(curve, seeds, config=None):
     control, the sheet margin, the disarmed start zero, and the hit,
     outward-escape and truncation tests.  All live lanes attempt a step
     together and a finished lane leaves the arrays, so a lane's trajectory
-    does not depend on the rest of its batch.  It follows trace's without
-    matching it bit for bit: its cube roots round differently, so the
-    accepted steps drift apart slowly.  A seed that trace would reject
-    fails the whole batch.  Each Trajectory's arrays are slices of the
-    batch's.
+    does not depend on the rest of its batch.  Its sheet rule is trace's
+    in array form (_lane_sheet): the same rule, two implementations, which
+    round differently, so the accepted steps drift apart slowly.  A seed
+    that trace would reject fails the whole batch.  Each Trajectory's
+    arrays are slices of the batch's.
     """
     if not seeds:
         return []
@@ -423,18 +433,9 @@ def _trace_lanes(curve, seeds, config):
     coeffs = tuple(reversed(curve.polynomial.coefficients))
     arm_radius = 4 * config.delta_hit
 
-    z, x, k = [], [], []
-    for seed in seeds:
-        rts = cube_roots(-curve.polynomial(complex(seed.z)))
-        i = nearest_root(rts, seed.pair[0])
-        kk = (nearest_root(rts, seed.pair[1]) - i) % 3
-        if kk == 0:
-            raise ValidationError("seed pair selects a single sheet")
-        z.append(complex(seed.z))
-        x.append(rts[i])
-        k.append(kk)
+    z, x, k = (np.array(v) for v in zip(*[_seed_sheet(curve, s)
+                                          for s in seeds]))
     lane = np.arange(n)
-    z, x, k = np.array(z), np.array(x), np.array(k)
     gap = 1 - _ROTATION[k]              # u = x_i - x_j = gap * x_i
     inv_cube = -1 / x ** 3
     eith = np.array([cmath.exp(1j * s.theta) for s in seeds])
@@ -457,8 +458,6 @@ def _trace_lanes(curve, seeds, config):
         records = [(lane, np.zeros(n, np.intp), z, x, np.zeros(n))]
         length = np.ones(n, dtype=np.intp)
         f1, g1 = rhs(z)
-        if (g1 == 0).any():
-            raise SheetAmbiguity(f"RK stage on a zero of P0 at z = {z[g1 == 0][0]}")
         dz, dist = distances(z)
         h = np.maximum(np.minimum(config.h_max,
                                   0.05 * (dist if len(zeros) else 1.0)),
@@ -475,33 +474,12 @@ def _trace_lanes(curve, seeds, config):
             if (h < config.h_min).any():
                 raise SheetAmbiguity(
                     f"step size collapsed at z = {z[h < config.h_min][0]}")
-            # Cash-Karp embedded Runge-Kutta pair (orders 5 and 4)
-            f2, g2 = rhs(z + h * (1 / 5 * f1))
-            f3, g3 = rhs(z + h * (3 / 40 * f1 + 9 / 40 * f2))
-            f4, g4 = rhs(z + h * (3 / 10 * f1 - 9 / 10 * f2 + 6 / 5 * f3))
-            f5, g5 = rhs(z + h * (-11 / 54 * f1 + 5 / 2 * f2 - 70 / 27 * f3
-                                  + 35 / 27 * f4))
-            f6, g6 = rhs(z + h * (1631 / 55296 * f1 + 175 / 512 * f2
-                                  + 575 / 13824 * f3 + 44275 / 110592 * f4
-                                  + 253 / 4096 * f5))
-            on_zero = (g2 == 0) | (g3 == 0) | (g4 == 0) | (g5 == 0) | (g6 == 0)
-            z5 = z + h * (37 / 378 * f1 + 250 / 621 * f3 + 125 / 594 * f4
-                          + 512 / 1771 * f6)
-            z4 = z + h * (2825 / 27648 * f1 + 18575 / 48384 * f3
-                          + 13525 / 55296 * f4 + 277 / 14336 * f5 + 1 / 4 * f6)
-            T5 = h * (37 / 378 * g1 + 250 / 621 * g3 + 125 / 594 * g4
-                      + 512 / 1771 * g6)
-            T4 = h * (2825 / 27648 * g1 + 18575 / 48384 * g3
-                      + 13525 / 55296 * g4 + 277 / 14336 * g5 + 1 / 4 * g6)
-            err = np.abs(z5 - z4) + np.abs(T5 - T4)
+            z5, T5, err, stages = _cash_karp(rhs, z, h, f1, g1)
+            on_zero = (np.array(stages) == 0).any(axis=0)
             tol = config.rk_tol * h + 4e-15 * (1.0 + np.abs(z))
             too_big = ~on_zero & (err > tol)
-            # the re-tracked sheet must keep a safe margin: a third of the
-            # roots' separation sqrt(3) |x|
             x5 = _lane_sheet(coeffs, z5, x, inv_cube)
-            unsafe = ~on_zero & ~too_big & (
-                np.abs(x5 - x) > np.abs(x5) * (1 / math.sqrt(3)))
-            ok = ~(on_zero | too_big | unsafe)
+            ok = ~on_zero & ~too_big & within_margin(x5, x)
 
             retry = h * np.where(on_zero, 0.25, np.where(
                 too_big, np.maximum(0.2, 0.9 * (tol / err) ** 0.25), 0.5))
@@ -716,12 +694,11 @@ def _crossings(curve, trajA, trajB, hits, dedup, known):
         if any(abs(z - zk) < dedup
                for zk in known + [trajA.points[0], trajB.points[0]]):
             continue
-        rts = cube_roots(-curve.polynomial(z))
-        pairA = [rts[nearest_root(rts, v)] for v in trajA.pair(ia, ta)]
-        pairB = [rts[nearest_root(rts, v)] for v in trajB.pair(ib, tb)]
-        sep = min(abs(rts[0] - rts[1]), abs(rts[1] - rts[2]),
-                  abs(rts[0] - rts[2]))
-        tol = max(1e-6 * sep, 1e-12)
+        v = -curve.polynomial(z)
+        pairA = [continue_root(v, x) for x in trajA.pair(ia, ta)]
+        pairB = [continue_root(v, x) for x in trajB.pair(ib, tb)]
+        # a millionth of the roots' separation sqrt(3) |root|
+        tol = max(1e-6 * math.sqrt(3) * abs(pairA[0]), 1e-12)
 
         def same(u, v):
             return abs(u - v) <= tol
@@ -819,7 +796,9 @@ def classify_infinity(curve, net):
     """Snap escape directions onto the exact grid and label the marks.
 
     Sheet labels live in a frame transported continuously around a circle
-    at the escape radius starting from the first mark; the first/last
+    at the escape radius starting from the first mark, and radially from
+    the circle to each escape point, both by curve.track_along, so a lost
+    sheet raises SheetAmbiguity; the first/last
     alternation of consecutive labels is validated (up to the sheet
     permutation picked up by going once around infinity), and the final
     arcs with their fading sheets are recorded on the network.
@@ -845,18 +824,16 @@ def classify_infinity(curve, net):
     R = max(abs(zf) for zf in ends)
     ks = sorted(occupied)
     ang0 = grid[ks[0]]
-    x_start = cube_roots(-curve.polynomial(R * cmath.exp(1j * ang0)))[0]
-    x_frame = x_start
+    x_frame = x_start = cube_roots(-curve.polynomial(R * cmath.exp(1j * ang0)))[0]
     frame_angle = ang0
     marks = []
 
     def walk_to(target):
         nonlocal x_frame, frame_angle
         nsub = max(2, int(abs(target - frame_angle) / 0.02) + 1)
-        for m in range(1, nsub + 1):
-            a = frame_angle + (target - frame_angle) * m / nsub
-            rts = cube_roots(-curve.polynomial(R * cmath.exp(1j * a)))
-            x_frame = rts[nearest_root(rts, x_frame)]
+        x_frame = curve.track_along(
+            [R * cmath.exp(1j * (frame_angle + (target - frame_angle) * m / nsub))
+             for m in range(nsub + 1)], x_frame)
         frame_angle = target
 
     for k in ks:
@@ -864,11 +841,9 @@ def classify_infinity(curve, net):
         labels = set()
         for ti in occupied[k]:
             zf = ends[ti]
-            xf = x_frame
             zc = R * cmath.exp(1j * cmath.phase(zf))
-            for m in range(1, 5):
-                rts = cube_roots(-curve.polynomial(zc + (zf - zc) * m / 4.0))
-                xf = rts[nearest_root(rts, xf)]
+            xf = curve.track_along([zc + (zf - zc) * m / 4.0 for m in range(5)],
+                                   x_frame)
             fr = (xf, xf * OMEGA, xf * OMEGA * OMEGA)
             labels.add(tuple(nearest_root(fr, v)
                              for v in net.trajectories[ti].pair(-1)))

@@ -22,7 +22,10 @@ class ProjectivePolygon:
     """Vertex list in homogeneous coordinates, 1-indexed access."""
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        try:
+            v = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("vertices must be an (m, 3) array of numbers") from None
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValidationError("vertices must be an (m, 3) array")
         if v.shape[0] < 3:

@@ -209,6 +209,43 @@ def test_error_handler(monkeypatch, capsys, error, code):
         '{"error": "%s", "message": "boom"}\n' % error.__name__)
 
 
+@pytest.mark.parametrize("argv, content, env", [
+    (["periods", "--curve-file", "{missing}"], None, None),
+    (["periods", "--curve-file", "{file}"], "{not json", None),
+    (["periods", "--curve-file", "{file}"], '{"schema_version": 1}', None),
+    (["bps", "validate", "--spectrum", "{file}"], '{"schema_version": 1}', None),
+    (["bps", "validate", "--spectrum", "{file}"], "[1, 2", None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5",
+      "--spectrum", "{missing}"], None, None),
+    (["asym", "predict", "--example", "pentagon", "--charge", "1,0",
+      "--spectrum", "{file}"],
+     '{"schema_version": 1, "entries": [{"charge": [1, 0]}]}', None),
+    (["asym", "check", "--example", "pentagon", "--charge", "1,0",
+      "--R-grid", "1,2", "--spectrum", "{file}"], "", None),
+    (["polygon", "eval", "--expr", "pentagon:gamma1", "--vertices",
+      "{missing}"], None, None),
+    (["polygon", "eval", "--expr", "pentagon:gamma1", "--vertices",
+      "{file}"], "[[1, 0, 1], [0, 1]]", None),
+    (["network", "sweep", "--example", "pentagon", "--frames", "1",
+      "--out-dir", "{dir}"], None, "two"),
+], ids=["curve-missing", "curve-malformed", "curve-missing-key",
+        "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
+        "predict-missing-key", "check-empty", "vertices-missing",
+        "vertices-ragged", "workers-not-integer"])
+def test_bad_input_gives_one_json_error_line(argv, content, env, tmp_path,
+                                             capsys, monkeypatch):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    if env is not None:
+        monkeypatch.setenv("TRIGON_WORKERS", env)
+    argv = [a.format(missing=tmp_path / "none.json", file=path,
+                     dir=tmp_path / "frames") for a in argv]
+    assert run(argv) == 1
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ValidationError"
+
+
 def test_asym_predict(tmp_path):
     out = tmp_path / "pred.json"
     assert run(["asym", "predict", "--example", "hexagon",

@@ -11,9 +11,12 @@ from trigon.curve import (
     OMEGA,
     PeriodMap,
     Polynomial,
+    continue_root,
     contour_period,
     cube_roots,
     load_example,
+    nearest_root,
+    within_margin,
 )
 from trigon.errors import (
     AtRamificationPoint,
@@ -23,6 +26,52 @@ from trigon.errors import (
 )
 
 W = OMEGA
+
+
+# ---------------- the sheet rule ----------------
+
+def _sheet_rule_sample():
+    """(v, x, j): x lies at an angle under pi/3 from cube root j of v, so
+    root j is the nearest.  A quarter of the angles sit within 1e-3 to
+    1e-9 of +-pi/3, where v/x^3 lies next to the principal root's cut."""
+    rng = np.random.default_rng(20170504)
+    out = []
+    for n in range(400):
+        v = 10.0 ** rng.uniform(-6, 6) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        j = int(rng.integers(3))
+        if n % 4:
+            phi = rng.uniform(-1, 1) * math.pi / 3
+        else:
+            phi = rng.choice([-1, 1]) * (math.pi / 3 - 10.0 ** -rng.integers(3, 10))
+        x = cube_roots(v)[j] * 10.0 ** rng.uniform(-1, 1) * cmath.exp(1j * phi)
+        out.append((v, x, j))
+    return out
+
+
+def test_continue_root_is_the_nearest_cube_root():
+    from trigon.network import _lane_sheet
+
+    sample = _sheet_rule_sample()
+    v, x, _ = (np.array(c) for c in zip(*sample))
+    # _lane_sheet continues -P0(w); P0(w) = w, so w = -v gives the roots of v
+    lanes = _lane_sheet((1.0, 0.0), -v, x, -1 / x ** 3)
+    for (v, x, j), lane in zip(sample, lanes):
+        rts = cube_roots(v)
+        assert nearest_root(rts, x) == j
+        r = continue_root(v, x)
+        assert abs(r - rts[j]) <= 2e-15 * abs(rts[j])
+        assert abs(lane - rts[j]) <= 2e-15 * abs(rts[j])
+
+
+def test_margin_agrees_with_a_third_of_the_root_separation():
+    kept = []
+    for v, x, j in _sheet_rule_sample():
+        rts = cube_roots(v)
+        sep = min(abs(rts[0] - rts[1]), abs(rts[1] - rts[2]),
+                  abs(rts[0] - rts[2]))
+        kept.append(within_margin(continue_root(v, x), x))
+        assert kept[-1] == (abs(rts[j] - x) <= sep / 3)
+    assert 0 < sum(kept) < len(kept)
 
 
 # ---------------- roots ----------------
