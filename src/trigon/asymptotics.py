@@ -25,7 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OnRayTheta, ValidationError
-from .tba import coupling_coefficient, integral_term, log_x
+from .tba import RAY_MARGIN, coupling_coefficient, integral_term, log_x
+
+# corrections whose rates 2|Z_mu| lie within this of the smallest are
+# summed into the leading coefficient
+RATE_TOL = 1e-6
 
 
 def linear_coefficient(gamma, theta, period_map):
@@ -58,13 +62,13 @@ class AsymptoticPrediction:
         return self.a * R + self.correction_sum(R)
 
 
-def build_prediction(gamma, theta, spectrum, period_map, pairing,
-                     rate_tol=1e-6, ray_margin=1e-6):
+def build_prediction(gamma, theta, spectrum, period_map, pairing):
     """Assemble the prediction for one charge at one phase.
 
-    Contributions with a common minimal |Z_mu| (within rate_tol) are
+    Contributions with a common minimal |Z_mu| (within RATE_TOL) are
     summed into the reported leading coefficient; the imaginary parts
-    cancel between mu and -mu, which is asserted.
+    cancel between mu and -mu, which is asserted.  A phase within
+    RAY_MARGIN of a coupled ray raises OnRayTheta.
     """
     a = linear_coefficient(gamma, theta, period_map)
     zeta = cmath.exp(1j * theta)
@@ -76,7 +80,7 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing,
         Z = period_map.Z(mu)
         absZ = abs(Z)
         alpha = -Z / absZ
-        if abs(alpha - zeta) < ray_margin:
+        if abs(alpha - zeta) < RAY_MARGIN:
             raise OnRayTheta(
                 f"exp(i*theta) hits the ray of {mu}; the saddle evaluation "
                 f"breaks down there")
@@ -89,7 +93,7 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing,
                                     leading_coefficient=0.0)
     rho = min(rate for _, _, rate in corrections) / 2.0
     lead = sum(c for _, c, rate in corrections
-               if rate <= 2.0 * rho + rate_tol)
+               if rate <= 2.0 * rho + RATE_TOL)
     if abs(lead.imag) > 1e-9 * max(1.0, abs(lead)):
         raise ValidationError(
             f"leading coefficient has imaginary part {lead.imag:.3e}; "
@@ -100,25 +104,19 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing,
                                 leading_coefficient=lead.real)
 
 
-def remainder(solution, prediction, R=None):
-    """delta = measured log X minus the full multi-rate prediction.
+def remainder(solution, prediction):
+    """delta = measured log X minus the full multi-rate prediction, at
+    the solution's own R.
 
     Taken as the integral term of log X minus the correction sum, so the
     a R driving term, which both sides share exactly, never enters: at
     large R the remainder falls below the rounding of log X itself.  The
-    solver solution must be converged at the same R and theta the
-    prediction refers to.
+    solution and the prediction must share theta.
     """
-    cfg = solution.config
-    if R is None:
-        R = cfg.R
-    if abs(cfg.R - R) > 1e-12:
-        raise ValidationError(
-            f"solution was computed at R = {cfg.R}, prediction asked at {R}")
-    if abs(cfg.theta - prediction.theta) > 1e-12:
+    if abs(solution.config.theta - prediction.theta) > 1e-12:
         raise ValidationError("solution and prediction phases differ")
     return (integral_term(solution, prediction.charge).real
-            - prediction.correction_sum(R))
+            - prediction.correction_sum(solution.config.R))
 
 
 def decay_table(solutions, prediction):

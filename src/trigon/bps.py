@@ -96,15 +96,18 @@ class BpsSpectrum:
     @classmethod
     def from_entries(cls, doc):
         """The spectrum a document's entries list, its symmetry unchecked;
-        a missing key raises ValidationError."""
+        a missing key, or a document of the wrong shape, raises
+        ValidationError."""
         try:
             return cls([(e["charge"], e["omega"]) for e in doc["entries"]])
         except KeyError as exc:
             raise ValidationError(f"spectrum document lacks the key {exc}") from None
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed spectrum document: {exc}") from None
 
     @classmethod
     def from_json(cls, doc):
-        if doc.get("schema_version") != 1:
+        if not isinstance(doc, dict) or doc.get("schema_version") != 1:
             raise ValidationError("unsupported spectrum schema_version")
         spec = cls.from_entries(doc)
         rep = spec.validate()
@@ -160,6 +163,10 @@ def spectrum_from_webs(webs, rank):
     return BpsSpectrum(entries, rank=rank)
 
 
+# rays closer than this in phase collide (see active_rays)
+RAY_COLLISION_TOL = 1e-6
+
+
 @dataclass
 class Ray:
     """An active integration ray in the auxiliary plane."""
@@ -177,12 +184,12 @@ class Ray:
         return abs(self.Z)
 
 
-def active_rays(spectrum, period_map, pairing=None, collision_tol=1e-6):
+def active_rays(spectrum, period_map, pairing=None):
     """One ray per spectrum charge, sorted by phase.
 
     Raises RayCollision when two rays whose charges do not commute under
-    the pairing come within collision_tol in phase: there the iteration
-    as written is ill-defined (a wall configuration).
+    the pairing come within RAY_COLLISION_TOL in phase: there the
+    iteration as written is ill-defined (a wall configuration).
     """
     rays = []
     for ch in spectrum.charges():
@@ -198,7 +205,7 @@ def active_rays(spectrum, period_map, pairing=None, collision_tol=1e-6):
             gap = rays[j].phase - rays[i].phase
             if j == 0:
                 gap += 2 * math.pi
-            if gap < collision_tol and pairing(rays[i].charge, rays[j].charge) != 0:
+            if gap < RAY_COLLISION_TOL and pairing(rays[i].charge, rays[j].charge) != 0:
                 raise RayCollision(
                     f"rays of {rays[i].charge} and {rays[j].charge} collide "
                     f"at phase {rays[i].phase:.8f}")

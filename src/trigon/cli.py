@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import io
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .asymptotics import (build_prediction, decay_table, linear_coefficient,
 from .bps import BpsSpectrum, builtin_spectrum, spectrum_from_webs
 from .curve import Charge, PeriodMap, load_curve_file, load_example, read_json
 from .errors import NumericalError, TrigonError, ValidationError
-from .network import TraceConfig, detect_bps, grow_network
+from .network import detect_bps, grow_network
 from .polygon import (builtin_expression, builtin_expression_names,
                       cross_ratio, polygon_from_json)
 from .tba import SolverConfig, log_x, solve
@@ -42,13 +43,21 @@ def _c2pair(c):
     return [c.real, c.imag]
 
 
-def _dump_json(doc, path):
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+def _write(text, path):
+    """Write text to the file at path, or to stdout for None or "-"; a
+    file that cannot be written raises ValidationError."""
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
+        return
+    try:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
+def _dump_json(doc, path):
+    _write(json.dumps(doc, indent=1, sort_keys=True) + "\n", path)
 
 
 def _parse_charge(text):
@@ -77,11 +86,11 @@ def _spectrum(args, defn):
 
 
 def _write_polylines(net, path):
-    with open(path, "w") as fh:
-        for traj in net.trajectories:
-            for p in traj.points.tolist():
-                fh.write(f"{p.real!r} {p.imag!r}\n")
-            fh.write("\n")
+    lines = []
+    for traj in net.trajectories:
+        lines += [f"{p.real!r} {p.imag!r}\n" for p in traj.points.tolist()]
+        lines.append("\n")
+    _write("".join(lines), path)
 
 
 def _network_doc(net):
@@ -139,9 +148,7 @@ def cmd_periods(args):
 
 def cmd_network_trace(args):
     defn = _load_definition(args)
-    cfg = TraceConfig()
-    net = grow_network(defn.curve, args.theta, cfg,
-                       classify=not args.no_classify)
+    net = grow_network(defn.curve, args.theta, classify=not args.no_classify)
     doc = _network_doc(net)
     _dump_json(doc, args.out)
     if args.polylines:
@@ -152,7 +159,7 @@ def cmd_network_trace(args):
 def _sweep_frame(task):
     name, k, theta, out_dir = task
     defn = load_example(name)
-    net = grow_network(defn.curve, theta, TraceConfig(), classify=False)
+    net = grow_network(defn.curve, theta, classify=False)
     path = os.path.join(out_dir, f"frame_{k:04d}.txt")
     _write_polylines(net, path)
     return k, len(net.trajectories), net.bps_ful
@@ -161,7 +168,10 @@ def _sweep_frame(task):
 def cmd_network_sweep(args):
     if not args.example:
         raise ValidationError("network sweep works on a named example")
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot make {args.out_dir}: {exc}") from None
     tasks = [(args.example, k, k * math.pi / 300.0, args.out_dir)
              for k in range(args.frames)]
     try:
@@ -295,16 +305,12 @@ def cmd_asym_check(args):
     grid = [float(tok) for tok in args.R_grid.split(",")]
     sols = [solve(SolverConfig(R=R, theta=args.theta), spec, pm,
                   defn.lattice.pairing) for R in grid]
-    rows = decay_table(sols, pred)
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["R", "logX", "prediction", "delta", "scaled_delta"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["R", "logX", "prediction", "delta", "scaled_delta"])
+    for row in decay_table(sols, pred):
+        writer.writerow([repr(float(v)) for v in row])
+    _write(text.getvalue(), args.out)
     return 0
 
 
@@ -342,7 +348,7 @@ class _Report:
 
 def _census(report, defn, ref):
     """The network census check at the reference phase."""
-    net = grow_network(defn.curve, ref["network_theta"], TraceConfig())
+    net = grow_network(defn.curve, ref["network_theta"])
     ok = (len(net.trajectories) == ref["trajectories"]
           and net.n_born == ref["born"]
           and len(net.infinity_marks) == ref["directions"])

@@ -39,10 +39,20 @@ from .errors import (
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
-#: default tolerance for root simplicity (pairwise distance)
+#: roots of P0 closer than this (pairwise distance) are not simple
 EPS_ROOT = 1e-8
-#: default keep-out radius around ramification points for paths
+#: keep-out radius around ramification points for paths
 EPS_RAM = 1e-6
+#: a lifted path's starting sheet value solves x^3 + P0 = 0 to this,
+#: relative to max(1, the largest coefficient)
+SHEET_TOL = 1e-8
+#: a basis contour closes in the base to this distance, and its lift
+#: returns to its starting sheet to this, relative to max(1, |x|)
+BASE_CLOSURE_TOL = 1e-10
+SHEET_CLOSURE_TOL = 1e-8
+#: Gauss panels are doubled until a period changes by less than this,
+#: relative to max(1, |period|)
+PERIOD_REL_TOL = 1e-9
 
 
 def cube_roots(v):
@@ -76,7 +86,7 @@ def within_margin(x_new, x):
 class Polynomial:
     """Dense polynomial with complex coefficients, lowest degree first."""
 
-    def __init__(self, coefficients, eps_root=EPS_ROOT):
+    def __init__(self, coefficients):
         coeffs = [complex(c) for c in coefficients]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
@@ -86,7 +96,6 @@ class Polynomial:
             raise ValidationError("leading coefficient is zero")
         self.coefficients = coeffs
         self.degree = len(coeffs) - 1
-        self.eps_root = eps_root
 
     def __call__(self, z):
         acc = 0j
@@ -96,9 +105,7 @@ class Polynomial:
 
     def derivative(self):
         return Polynomial(
-            [k * c for k, c in enumerate(self.coefficients)][1:] or [0j],
-            eps_root=self.eps_root,
-        )
+            [k * c for k, c in enumerate(self.coefficients)][1:] or [0j])
 
     @property
     def leading_coefficient(self):
@@ -110,7 +117,7 @@ class Polynomial:
     def roots(self):
         """All roots, via companion-matrix eigenvalues polished by Newton.
 
-        Raises NonSimpleRoots if any two roots are closer than eps_root.
+        Raises NonSimpleRoots if any two roots are closer than EPS_ROOT.
         """
         if self.degree < 1:
             raise ValidationError("roots() needs degree >= 1")
@@ -131,10 +138,10 @@ class Polynomial:
                     f"root residual too large at {r}: {abs(self(r)):.3e}")
         for i in range(len(polished)):
             for j in range(i + 1, len(polished)):
-                if abs(polished[i] - polished[j]) < self.eps_root:
+                if abs(polished[i] - polished[j]) < EPS_ROOT:
                     raise NonSimpleRoots(
                         f"roots {polished[i]} and {polished[j]} closer than "
-                        f"{self.eps_root}")
+                        f"{EPS_ROOT}")
         return polished
 
 
@@ -156,21 +163,18 @@ class LiftedPath:
         if len(self.waypoints) < 2:
             raise ValidationError("a lifted path needs at least two waypoints")
 
-    def is_closed(self, tol=1e-12):
-        return abs(self.waypoints[0] - self.waypoints[-1]) <= tol
-
-    def validate(self, curve, eps_ram=None, sheet_tol=1e-8):
-        """Check the keep-out radius and the on-curve start condition."""
-        eps = curve.eps_ram if eps_ram is None else eps_ram
+    def validate(self, curve):
+        """Check the keep-out radius EPS_RAM and the on-curve start
+        condition to SHEET_TOL."""
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             for zr in curve.ramification_points:
-                if _point_segment_distance(zr, a, b) < eps:
+                if _point_segment_distance(zr, a, b) < EPS_RAM:
                     raise ValidationError(
-                        f"path segment {a} -> {b} passes within {eps} of "
+                        f"path segment {a} -> {b} passes within {EPS_RAM} of "
                         f"ramification point {zr}")
         z0 = self.waypoints[0]
         res = abs(self.starting_sheet_value ** 3 + curve.polynomial(z0))
-        if res > sheet_tol * max(1.0, curve.polynomial.coefficient_scale()):
+        if res > SHEET_TOL * max(1.0, curve.polynomial.coefficient_scale()):
             raise ValidationError(
                 f"starting sheet value is off the curve (residual {res:.3e})")
 
@@ -188,9 +192,8 @@ def _point_segment_distance(p, a, b):
 class SpectralCurve:
     """The 3-sheeted cover x^3 + P0(z) = 0 with a fixed basepoint frame."""
 
-    def __init__(self, polynomial, basepoint=None, eps_ram=EPS_RAM):
+    def __init__(self, polynomial, basepoint=None):
         self.polynomial = polynomial
-        self.eps_ram = eps_ram
         # a constant P0 has an unramified cover; useful for flow tests
         self.ramification_points = polynomial.roots() if polynomial.degree else []
         if basepoint is None:
@@ -208,7 +211,7 @@ class SpectralCurve:
         spread = max(abs(z - center) for z in self.ramification_points)
         spread = max(spread, 1.0)
         cand = center + spread * (1.7 + 0.9j)
-        while min(abs(cand - z) for z in self.ramification_points) < 100 * self.eps_ram:
+        while min(abs(cand - z) for z in self.ramification_points) < 100 * EPS_RAM:
             cand += spread * 0.3j
         return cand
 
@@ -268,13 +271,13 @@ class SpectralCurve:
 
         The default path is the straight segment from the basepoint,
         rerouted around any ramification point it passes too close to by
-        a small polygonal arc of radius 10*eps_ram.  An explicit chain of
+        a small polygonal arc of radius 10*EPS_RAM.  An explicit chain of
         intermediate z-values can be supplied instead (via).
         """
         z = complex(z)
-        if self.nearest_zero_distance(z) < self.eps_ram:
+        if self.nearest_zero_distance(z) < EPS_RAM:
             raise AtRamificationPoint(
-                f"z = {z} is within {self.eps_ram} of a ramification point")
+                f"z = {z} is within {EPS_RAM} of a ramification point")
         if via is None:
             points = self._default_route(self.basepoint, z)
         else:
@@ -286,7 +289,7 @@ class SpectralCurve:
         """Straight segment a -> b with detours around ramification points."""
         route = [a]
         blockers = []
-        r_det = 10 * self.eps_ram
+        r_det = 10 * EPS_RAM
         for zr in self.ramification_points:
             if _point_segment_distance(zr, a, b) < r_det and abs(zr - a) > r_det and abs(zr - b) > r_det:
                 d = b - a
@@ -374,17 +377,20 @@ class ChargeLattice:
         g = np.asarray(gamma.components)
         return bool(np.all(self.pairing_matrix @ g == 0))
 
-    def validate(self, curve, closure_tol=1e-8):
-        """Closure check for every basis contour (base point and sheet)."""
+    def validate(self, curve):
+        """Closure check for every basis contour: its base path to
+        BASE_CLOSURE_TOL and its sheet to SHEET_CLOSURE_TOL."""
         for name, path in zip(self.names, self.basis_contours):
-            if not path.is_closed(tol=1e-10):
+            gap = abs(path.waypoints[0] - path.waypoints[-1])
+            if not gap <= BASE_CLOSURE_TOL:
                 raise OpenContour(f"contour {name} does not close in the base")
             x_end = curve.continue_sheet(path)
             scale = max(1.0, abs(path.starting_sheet_value))
-            if abs(x_end - path.starting_sheet_value) > closure_tol * scale:
+            dx = abs(x_end - path.starting_sheet_value)
+            if dx > SHEET_CLOSURE_TOL * scale:
                 raise OpenContour(
                     f"contour {name} returns on the wrong sheet "
-                    f"(|dx| = {abs(x_end - path.starting_sheet_value):.3e})")
+                    f"(|dx| = {dx:.3e})")
 
 
 # --- periods ---
@@ -392,11 +398,11 @@ class ChargeLattice:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _segment_period(curve, a, b, x_start, rel_tol=1e-9):
+def _segment_period(curve, a, b, x_start):
     """integral of x dz over the segment a -> b with tracked sheet.
 
     Composite Gauss panels, doubled until the relative change drops below
-    rel_tol.  Returns (integral, x at b).
+    PERIOD_REL_TOL.  Returns (integral, x at b).
     """
     prev = None
     panels = 1
@@ -418,20 +424,20 @@ def _segment_period(curve, a, b, x_start, rel_tol=1e-9):
             total += half * acc
             x = curve._track_step(x, zb, 0, z_run)
             z_run = zb
-        if prev is not None and abs(total - prev) <= rel_tol * max(1.0, abs(total)):
+        if prev is not None and abs(total - prev) <= PERIOD_REL_TOL * max(1.0, abs(total)):
             return total, x
         prev = total
         panels *= 2
     raise SheetAmbiguity(f"quadrature on segment {a} -> {b} did not settle")
 
 
-def contour_period(curve: SpectralCurve, path: LiftedPath, rel_tol=1e-9):
+def contour_period(curve: SpectralCurve, path: LiftedPath):
     """Period of x dz along one lifted contour."""
     path.validate(curve)
     total = 0j
     x = path.starting_sheet_value
     for a, b in zip(path.waypoints, path.waypoints[1:]):
-        val, x = _segment_period(curve, a, b, x, rel_tol)
+        val, x = _segment_period(curve, a, b, x)
         total += val
     return total
 
@@ -444,10 +450,10 @@ class PeriodMap:
         self.rank = len(self.basis_values)
 
     @classmethod
-    def compute(cls, curve, lattice, rel_tol=1e-9, validate=True):
-        if validate:
-            lattice.validate(curve)
-        vals = [contour_period(curve, c, rel_tol) for c in lattice.basis_contours]
+    def compute(cls, curve, lattice):
+        """The basis periods of a lattice, after lattice.validate(curve)."""
+        lattice.validate(curve)
+        vals = [contour_period(curve, c) for c in lattice.basis_contours]
         return cls(vals)
 
     def Z(self, gamma: Charge):
@@ -505,6 +511,10 @@ def curve_to_json(defn: CurveDefinition):
 
 
 def curve_from_json(doc) -> CurveDefinition:
+    """The curve definition in a JSON document; a document of the wrong
+    shape raises ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError("a curve document is a JSON object")
     if doc.get("schema_version") != 1:
         raise ValidationError("unsupported curve schema_version")
     try:
@@ -518,6 +528,8 @@ def curve_from_json(doc) -> CurveDefinition:
         lattice = ChargeLattice(lat["pairing"], contours, names=lat.get("charges"))
     except KeyError as exc:
         raise ValidationError(f"curve document lacks the key {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed curve document: {exc}") from None
     return CurveDefinition(
         name=doc.get("name", "unnamed"),
         curve=curve,

@@ -74,7 +74,11 @@ def _wrap(a):
 
 @dataclass
 class TraceConfig:
-    """Numerical knobs for tracing and network growth."""
+    """The tracing settings that differ between uses: the defaults grow
+    networks, and _web_trace_config sets the finite-web scan's and
+    assembly's escape_radius, delta0, delta_hit, rk_tol and h_max.  A
+    smaller max_arclength or a larger h_min truncates a trace or makes
+    its step collapse."""
 
     escape_radius: float = None      # default: 4 * max |ramification| + 10
     delta0: float = 1e-4             # seed offset from a zero
@@ -83,16 +87,24 @@ class TraceConfig:
     h_max: float = 0.5
     h_min: float = 1e-12
     max_arclength: float = 400.0
-    max_points: int = 200000
-    dedup_radius: float = 1e-4       # junction / origin exclusion radius
-    generation_cap: int = 10
-    outward_steps: int = 20          # consecutive outward steps past the radius
 
     def resolved_escape_radius(self, curve):
         if self.escape_radius is not None:
             return self.escape_radius
         zs = curve.ramification_points
         return 4.0 * max((abs(z) for z in zs), default=0.0) + 10.0
+
+
+# a trace ends truncated at this many points
+MAX_POINTS = 200000
+# a trace ends escaped after this many consecutive outward steps past the
+# escape radius
+OUTWARD_STEPS = 20
+# a crossing this close to a known junction or to either trajectory's
+# first point is not a new one
+DEDUP_RADIUS = 1e-4
+# grow_network gives up after this many generations of junction children
+GENERATION_CAP = 10
 
 
 # ----------------------------------------------------------------------
@@ -202,11 +214,12 @@ def _critical_seeds(curve, theta, delta0, rays):
             for zi, entries in rays.items() for m, phi, pair in entries]
 
 
-def seed_critical(curve, theta, config=None):
-    """All critical-trajectory seeds at one phase: 8 per zero of P0."""
-    config = config or TraceConfig()
-    return _critical_seeds(curve, theta, config.delta0,
-                           RayBook(curve, config.delta0).rays_at([theta])[0])
+def seed_critical(curve, theta):
+    """All critical-trajectory seeds at one phase: 8 per zero of P0,
+    TraceConfig().delta0 out from it."""
+    delta0 = TraceConfig().delta0
+    return _critical_seeds(curve, theta, delta0,
+                           RayBook(curve, delta0).rays_at([theta])[0])
 
 
 # ----------------------------------------------------------------------
@@ -247,9 +260,9 @@ class Trajectory:
             x = x + (self.x[m + 1] - x) * t
         return x, x * _ROTATION[self.k]
 
-    def chain_integral(self, upto=None):
-        T = self.chain[-1 if upto is None else upto]
-        return cmath.exp(1j * self.theta) * T
+    def chain_integral(self):
+        """The integral of (x_i - x_j) dz along the whole trajectory."""
+        return cmath.exp(1j * self.theta) * self.chain[-1]
 
 
 def _seed_sheet(curve, seed):
@@ -372,10 +385,10 @@ def trace(curve, seed, config=None):
             break
         if abs(z) > esc:
             outward = outward + 1 if (z.conjugate() * (z - prev)).real > 0 else 0
-            if outward >= config.outward_steps:
+            if outward >= OUTWARD_STEPS:
                 status = "escaped"
                 break
-        if s_total > config.max_arclength or len(points) >= config.max_points:
+        if s_total > config.max_arclength or len(points) >= MAX_POINTS:
             status = "truncated"
             break
 
@@ -511,9 +524,9 @@ def _trace_lanes(curve, seeds, config):
             outside = ok & (np.abs(z) > esc)
             outward = np.where(outside, np.where(
                 (z.conjugate() * (z - prev)).real > 0, outward + 1, 0), outward)
-            escaped = ~hit & outside & (outward >= config.outward_steps)
+            escaped = ~hit & outside & (outward >= OUTWARD_STEPS)
             truncated = ok & ~hit & ~escaped & (
-                (s_total > config.max_arclength) | (npts >= config.max_points))
+                (s_total > config.max_arclength) | (npts >= MAX_POINTS))
             done = hit | escaped | truncated
             if not done.any():
                 continue
@@ -567,24 +580,24 @@ def _segment_crossings(pA, b0, b1):
                     tb.tolist()))
 
 
-def polyline_intersections(pA, pB, chunk=SEGMENT_CHUNK):
+def polyline_intersections(pA, pB):
     """All transversal crossings of two polylines.
 
     Returns a list of (z, ia, ta, ib, tb): crossing point, segment index
     and local parameter on each polyline.  Bounding-box pruned on chunks
-    of `chunk` segments, exact parametric solve inside.
+    of SEGMENT_CHUNK segments, exact parametric solve inside.
     """
     nA, nB = len(pA) - 1, len(pB) - 1
     if nA < 1 or nB < 1:
         return []
     out = []
-    for sa in range(0, nA, chunk):
-        ea = min(nA, sa + chunk)
+    for sa in range(0, nA, SEGMENT_CHUNK):
+        ea = min(nA, sa + SEGMENT_CHUNK)
         segA = pA[sa:ea + 1]
         ax0, ax1 = segA.real.min(), segA.real.max()
         ay0, ay1 = segA.imag.min(), segA.imag.max()
-        for sb in range(0, nB, chunk):
-            eb = min(nB, sb + chunk)
+        for sb in range(0, nB, SEGMENT_CHUNK):
+            eb = min(nB, sb + SEGMENT_CHUNK)
             segB = pB[sb:eb + 1]
             if (ax0 > segB.real.max() or segB.real.min() > ax1 or
                     ay0 > segB.imag.max() or segB.imag.min() > ay1):
@@ -677,21 +690,21 @@ class SpectralNetwork:
         return len(self.junctions)
 
 
-def _crossings(curve, trajA, trajB, hits, dedup, known):
+def _crossings(curve, trajA, trajB, hits, known):
     """Junction births and head-on collisions where two trajectories cross.
 
     Yields ("birth", hit, child_pair) and ("head_on", hit, None) in order
     along trajA, for hits as polyline_intersections gives them for the
     two polylines: (z, ia, ta, ib, tb).  A birth is a crossing whose
     labels chain as (i,j),(j,k); its child is labeled (i,k).  Crossings
-    within the dedup radius of a point in `known` or of either
+    within DEDUP_RADIUS of a point in `known` or of either
     trajectory's first point are skipped (they are re-detections of an
     existing junction or of a child's own birth point), and each crossing
     yielded joins `known`.
     """
     for hit in sorted(hits, key=lambda h: h[1] + h[2]):
         z, ia, ta, ib, tb = hit
-        if any(abs(z - zk) < dedup
+        if any(abs(z - zk) < DEDUP_RADIUS
                for zk in known + [trajA.points[0], trajB.points[0]]):
             continue
         v = -curve.polynomial(z)
@@ -714,14 +727,16 @@ def _crossings(curve, trajA, trajB, hits, dedup, known):
                 break
 
 
-def grow_network(curve, theta, config=None, classify=True):
-    """Grow the full network at one phase by the junction birth rule.
+def grow_network(curve, theta, classify=True):
+    """Grow the full network at one phase by the junction birth rule,
+    every trajectory traced with the default TraceConfig.
 
     A generation's frontier is the trajectories born last, at the end of
-    the list, so one later_crossings call finds its untested pairs."""
-    config = config or TraceConfig()
-    seeds = seed_critical(curve, theta, config)
-    trajectories = [trace(curve, s, config) for s in seeds]
+    the list, so one later_crossings call finds its untested pairs; a
+    network still growing after GENERATION_CAP generations raises
+    GenerationCapExceeded."""
+    seeds = seed_critical(curve, theta)
+    trajectories = [trace(curve, s) for s in seeds]
     junctions = []
     head_on = []
     tested = set()
@@ -729,9 +744,9 @@ def grow_network(curve, theta, config=None, classify=True):
     generation = 0
     while frontier:
         generation += 1
-        if generation > config.generation_cap:
+        if generation > GENERATION_CAP:
             raise GenerationCapExceeded(
-                f"network still growing after {config.generation_cap} generations")
+                f"network still growing after {GENERATION_CAP} generations")
         known = [j.point for j in junctions] + head_on
         hits = later_crossings([t.points for t in trajectories], frontier[0])
         births = []
@@ -744,7 +759,7 @@ def grow_network(curve, theta, config=None, classify=True):
                 a, b = key
                 for kind, hit, child_pair in _crossings(
                         curve, trajectories[a], trajectories[b],
-                        hits.get(key, []), config.dedup_radius, known):
+                        hits.get(key, []), known):
                     if kind == "head_on":
                         head_on.append(hit[0])
                     else:
@@ -754,7 +769,7 @@ def grow_network(curve, theta, config=None, classify=True):
             seed = TrajectorySeed(z=hit[0], pair=child_pair,
                                   origin=("junction", key[0], key[1]),
                                   theta=theta)
-            child = trace(curve, seed, config)
+            child = trace(curve, seed)
             idx = len(trajectories)
             trajectories.append(child)
             frontier.append(idx)
@@ -922,15 +937,14 @@ RESIDUAL_REL = 1e-4
 CHARGE_BOX = 4
 
 
-def identify_charge(Z_web, period_map, residual_rel=RESIDUAL_REL,
-                    max_coeff=CHARGE_BOX):
+def identify_charge(Z_web, period_map, residual_rel=RESIDUAL_REL):
     """Integer charge whose period matches Z_web, by bounded enumeration.
 
     The match must be unique inside the coefficient box; a second candidate
     within tolerance, or none at all, raises ChargeIdentificationFailed.
     """
     rank = period_map.rank
-    rng = np.arange(-max_coeff, max_coeff + 1)
+    rng = np.arange(-CHARGE_BOX, CHARGE_BOX + 1)
     grids = np.meshgrid(*([rng] * rank), indexing="ij")
     combos = np.stack([g.ravel() for g in grids], axis=1)
     vals = combos @ period_map.basis_values
@@ -974,7 +988,7 @@ def _signed_miss(traj, z0, window):
     return dk if sgn >= 0 else -dk
 
 
-def _births(curve, theta, critical, config):
+def _births(curve, theta, critical):
     """[(pair key, hit, child seed)] of one phase's critical trajectories
     {(zero, m): trajectory}, in key order: a pair of rays has at most one
     child, born at its first birth crossing along the lower-keyed ray.
@@ -985,8 +999,7 @@ def _births(curve, theta, critical, config):
     for (a, b), pair_hits in sorted(hits.items()):
         ka, kb = keys[a], keys[b]
         for kind, hit, child_pair in _crossings(
-                curve, critical[ka], critical[kb], pair_hits,
-                config.dedup_radius, []):
+                curve, critical[ka], critical[kb], pair_hits, []):
             if kind == "birth":
                 out.append(((ka, kb), hit, TrajectorySeed(
                     z=hit[0], pair=child_pair, origin=("junction", ka, kb),
@@ -1005,7 +1018,7 @@ def _scan_points(curve, thetas, tables, config, generations, tracer):
              for th, rays in zip(thetas, tables)]
     trajs = iter(tracer(curve, [s for ss in seeds for s in ss], config))
     critical = [{s.origin[1:3]: next(trajs) for s in ss} for ss in seeds]
-    births = [_births(curve, th, crit, config) if generations else []
+    births = [_births(curve, th, crit) if generations else []
               for th, crit in zip(thetas, critical)]
     children = iter(tracer(curve, [seed for bs in births for _, _, seed in bs],
                            config))
@@ -1058,16 +1071,16 @@ def _event_point(curve, event, theta, config, delta0):
     return point
 
 
-def _web_trace_config(base, curve, fine):
-    """Trace settings for finite-web work: the scan's (fine=False) or the
-    assembly's (fine=True); both escape at 2.5 max|z0| + 3."""
-    return TraceConfig(
-        escape_radius=2.5 * max(abs(z) for z in curve.ramification_points) + 3.0,
-        delta0=1e-5 if fine else base.delta0,
-        delta_hit=1e-5 if fine else base.delta_hit,
-        rk_tol=1e-10 if fine else max(base.rk_tol, 1e-7),
-        h_max=min(base.h_max, 0.25) if fine else base.h_max,
-        dedup_radius=base.dedup_radius, generation_cap=base.generation_cap)
+def _web_trace_config(curve, fine):
+    """Trace settings for finite-web work: the scan's (fine=False), which
+    loosens rk_tol to 1e-7, or the assembly's (fine=True), which seeds and
+    hits at 1e-5 with rk_tol 1e-10 and h_max 0.25; both escape at
+    2.5 max|z0| + 3 and keep the other defaults."""
+    escape_radius = 2.5 * max(abs(z) for z in curve.ramification_points) + 3.0
+    if fine:
+        return TraceConfig(escape_radius=escape_radius, delta0=1e-5,
+                           delta_hit=1e-5, rk_tol=1e-10, h_max=0.25)
+    return TraceConfig(escape_radius=escape_radius, rk_tol=1e-7)
 
 
 def _endpoint_chain_correction(traj, idx, zero):
@@ -1140,7 +1153,7 @@ THETA_TOL = 1e-6
 THETA_SLACK = 2.5e-4
 
 
-def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
+def detect_bps(curve, lattice, theta_range, period_map=None,
                scan_step=math.pi / 300):
     """Scan a phase interval for finite webs and identify their charges.
 
@@ -1160,7 +1173,8 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
     reported as a WebEventDropped warning.  A scan_step that is not
     positive and finite, or a theta_range (lo, hi) that is not finite with
     lo < hi, raises ValidationError; a curve with fewer than two zeros has
-    no finite web.  Returns FiniteWeb records sorted by phase.
+    no finite web.  The scan and assembly trace settings are fixed, by
+    _web_trace_config.  Returns FiniteWeb records sorted by phase.
     """
     lo, hi = theta_range
     if not (math.isfinite(scan_step) and scan_step > 0):
@@ -1169,9 +1183,8 @@ def detect_bps(curve, lattice, theta_range, config=None, period_map=None,
         raise ValidationError(f"theta range ({lo!r}, {hi!r}) is not finite with lo < hi")
     if len(curve.ramification_points) < 2:
         return []
-    base = config or TraceConfig()
-    cfg = _web_trace_config(base, curve, fine=False)
-    fine = _web_trace_config(base, curve, fine=True)
+    cfg = _web_trace_config(curve, fine=False)
+    fine = _web_trace_config(curve, fine=True)
     pm = period_map or PeriodMap.compute(curve, lattice)
     n_steps = max(2, int(math.ceil((hi - lo) / scan_step)))
     thetas = [lo + (hi - lo) * k / n_steps for k in range(n_steps + 1)]

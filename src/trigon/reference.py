@@ -73,11 +73,3 @@ def pentagon_closed_form():
     const = (12.0 * 2.0 ** (2.0 / 3.0) * math.pi ** 1.5
              / (5.0 * _gamma(-1.0 / 6.0) * _gamma(2.0 / 3.0)))
     return cmath.exp(5j * math.pi / 6.0) * abs(const)
-
-
-def reference(example):
-    if example == "pentagon":
-        return PENTAGON
-    if example == "hexagon":
-        return HEXAGON
-    raise KeyError(example)

@@ -43,6 +43,9 @@ from .errors import (
 )
 
 _EXP_CAP = 700.0     # exp() argument past which doubles overflow
+# a phase closer than this to a coupled active ray is on the ray: log_x
+# and the asymptotic prediction both refuse it
+RAY_MARGIN = 1e-6
 
 
 @dataclass
@@ -275,21 +278,21 @@ def _zeta_or_default(solution, zeta):
     return zeta
 
 
-def log_x(solution, gamma, zeta=None, ray_margin=1e-6):
+def log_x(solution, gamma, zeta=None):
     """log X_gamma at zeta (default exp(i*theta)): driving term plus the
     Cauchy-kernel quadrature against every coupled ray grid.
 
-    Raises OnRayEvaluation when zeta sits within ray_margin (in phase) of
+    Raises OnRayEvaluation when zeta sits within RAY_MARGIN (in phase) of
     a coupled active ray, where the stored data alone cannot decide the
     side of the jump.
     """
     zeta = _zeta_or_default(solution, zeta)
     Zg = solution.period_map.Z(gamma)
     return (complex(solution.config.R) * (Zg / zeta + Zg.conjugate() * zeta)
-            + integral_term(solution, gamma, zeta, ray_margin))
+            + integral_term(solution, gamma, zeta))
 
 
-def integral_term(solution, gamma, zeta=None, ray_margin=1e-6):
+def integral_term(solution, gamma, zeta=None):
     """log X_gamma minus its driving term: the Cauchy-kernel quadrature
     alone.
 
@@ -308,10 +311,10 @@ def integral_term(solution, gamma, zeta=None, ray_margin=1e-6):
             continue
         gap = abs((phase - cmath.phase(g.alpha) + math.pi) % (2 * math.pi)
                   - math.pi)
-        if gap < ray_margin:
+        if gap < RAY_MARGIN:
             raise OnRayEvaluation(
                 f"zeta lies on the ray of {g.charge}; offset the phase by "
-                f"more than {ray_margin}")
+                f"more than {RAY_MARGIN}")
         zp = g.zeta()
         w = _trapezoid_weights(g.s)
         total += (coupling_coefficient(g.omega, ip)
@@ -319,9 +322,9 @@ def integral_term(solution, gamma, zeta=None, ray_margin=1e-6):
     return complex(total)
 
 
-def evaluate(solution, gamma, zeta, ray_margin=1e-6):
+def evaluate(solution, gamma, zeta):
     """X_gamma(zeta) from a converged solution, zeta off the active rays."""
-    expo = log_x(solution, gamma, zeta, ray_margin)
+    expo = log_x(solution, gamma, zeta)
     if expo.real > _EXP_CAP:
         raise NumericOverflow(f"evaluation exponent {expo.real:.1f} too large")
     return cmath.exp(expo)

@@ -229,7 +229,7 @@ def test_criterion_8_hexagon_asymptotic_constants(hexagon, hexagon_pm):
 
     # x -> omega x multiplies a period by omega, so the two Z/3 images of
     # gamma1 and their negatives have |Z| = |Z1| exactly, not just within
-    # build_prediction's rate_tol
+    # asymptotics.RATE_TOL
     z1 = hexagon_pm.Z(g1)
     omega = cmath.exp(2j * math.pi / 3)
     images = [Charge(m) for m in ref["gamma1_z3_images"]]

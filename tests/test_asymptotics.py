@@ -120,8 +120,6 @@ def test_remainder_guards(pentagon, pentagon_pm):
     pair = pentagon.lattice.pairing
     pred = build_prediction(Charge((1, 0)), 0.0, spec, pentagon_pm, pair)
     sol = solve(SolverConfig(R=1.0, theta=0.0), spec, pentagon_pm, pair)
-    with pytest.raises(ValidationError):
-        remainder(sol, pred, R=2.0)
     pred_other = build_prediction(Charge((1, 0)), 0.3, spec, pentagon_pm, pair)
     with pytest.raises(ValidationError):
         remainder(sol, pred_other)

@@ -1,13 +1,17 @@
 import cmath
 import json
 import math
+import warnings
 
 import pytest
 
 from trigon import cli
 from trigon.cli import main
-from trigon.curve import Charge
-from trigon.errors import NumericalError, TrigonError, ValidationError
+from trigon.curve import (Charge, ChargeLattice, CurveDefinition, LiftedPath,
+                          Polynomial, SpectralCurve, curve_to_json,
+                          load_example)
+from trigon.errors import (NumericalError, TrigonError, ValidationError,
+                           WebEventDropped)
 
 
 def run(argv):
@@ -36,8 +40,6 @@ def test_periods_deterministic(tmp_path):
 
 def test_curve_file_roundtrip(tmp_path, capsys):
     # artifacts written by the package are accepted back as inputs
-    from trigon.curve import curve_to_json, load_example
-
     doc = curve_to_json(load_example("pentagon"))
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(doc))
@@ -136,6 +138,53 @@ def test_network_bps_one_zero_curve_has_no_webs(tmp_path):
     assert json.loads(out.read_text())["webs"] == []
 
 
+def _rotated(defn, phi):
+    """defn carried by z -> exp(i phi) z: P1(w) = exp(3 i phi) P0(z) at
+    w = z / exp(i phi), so x1 = exp(i phi) x0 and x1 dw = x0 dz.  Its
+    periods and its webs, which solve (x_i - x_j) dz/dt = exp(i theta),
+    are those of defn."""
+    turn = cmath.exp(1j * phi)
+    poly = Polynomial([c * turn ** (3 + k) for k, c
+                       in enumerate(defn.curve.polynomial.coefficients)])
+    contours = [LiftedPath([w / turn for w in path.waypoints],
+                           path.starting_sheet_value * turn)
+                for path in defn.lattice.basis_contours]
+    return CurveDefinition(
+        name=f"{defn.name}-rotated",
+        curve=SpectralCurve(poly, basepoint=defn.curve.basepoint / turn),
+        lattice=ChargeLattice(defn.lattice.pairing_matrix, contours,
+                              names=defn.lattice.names))
+
+
+@pytest.mark.parametrize("name, theta_web, width", [
+    # the benchmark's webscan windows: 7 (6) steps of 0.01
+    ("pentagon", -math.pi / 6, 0.07), ("hexagon", math.pi / 6, 0.06)])
+def test_rotated_curve_file_gives_the_shipped_periods_and_webs(
+        name, theta_web, width, tmp_path):
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(curve_to_json(_rotated(load_example(name), 0.3))))
+    docs = {}
+    for source in (["--example", name], ["--curve-file", str(path)]):
+        periods, webs = tmp_path / "periods.json", tmp_path / "webs.json"
+        assert run(["periods", *source, "--out", str(periods)]) == 0
+        lo = theta_web - 0.023
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", WebEventDropped)
+            assert run(["network", "bps", *source, "--theta-min", str(lo),
+                        "--theta-max", str(lo + width),
+                        "--out", str(webs)]) == 0
+        assert caught == []
+        docs[source[0]] = (json.loads(periods.read_text())["periods"],
+                           json.loads(webs.read_text())["webs"])
+    (shipped, shipped_webs), (rotated, rotated_webs) = docs.values()
+    for a, b in zip(shipped, rotated, strict=True):
+        assert abs(complex(*a) - complex(*b)) < 1e-12 * abs(complex(*a))
+    assert len(shipped_webs) == 1
+    for a, b in zip(shipped_webs, rotated_webs, strict=True):
+        assert (a["charge"], a["topology"]) == (b["charge"], b["topology"])
+        assert abs(a["theta_star"] - b["theta_star"]) < 1e-12
+
+
 def test_bps_dump_validate_roundtrip(tmp_path):
     spec_file = tmp_path / "spec.json"
     assert run(["bps", "dump", "--example", "pentagon",
@@ -228,10 +277,27 @@ def test_error_handler(monkeypatch, capsys, error, code):
       "{file}"], "[[1, 0, 1], [0, 1]]", None),
     (["network", "sweep", "--example", "pentagon", "--frames", "1",
       "--out-dir", "{dir}"], None, "two"),
+    (["periods", "--curve-file", "{file}"], "[1, 2]", None),
+    (["bps", "validate", "--spectrum", "{file}"],
+     '{"schema_version": 1, "entries": [[1, 0]]}', None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5",
+      "--spectrum", "{file}"],
+     '{"schema_version": 1, "entries": [[1, 0]]}', None),
+    # an output path below a regular file cannot be written, even by root
+    (["periods", "--example", "pentagon", "--out", "{below}"], "", None),
+    (["asym", "check", "--example", "pentagon", "--charge", "1,0",
+      "--R-grid", "1", "--out", "{below}"], "", None),
+    (["network", "trace", "--example", "pentagon", "--polylines", "{below}"],
+     "", None),
+    (["network", "sweep", "--example", "pentagon", "--frames", "1",
+      "--out-dir", "{below}"], "", None),
 ], ids=["curve-missing", "curve-malformed", "curve-missing-key",
         "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
         "predict-missing-key", "check-empty", "vertices-missing",
-        "vertices-ragged", "workers-not-integer"])
+        "vertices-ragged", "workers-not-integer", "curve-not-an-object",
+        "validate-entry-not-an-object", "tba-entry-not-an-object",
+        "periods-out-unwritable", "check-out-unwritable",
+        "polylines-unwritable", "sweep-out-dir-unwritable"])
 def test_bad_input_gives_one_json_error_line(argv, content, env, tmp_path,
                                              capsys, monkeypatch):
     path = tmp_path / "input.json"
@@ -240,7 +306,8 @@ def test_bad_input_gives_one_json_error_line(argv, content, env, tmp_path,
     if env is not None:
         monkeypatch.setenv("TRIGON_WORKERS", env)
     argv = [a.format(missing=tmp_path / "none.json", file=path,
-                     dir=tmp_path / "frames") for a in argv]
+                     dir=tmp_path / "frames", below=path / "out")
+            for a in argv]
     assert run(argv) == 1
     line, = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "ValidationError"

@@ -160,9 +160,8 @@ def test_constant_polynomial_gives_straight_line():
 
 
 def test_label_swap_time_reversal_retraces(pentagon):
-    cfg = TraceConfig()
-    seeds = seed_critical(pentagon.curve, 0.2, cfg)
-    traj = trace(pentagon.curve, seeds[0], cfg)
+    seeds = seed_critical(pentagon.curve, 0.2)
+    traj = trace(pentagon.curve, seeds[0])
     k = len(traj.points) // 3
     z_mid = traj.points[k]
     xi, xj = traj.pair(k)
@@ -203,9 +202,8 @@ def test_local_foliation_directions_at_two_pi_over_three(pentagon):
 def test_chain_integral_matches_phase(pentagon):
     # exp(-i theta) * integral of (x_i - x_j) dz along a trajectory is
     # real positive: the defining property of the flow
-    cfg = TraceConfig()
-    seeds = seed_critical(pentagon.curve, 0.4, cfg)
-    traj = trace(pentagon.curve, seeds[3], cfg)
+    seeds = seed_critical(pentagon.curve, 0.4)
+    traj = trace(pentagon.curve, seeds[3])
     val = traj.chain_integral()
     assert abs(cmath.phase(val * cmath.exp(-1j * 0.4))) < 1e-12
     assert val != 0
@@ -256,7 +254,7 @@ def window_lanes(request):
     config, and their trajectories traced as one batch of lanes."""
     name, (lo, hi), step = request.param
     curve = request.getfixturevalue(name).curve
-    cfg = network._web_trace_config(TraceConfig(), curve, fine=False)
+    cfg = network._web_trace_config(curve, fine=False)
     n = max(2, int(math.ceil((hi - lo) / step)))
     thetas = [lo + (hi - lo) * k / n for k in range(n + 1)]
     seeds = [s for th, rays in zip(
@@ -325,7 +323,7 @@ def test_scan_events_do_not_depend_on_the_block(name, theta_range, step,
     # in a one-phase block; all batches are lanes, so every phase's misses
     # are the same
     curve = request.getfixturevalue(name).curve
-    cfg = network._web_trace_config(TraceConfig(), curve, fine=False)
+    cfg = network._web_trace_config(curve, fine=False)
     lo, hi = theta_range
     n = max(2, int(math.ceil((hi - lo) / step)))
     thetas = [lo + (hi - lo) * k / n for k in range(n + 1)]
@@ -349,8 +347,7 @@ def test_critical_rays_do_not_depend_on_the_block(name, theta_range, step,
     # block, in blocks of 5, or alone; and one ray found on its own, as an
     # event's refinement finds it, is the same ray
     curve = request.getfixturevalue(name).curve
-    delta0 = network._web_trace_config(TraceConfig(), curve,
-                                       fine=False).delta0
+    delta0 = network._web_trace_config(curve, fine=False).delta0
     book = network.RayBook(curve, delta0)
     lo, hi = theta_range
     n = max(2, int(math.ceil((hi - lo) / step)))
@@ -566,18 +563,6 @@ def test_hexagon_junction_web(hexagon, hexagon_pm):
     assert abs(cmath.phase(w.period) - w.theta_star) < 1e-4
 
 
-def test_detected_phase_stable_under_delta_hit_halving(pentagon, pentagon_pm):
-    phases = []
-    for hit in (1e-3, 5e-4):
-        cfg = TraceConfig(delta_hit=hit)
-        webs = detect_bps(pentagon.curve, pentagon.lattice, (-0.62, -0.43),
-                          config=cfg, period_map=pentagon_pm,
-                          scan_step=math.pi / 80)
-        assert len(webs) == 1
-        phases.append(webs[0].theta_star)
-    assert abs(phases[0] - phases[1]) < 1e-5
-
-
 def test_antipodal_web_partner(pentagon, pentagon_pm):
     # a web of charge gamma at theta* has a partner of charge -gamma at
     # theta* + pi (theta -> theta + pi reverses every label)
@@ -636,7 +621,7 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
     lo, hi = theta_range
     n = max(2, int(math.ceil((hi - lo) / scan_step)))
     grid = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    fine = network._web_trace_config(TraceConfig(), defn.curve, fine=True)
+    fine = network._web_trace_config(defn.curve, fine=True)
     rays_at_blocks, builds, off_grid_traces = [], [], []
     fine_builds, identified, probes = [], [], []
     critical_lanes = {theta: 0 for theta in grid}
@@ -680,8 +665,8 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
         finally:
             building.pop()
 
-    def identify(Z, period_map, residual_rel=1e-4, max_coeff=4):
-        charge, res = real_identify(Z, period_map, residual_rel, max_coeff)
+    def identify(Z, period_map, residual_rel=1e-4):
+        charge, res = real_identify(Z, period_map, residual_rel)
         identified.append((residual_rel, charge.components))
         return charge, res
 

@@ -1,17 +1,21 @@
-"""Every function the traced benchmark wraps still exists in trigon.
+"""The benchmark still fits trigon's API.
 
-perfbench/tracing.py names its targets in the TARGETS table; a rename in
-trigon would otherwise only show when the traced bench runs.  The table
-is read from the source, without importing the bench.
+perfbench/tracing.py names the functions it wraps in its TARGETS table,
+and perfbench/workloads.py calls into trigon; a rename or a signature
+change in trigon would otherwise only show when the bench runs.  Both
+files are read from the source, without importing the bench.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _targets():
@@ -35,3 +39,65 @@ def test_perfbench_target_resolves(name):
     # the bench wraps a method where its class defines it
     found = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
     assert callable(getattr(found, "__func__", found))
+
+
+def _dotted(node):
+    """"a.b.c" for a chain of attribute lookups on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def _trigon_calls():
+    """{name: (trigon path, arguments, keywords)} of every call in
+    workloads.py whose callee it imported from trigon, the name as
+    written there with "#2", "#3", ... on its later calls."""
+    tree = ast.parse(WORKLOADS.read_text())
+    imported = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.module.split(".")[0] == "trigon"
+                for alias in node.names}
+    calls = {}
+    for node in ast.walk(tree):
+        name = isinstance(node, ast.Call) and _dotted(node.func)
+        if not name or name.split(".")[0] not in imported:
+            continue
+        head, *rest = name.split(".")
+        key, n = name, 1
+        while key in calls:
+            n += 1
+            key = f"{name}#{n}"
+        calls[key] = (".".join([imported[head], *rest]), node.args,
+                      node.keywords)
+    return calls
+
+
+CALLS = _trigon_calls()
+
+
+def test_workloads_calls_are_all_seen():
+    seen = {key.split("#")[0] for key in CALLS}
+    assert {"network.detect_bps", "PeriodMap.compute", "tba.SolverConfig",
+            "tba.solve", "tba.log_x", "tba.iterate_once", "cli.main"} <= seen
+
+
+@pytest.mark.parametrize("key", sorted(CALLS))
+def test_workloads_call_binds_to_trigon(key):
+    path, args, keywords = CALLS[key]
+    # a starred argument would hide how many arguments the call passes
+    assert not any(isinstance(a, ast.Starred) for a in args)
+    assert all(k.arg is not None for k in keywords)
+    parts = path.split(".")
+    n = len(parts)
+    while True:
+        try:
+            target = importlib.import_module(".".join(parts[:n]))
+            break
+        except ImportError:
+            n -= 1
+    for part in parts[n:]:
+        target = getattr(target, part)
+    inspect.signature(target).bind(*args, **{k.arg: None for k in keywords})
