@@ -74,10 +74,11 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing):
     zeta = cmath.exp(1j * theta)
     corrections = []
     for mu in spectrum.charges():
+        # Z first: it rejects a charge of the wrong rank
+        Z = period_map.Z(mu)
         ip = pairing(gamma, mu)
         if ip == 0:
             continue
-        Z = period_map.Z(mu)
         absZ = abs(Z)
         alpha = -Z / absZ
         if abs(alpha - zeta) < RAY_MARGIN:

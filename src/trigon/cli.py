@@ -67,6 +67,14 @@ def _parse_charge(text):
         raise ValidationError(f"cannot parse charge {text!r}; use e.g. 1,0") from None
 
 
+def _parse_grid(text):
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"cannot parse R grid {text!r}; use e.g. 1,1.5,2") from None
+
+
 def _load_definition(args):
     if getattr(args, "example", None):
         return load_example(args.example)
@@ -302,7 +310,7 @@ def cmd_asym_check(args):
     spec = _spectrum(args, defn)
     gamma = defn.lattice.charge(_parse_charge(args.charge).components)
     pred = build_prediction(gamma, args.theta, spec, pm, defn.lattice.pairing)
-    grid = [float(tok) for tok in args.R_grid.split(",")]
+    grid = _parse_grid(args.R_grid)
     sols = [solve(SolverConfig(R=R, theta=args.theta), spec, pm,
                   defn.lattice.pairing) for R in grid]
     text = io.StringIO()

@@ -15,15 +15,16 @@ than X keeps everything bounded.  Terms with <gamma,mu> = 0 are skipped,
 which makes kernel charges exactly semiflat at every iteration.
 
 On the uniform s-grid the kernel between two rays depends only on s' - s
-and on the ratio of their phases, so each coupled pair is a Toeplitz
+and on the gap between their phases, so each coupled pair is a Toeplitz
 matrix and a sweep applies all of them as convolutions by FFT: one
-batched transform of the weighted samples, one contraction over the
-coupled pairs, one batched inverse.  A pair keeps 2N - 1 complex
-spectrum values instead of N^2 matrix entries (4.7 MB for the hexagon's
-24 rays at N = 257, against 482 MB dense).  Off the rays, log_x sums the
-same integrals by direct quadrature, weighted by the same coefficient
-Omega(mu) <gamma,mu> / (4 pi i), so it reproduces the stored samples for
-any Omega.
+batched transform of the weighted samples, one real batched matmul over
+the coupled pairs, one batched inverse.  The build runs one FFT per
+distinct phase gap (38 for the hexagon's 456 coupled pairs), and a pair
+of rays keeps 2N - 1 real spectrum values instead of N^2 matrix entries
+(2.4 MB for the hexagon's 24 rays at N = 257, against 482 MB dense).
+Off the rays, log_x sums the same integrals by direct quadrature,
+weighted by the same coefficient Omega(mu) <gamma,mu> / (4 pi i), so it
+reproduces the stored samples for any Omega.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bps import active_rays
+from .curve import Charge
 from .errors import (
     NoConvergence,
     NumericOverflow,
@@ -46,6 +48,9 @@ _EXP_CAP = 700.0     # exp() argument past which doubles overflow
 # a phase closer than this to a coupled active ray is on the ray: log_x
 # and the asymptotic prediction both refuse it
 RAY_MARGIN = 1e-6
+# coupled pairs whose ray-phase gaps differ by at most this share one
+# kernel spectrum
+GAP_TOL = 1e-12
 
 
 @dataclass
@@ -62,8 +67,8 @@ class SolverConfig:
     sigma: int = 1             # sign in log(1 + sigma*X); the examples use +1
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValidationError("R must be positive")
+        if not 0 < self.R < math.inf:
+            raise ValidationError("R must be positive and finite")
         if self.N < 3 or self.N % 2 == 0:
             raise ValidationError("N must be odd and at least 3")
         if self.tol <= 0:
@@ -144,6 +149,16 @@ def _log1p(z):
     return np.where(small, near, np.log1p(z))
 
 
+def _kernel_transforms(ratios, s):
+    """FFT of t_r(d) = (r e^{d h} + 1) / (r e^{d h} - 1) over the circular
+    offsets of the s-grid, one row per ratio r (see _Workspace)."""
+    N = len(s)
+    # circular index k holds the offset j - i = -k, or M - k past N - 1
+    offsets = np.concatenate([-np.arange(N), np.arange(N - 1, 0, -1)])
+    q = ratios[:, None] * np.exp(offsets * (s[1] - s[0]))
+    return np.fft.fft((q + 1) / (q - 1))
+
+
 def _trapezoid_weights(s):
     w = np.full(len(s), s[1] - s[0])
     w[0] *= 0.5
@@ -160,9 +175,13 @@ class _Workspace:
 
         t_r(d) = (r e^{d h} + 1) / (r e^{d h} - 1),
 
-    a Toeplitz matrix.  Each coupled pair keeps c_ab FFT(t_r) over the
-    M = 2N - 1 offsets -(N-1)..N-1, so the circular convolution does not
-    wrap on the N outputs.  The trapezoid weights act on the source
+    a Toeplitz matrix that depends on the pair only through the phase
+    gap arg r.  Coupled pairs whose gaps agree to GAP_TOL share one FFT
+    of t_r over the M = 2N - 1 offsets -(N-1)..N-1, so the circular
+    convolution does not wrap on the N outputs.  Since |r| = 1,
+    t_r(-d) = -conj(t_r(d)) and the FFT is imaginary; so is the coupling
+    c_ab, and kernel_spectra[m, a, b] = c_ab FFT(t_r)[m] is real, zero
+    for uncoupled pairs.  The trapezoid weights act on the source
     samples, u_b = w f_b, before the transform.
     """
 
@@ -181,22 +200,36 @@ class _Workspace:
         self.w = _trapezoid_weights(self.s)
         absZ = np.array([r.absZ for r in rays])
         self.drive = -2.0 * config.R * absZ[:, None] * np.cosh(self.s)
-        coupling = np.array(
-            [[coupling_coefficient(om, pairing(ra.charge, rb.charge))
-              for rb, om in zip(rays, self.omega)] for ra in rays],
-            dtype=complex)
+        # the pairing is bilinear: its matrix on the basis gives every
+        # <a, b> at once
+        rank = len(rays[0].charge)
+        basis = [Charge([int(i == j) for j in range(rank)])
+                 for i in range(rank)]
+        form = np.array([[pairing(e, f) for f in basis] for e in basis])
+        comps = np.array([r.charge.components for r in rays])
+        ip = comps @ form @ comps.T
+        # c_ab is i times this real coefficient
+        coupling = coupling_coefficient(np.array(self.omega)[None, :],
+                                        ip).imag
+        targets, sources = np.nonzero(ip)
         alpha = np.array([r.alpha for r in rays])
-        # circular index k holds the offset j - i = -k, or M - k past N - 1
-        offsets = np.concatenate([-np.arange(N), np.arange(N - 1, 0, -1)])
-        growth = np.exp(offsets * (self.s[1] - self.s[0]))
-        self.kernel_spectra = np.zeros((self.n, self.n, 2 * N - 1),
-                                       dtype=complex)
-        # one target ray at a time keeps the temporaries to (n, M)
-        for a in range(self.n):
-            cols = np.flatnonzero(coupling[a])
-            q = (alpha[cols] / alpha[a])[:, None] * growth
-            self.kernel_spectra[a, cols] = (coupling[a, cols][:, None]
-                                            * np.fft.fft((q + 1) / (q - 1)))
+        gaps = np.angle(alpha[sources] / alpha[targets])
+        order = np.argsort(gaps)
+        starts = np.diff(gaps[order], prepend=-np.inf) > GAP_TOL
+        cluster = np.empty(len(gaps), dtype=np.intp)
+        cluster[order] = np.cumsum(starts) - 1
+        # one phase gap per kernel FFT
+        self.gaps = gaps[order][starts]
+        G = len(self.gaps)
+        # column G stays zero for the uncoupled pairs
+        table = np.zeros((2 * N - 1, G + 1))
+        table[:, :G] = _kernel_transforms(np.exp(1j * self.gaps),
+                                          self.s).imag.T
+        index = np.full((self.n, self.n), G)
+        index[targets, sources] = cluster
+        self.kernel_spectra = np.take(table, index, axis=1)
+        # (i c_ab) (i Im FFT) = -c_ab Im FFT
+        self.kernel_spectra *= -coupling
 
     def zero_state(self):
         return np.zeros((self.n, self.config.N), dtype=complex)
@@ -218,10 +251,14 @@ class _Workspace:
         """
         cfg = self.config
         state = np.asarray(state, dtype=complex)
-        M = self.kernel_spectra.shape[2]
-        u_hat = np.fft.fft(self.w * state, n=M)
-        conv = np.fft.ifft(np.einsum("abm,bm->am", self.kernel_spectra, u_hat))
-        expo = self.drive + conv[:, :cfg.N]
+        M = self.kernel_spectra.shape[0]
+        # the transformed samples as (M, n, 2) floats, so the real
+        # spectra act on real and imaginary parts in one batched matmul
+        u_hat = np.ascontiguousarray(np.fft.fft(self.w * state, n=M).T)
+        conv_hat = (self.kernel_spectra
+                    @ u_hat.view(float).reshape(M, self.n, 2))
+        conv = np.fft.ifft(conv_hat.view(complex)[..., 0], axis=0)
+        expo = self.drive + conv[:cfg.N].T
         peak = expo.real.max(axis=1)
         over = np.flatnonzero(peak > _EXP_CAP)
         if over.size:

@@ -258,6 +258,12 @@ def test_error_handler(monkeypatch, capsys, error, code):
         '{"error": "%s", "message": "boom"}\n' % error.__name__)
 
 
+RANK_3_SPECTRUM = json.dumps(
+    {"schema_version": 1,
+     "entries": [{"charge": [1, 0, 0], "omega": 1},
+                 {"charge": [-1, 0, 0], "omega": 1}]})
+
+
 @pytest.mark.parametrize("argv, content, env", [
     (["periods", "--curve-file", "{missing}"], None, None),
     (["periods", "--curve-file", "{file}"], "{not json", None),
@@ -291,13 +297,23 @@ def test_error_handler(monkeypatch, capsys, error, code):
      "", None),
     (["network", "sweep", "--example", "pentagon", "--frames", "1",
       "--out-dir", "{below}"], "", None),
+    (["asym", "check", "--example", "pentagon", "--charge", "1,0",
+      "--R-grid", "1,x"], None, None),
+    (["asym", "check", "--example", "pentagon", "--charge", "1,0",
+      "--R-grid", "1,nan"], None, None),
+    (["asym", "predict", "--example", "pentagon", "--charge", "1,0",
+      "--spectrum", "{file}"], RANK_3_SPECTRUM, None),
+    (["asym", "check", "--example", "pentagon", "--charge", "1,0",
+      "--R-grid", "1", "--spectrum", "{file}"], RANK_3_SPECTRUM, None),
 ], ids=["curve-missing", "curve-malformed", "curve-missing-key",
         "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
         "predict-missing-key", "check-empty", "vertices-missing",
         "vertices-ragged", "workers-not-integer", "curve-not-an-object",
         "validate-entry-not-an-object", "tba-entry-not-an-object",
         "periods-out-unwritable", "check-out-unwritable",
-        "polylines-unwritable", "sweep-out-dir-unwritable"])
+        "polylines-unwritable", "sweep-out-dir-unwritable",
+        "check-grid-not-a-number", "check-grid-nan", "predict-wrong-rank",
+        "check-wrong-rank"])
 def test_bad_input_gives_one_json_error_line(argv, content, env, tmp_path,
                                              capsys, monkeypatch):
     path = tmp_path / "input.json"

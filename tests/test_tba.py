@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from trigon.errors import (
 )
 from trigon.tba import (
     SolverConfig,
+    _kernel_transforms,
     _log1p,
     _trapezoid_weights,
     _Workspace,
@@ -71,6 +73,14 @@ def test_log1p_small_arguments():
     assert np.all(np.abs(_log1p(z) - want) <= 1e-15 * np.abs(want))
     w = np.array([0.3 - 0.2j, -0.4 + 0.1j, 5.0 + 1.0j, -0.9 + 0j])
     assert np.allclose(_log1p(w), np.log(1 + w), rtol=1e-14, atol=0)
+    # |z| ~ 1e300 overflows |1 + z|^2 - 1, so the small-|z| formula must
+    # not reach it with a warning
+    huge = np.array([1e300 + 0j, -1e300 + 2e300j, 1e-3 + 0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _log1p(huge)
+    assert np.allclose(got[:2], np.log(huge[:2]), rtol=1e-14, atol=0)
+    assert abs(got[2] - math.log1p(1e-3)) <= 1e-16
 
 
 # ---------------- iteration ----------------
@@ -160,10 +170,39 @@ def test_hexagon_kernel_storage_is_small(hexagon, hexagon_pm):
     finally:
         tracemalloc.stop()
     assert ws.n == 24
-    assert ws.kernel_spectra.nbytes < 5e6     # dense: 456 * 257^2 * 16 B
-    # 4.7 MB of spectra; built for all 456 coupled pairs at once, three
-    # (456, 513) complex temporaries took the build to 16.2 MB
-    assert peak < 8e6
+    # 513 * 24^2 real values, 2.36 MB; complex ones took 4.7 MB, and
+    # dense kernels 456 * 257^2 * 16 B
+    assert ws.kernel_spectra.nbytes < 2.5e6
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("name, pairs, transforms",
+                         [("pentagon", 24, 4), ("hexagon", 456, 38)])
+def test_one_kernel_fft_per_phase_gap(name, pairs, transforms, request):
+    # the kernel of a pair depends only on its phase gap, so the coupled
+    # pairs share one transform per distinct gap
+    defn = request.getfixturevalue(name)
+    pm = request.getfixturevalue(f"{name}_pm")
+    pair = defn.lattice.pairing
+    ws = _Workspace(SolverConfig(R=0.5, theta=0.1), builtin_spectrum(name),
+                    pm, pair)
+    coupled = sum(pair(ra.charge, rb.charge) != 0
+                  for ra in ws.rays for rb in ws.rays)
+    assert coupled == pairs
+    assert len(ws.gaps) == transforms
+    spectra = ws.kernel_spectra.reshape(ws.kernel_spectra.shape[0], -1)
+    assert np.count_nonzero(np.any(spectra != 0, axis=0)) == pairs
+
+
+@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
+def test_kernel_transforms_are_imaginary(name, request):
+    # on |r| = 1, t_r(-d) = -conj(t_r(d)), so the workspace keeps only
+    # the imaginary part of each FFT
+    ws = _Workspace(SolverConfig(R=0.5, theta=0.1), builtin_spectrum(name),
+                    request.getfixturevalue(f"{name}_pm"),
+                    request.getfixturevalue(name).lattice.pairing)
+    for row in _kernel_transforms(np.exp(1j * ws.gaps), ws.s):
+        assert np.max(np.abs(row.real)) < 1e-12 * np.max(np.abs(row.imag))
 
 
 def test_log_x_carries_omega(pentagon, pentagon_pm):
@@ -357,6 +396,9 @@ def test_on_ray_evaluation(pentagon_solution):
 def test_solver_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(R=-1.0)
+    for R in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            SolverConfig(R=R)
     with pytest.raises(ValidationError):
         SolverConfig(R=1.0, N=64)
     with pytest.raises(ValidationError):
