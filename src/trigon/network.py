@@ -1,20 +1,21 @@
 """WKB trajectory tracing, network growth, and finite-web detection.
 
-A trajectory with ordered sheet pair (x_i, x_j) solves
+A trajectory labelled by a sheet x_i and its partner x_j solves
 
     (x_i(t) - x_j(t)) dz/dt = exp(i*theta),
 
 integrated here in arclength form dz/ds = exp(i*theta) * conj(u)/|u|.
 The sheets over z are x, omega*x and omega^2*x, so x_j = omega^k x_i with
-k fixed at the seed: only x_i is tracked, continued at each RK stage by
-the one sheet rule curve.continue_root, and u = x_i - x_j; a Trajectory
-holds arrays of its points, x_i and chain integral, and the index k.  One
+k in {1, 2}: the label (x_i, k) is what a ray, a seed and a trajectory
+carry.  Only x_i is tracked, continued at each RK stage by the one sheet
+rule curve.continue_root, and u = x_i - x_j; a Trajectory holds arrays
+of its points, x_i and chain integral, and the index k.  One
 Cash-Karp step (_cash_karp) has two drivers: trace for one seed on Python
 complex numbers, and trace_lanes for a batch as numpy lanes, where the
 rule takes its array form _lane_sheet.  Networks start from the 8 critical
 trajectories emanating from each simple zero of P0, then grow by the
-junction birth rule: at every crossing whose labels chain as (i,j),(j,k)
-a new trajectory labeled (i,k) is seeded at the crossing.  Each critical
+junction birth rule: at every crossing whose labels chain as (i,j),(j,l)
+a new trajectory labeled (i,l) is seeded at the crossing.  Each critical
 ray carries a label (zero, m), m = 0..7, from the local model
 x^3 ~ -P0'(z0) (z - z0), continuous in theta; _critical_rays finds any
 list of labelled rays in one array bisection.
@@ -76,17 +77,13 @@ def _wrap(a):
 class TraceConfig:
     """The tracing settings that differ between uses: the defaults grow
     networks, and _web_trace_config sets the finite-web scan's and
-    assembly's escape_radius, delta0, delta_hit, rk_tol and h_max.  A
-    smaller max_arclength or a larger h_min truncates a trace or makes
-    its step collapse."""
+    assembly's escape_radius, delta0, delta_hit, rk_tol and h_max."""
 
     escape_radius: float = None      # default: 4 * max |ramification| + 10
     delta0: float = 1e-4             # seed offset from a zero
     delta_hit: float = 1e-3          # "ran into a zero" radius
     rk_tol: float = 1e-9             # local error target per unit arclength
     h_max: float = 0.5
-    h_min: float = 1e-12
-    max_arclength: float = 400.0
 
     def resolved_escape_radius(self, curve):
         if self.escape_radius is not None:
@@ -95,7 +92,10 @@ class TraceConfig:
         return 4.0 * max((abs(z) for z in zs), default=0.0) + 10.0
 
 
-# a trace ends truncated at this many points
+# a step below H_MIN raises SheetAmbiguity
+H_MIN = 1e-12
+# a trace ends truncated past this arclength or at this many points
+MAX_ARCLENGTH = 400.0
 MAX_POINTS = 200000
 # a trace ends escaped after this many consecutive outward steps past the
 # escape radius
@@ -114,7 +114,8 @@ GENERATION_CAP = 10
 @dataclass
 class TrajectorySeed:
     z: complex
-    pair: tuple                   # (x_i, x_j) at z
+    x: complex                    # the sheet x_i at z
+    k: int                        # its partner is x_j = omega^k x_i
     origin: tuple                 # ("critical", zero_idx, label m, phi)
                                   # or ("junction", parent_key_a, parent_key_b)
     theta: float
@@ -126,7 +127,8 @@ _PAIRS = np.array([(p, q) for p in range(3) for q in range(3) if p != q])
 
 
 def _critical_rays(curve, rays, delta0):
-    """The critical rays [(phi, (x_p, x_q))] of a list of (theta, zero, m).
+    """The critical rays [(phi, x_p, k)] of a list of (theta, zero, m),
+    k = (q - p) mod 3 indexing the partner x_q = omega^k x_p.
 
     A direction phi is critical for the ordered pair (p, q) when
     W = exp(-i*theta) * (x_p - x_q) * exp(i*phi) at z0 + delta0 e^(i phi)
@@ -178,14 +180,14 @@ def _critical_rays(curve, rays, delta0):
         raise NumericalError(f"lost critical ray {(int(zi[i]), int(m[i]))} "
                              f"at theta = {float(theta[i])!r}")
     p, q = _PAIRS[pair].T
-    return list(zip((phi % TWO_PI).tolist(), zip(
-        (x * _ROTATION[p]).tolist(), (x * _ROTATION[q]).tolist())))
+    return list(zip((phi % TWO_PI).tolist(), (x * _ROTATION[p]).tolist(),
+                    ((q - p) % 3).tolist()))
 
 
 class RayBook:
     """The labelled critical rays of every zero of P0 at a block of phases.
 
-    rays_at(thetas) is one table {zero: [(m, phi, pair)]}, m = 0..7, per
+    rays_at(thetas) is one table {zero: [(m, phi, x, k)]}, m = 0..7, per
     phase, all found by one _critical_rays call.  A label names the same
     ray at every phase, so tables at different phases match by label and
     the book keeps no state between calls.  It stays a class because
@@ -209,9 +211,9 @@ def _critical_seeds(curve, theta, delta0, rays):
     """Seeds delta0 out from each zero along the rays of a ray table."""
     return [TrajectorySeed(z=curve.ramification_points[zi]
                            + delta0 * cmath.exp(1j * phi),
-                           pair=pair, origin=("critical", zi, m, phi),
+                           x=x, k=k, origin=("critical", zi, m, phi),
                            theta=theta)
-            for zi, entries in rays.items() for m, phi, pair in entries]
+            for zi, entries in rays.items() for m, phi, x, k in entries]
 
 
 def seed_critical(curve, theta):
@@ -248,34 +250,32 @@ class Trajectory:
     status: str                   # "escaped" | "hit_zero" | "truncated"
     hit_zero: int
     seed: TrajectorySeed
-    theta: float
 
     def __len__(self):
         return len(self.points)
 
-    def pair(self, m, t=0.0):
-        """(x_i, x_j) at point m, or a fraction t along segment m."""
+    def sheet(self, m, t=0.0):
+        """x_i at point m, or a fraction t along segment m."""
         x = self.x[m]
         if t:
             x = x + (self.x[m + 1] - x) * t
-        return x, x * _ROTATION[self.k]
+        return x
 
     def chain_integral(self):
         """The integral of (x_i - x_j) dz along the whole trajectory."""
-        return cmath.exp(1j * self.theta) * self.chain[-1]
+        return cmath.exp(1j * self.seed.theta) * self.chain[-1]
 
 
 def _seed_sheet(curve, seed):
     """(z, x_i, k) of a seed: its point, the root of -P0 there nearest its
-    first sheet, and the index k of its second sheet omega^k x_i."""
+    sheet, and its partner index k, which must be 1 or 2."""
     z = complex(seed.z)
     rts = cube_roots(-curve.polynomial(z))
-    i = nearest_root(rts, seed.pair[0])
-    k = (nearest_root(rts, seed.pair[1]) - i) % 3
-    # on a zero of P0 the three roots coincide, and so k = 0 there too
-    if k == 0:
-        raise ValidationError("seed pair selects a single sheet")
-    return z, rts[i], k
+    # on a zero of P0 the three roots coincide, whatever k says
+    if seed.k not in (1, 2) or rts[0] == 0:
+        raise ValidationError(f"seed label (k = {seed.k!r} at z = {z}) "
+                              "selects a single sheet")
+    return z, rts[nearest_root(rts, seed.x)], seed.k
 
 
 def _cash_karp(rhs, z, h, f1, g1):
@@ -337,7 +337,7 @@ def trace(curve, seed, config=None):
     s_total = 0.0
     dz = [abs(z - z0) for z0 in zeros]
     dist = min(dz, default=float("inf"))
-    h = max(min(config.h_max, 0.05 * min(dz, default=1.0)), 64 * config.h_min)
+    h = max(min(config.h_max, 0.05 * min(dz, default=1.0)), 64 * H_MIN)
     status, hit = "truncated", None
     outward = 0
     # the zero a trajectory starts from does not count as a hit until the
@@ -347,13 +347,13 @@ def trace(curve, seed, config=None):
 
     while True:
         h = min(h, config.h_max, 0.1 * dist + 0.5 * config.delta_hit)
-        if h < config.h_min:
+        if h < H_MIN:
             raise SheetAmbiguity(f"step size collapsed at z = {z}")
         try:
             z5, T5, err, _ = _cash_karp(rhs, z, h, f1, g1)
         except SheetAmbiguity:
             h *= 0.25
-            if h < config.h_min:
+            if h < H_MIN:
                 raise
             continue
         # absolute floor keeps tiny steps near zeros feasible at roundoff
@@ -388,12 +388,12 @@ def trace(curve, seed, config=None):
             if outward >= OUTWARD_STEPS:
                 status = "escaped"
                 break
-        if s_total > config.max_arclength or len(points) >= MAX_POINTS:
+        if s_total > MAX_ARCLENGTH or len(points) >= MAX_POINTS:
             status = "truncated"
             break
 
     return Trajectory(np.array(points), np.array(xs), k, np.array(chain),
-                      status, hit, seed, seed.theta)
+                      status, hit, seed)
 
 
 def _lane_sheet(coeffs, w, x, inv_cube):
@@ -429,8 +429,7 @@ def trace_lanes(curve, seeds, config=None):
         return []
     z, x, chain, k, ends, status, hit_zero = _trace_lanes(curve, seeds, config)
     starts = [0] + ends[:-1]
-    return [Trajectory(z[a:b], x[a:b], int(kk), chain[a:b], st, hz, seed,
-                       seed.theta)
+    return [Trajectory(z[a:b], x[a:b], int(kk), chain[a:b], st, hz, seed)
             for a, b, kk, st, hz, seed in zip(starts, ends, k, status,
                                               hit_zero, seeds)]
 
@@ -474,7 +473,7 @@ def _trace_lanes(curve, seeds, config):
         dz, dist = distances(z)
         h = np.maximum(np.minimum(config.h_max,
                                   0.05 * (dist if len(zeros) else 1.0)),
-                       64 * config.h_min)
+                       64 * H_MIN)
         disarmed = dz < arm_radius
         chain = np.zeros(n)
         s_total = np.zeros(n)
@@ -484,9 +483,9 @@ def _trace_lanes(curve, seeds, config):
         while len(lane):
             h = np.minimum(np.minimum(h, config.h_max),
                            0.1 * dist + 0.5 * config.delta_hit)
-            if (h < config.h_min).any():
+            if (h < H_MIN).any():
                 raise SheetAmbiguity(
-                    f"step size collapsed at z = {z[h < config.h_min][0]}")
+                    f"step size collapsed at z = {z[h < H_MIN][0]}")
             z5, T5, err, stages = _cash_karp(rhs, z, h, f1, g1)
             on_zero = (np.array(stages) == 0).any(axis=0)
             tol = config.rk_tol * h + 4e-15 * (1.0 + np.abs(z))
@@ -496,10 +495,10 @@ def _trace_lanes(curve, seeds, config):
 
             retry = h * np.where(on_zero, 0.25, np.where(
                 too_big, np.maximum(0.2, 0.9 * (tol / err) ** 0.25), 0.5))
-            if (on_zero & (retry < config.h_min)).any():
+            if (on_zero & (retry < H_MIN)).any():
                 raise SheetAmbiguity(
                     f"RK stage on a zero of P0 near z = "
-                    f"{z[on_zero & (retry < config.h_min)][0]}")
+                    f"{z[on_zero & (retry < H_MIN)][0]}")
             grown = np.minimum(config.h_max, h * np.where(
                 err > 0, np.minimum(5.0, 0.9 * (tol / err) ** 0.2), 5.0))
             prev = z
@@ -526,7 +525,7 @@ def _trace_lanes(curve, seeds, config):
                 (z.conjugate() * (z - prev)).real > 0, outward + 1, 0), outward)
             escaped = ~hit & outside & (outward >= OUTWARD_STEPS)
             truncated = ok & ~hit & ~escaped & (
-                (s_total > config.max_arclength) | (npts >= MAX_POINTS))
+                (s_total > MAX_ARCLENGTH) | (npts >= MAX_POINTS))
             done = hit | escaped | truncated
             if not done.any():
                 continue
@@ -693,87 +692,79 @@ class SpectralNetwork:
 def _crossings(curve, trajA, trajB, hits, known):
     """Junction births and head-on collisions where two trajectories cross.
 
-    Yields ("birth", hit, child_pair) and ("head_on", hit, None) in order
+    Yields ("birth", hit, (x, k)) and ("head_on", hit, None) in order
     along trajA, for hits as polyline_intersections gives them for the
-    two polylines: (z, ia, ta, ib, tb).  A birth is a crossing whose
-    labels chain as (i,j),(j,k); its child is labeled (i,k).  Crossings
-    within DEDUP_RADIUS of a point in `known` or of either
-    trajectory's first point are skipped (they are re-detections of an
-    existing junction or of a child's own birth point), and each crossing
-    yielded joins `known`.
+    two polylines: (z, ia, ta, ib, tb).  Both tracked sheets are
+    continued to the crossing, where x_B = omega^r x_A.  Labels A =
+    (x_A, omega^kA x_A) and B = (x_B, omega^kB x_B) chain when A's
+    partner is x_B (r = kA) or B's partner is x_A (r = -kB): with
+    kA + kB = 0 mod 3 the two run head-on, and otherwise the child is
+    labeled (x_A, kA + kB mod 3) when r = kA and (x_B, kA + kB mod 3)
+    when r = -kB.
+    Crossings within DEDUP_RADIUS of a point in `known` or of
+    either trajectory's first point are skipped (they are re-detections
+    of an existing junction or of a child's own birth point), and each
+    crossing yielded joins `known`.
     """
+    kA, kB = trajA.k, trajB.k
     for hit in sorted(hits, key=lambda h: h[1] + h[2]):
         z, ia, ta, ib, tb = hit
         if any(abs(z - zk) < DEDUP_RADIUS
                for zk in known + [trajA.points[0], trajB.points[0]]):
             continue
         v = -curve.polynomial(z)
-        pairA = [continue_root(v, x) for x in trajA.pair(ia, ta)]
-        pairB = [continue_root(v, x) for x in trajB.pair(ib, tb)]
-        # a millionth of the roots' separation sqrt(3) |root|
-        tol = max(1e-6 * math.sqrt(3) * abs(pairA[0]), 1e-12)
-
-        def same(u, v):
-            return abs(u - v) <= tol
-
-        if same(pairA[0], pairB[1]) and same(pairA[1], pairB[0]):
-            known.append(z)
-            yield ("head_on", hit, None)
+        xA = continue_root(v, trajA.sheet(ia, ta))
+        xB = continue_root(v, trajB.sheet(ib, tb))
+        r = nearest_root((xA, xA * OMEGA, xA * OMEGA * OMEGA), xB)
+        if r not in (kA, -kB % 3):
             continue
-        for p1, p2 in ((pairA, pairB), (pairB, pairA)):
-            if same(p1[1], p2[0]) and not same(p1[0], p2[1]):
-                known.append(z)
-                yield ("birth", hit, (p1[0], p2[1]))
-                break
+        known.append(z)
+        if (kA + kB) % 3 == 0:
+            yield ("head_on", hit, None)
+        else:
+            yield ("birth", hit, (xA if r == kA else xB, (kA + kB) % 3))
 
 
 def grow_network(curve, theta, classify=True):
     """Grow the full network at one phase by the junction birth rule,
     every trajectory traced with the default TraceConfig.
 
-    A generation's frontier is the trajectories born last, at the end of
-    the list, so one later_crossings call finds its untested pairs; a
-    network still growing after GENERATION_CAP generations raises
-    GenerationCapExceeded."""
+    Each generation tests the pairs that hold a trajectory born in the
+    last one, at the end of the list, with one later_crossings call: a
+    pair (a, b) with a newborn a is tested before the pairs of a later
+    newborn, and one with only b newborn at b's turn, so children are
+    numbered in that order.  A network still growing after
+    GENERATION_CAP generations raises GenerationCapExceeded."""
     seeds = seed_critical(curve, theta)
     trajectories = [trace(curve, s) for s in seeds]
     junctions = []
     head_on = []
-    tested = set()
-    frontier = list(range(len(trajectories)))
+    new = 0
     generation = 0
-    while frontier:
+    while new < len(trajectories):
         generation += 1
         if generation > GENERATION_CAP:
             raise GenerationCapExceeded(
                 f"network still growing after {GENERATION_CAP} generations")
         known = [j.point for j in junctions] + head_on
-        hits = later_crossings([t.points for t in trajectories], frontier[0])
+        hits = later_crossings([t.points for t in trajectories], new)
         births = []
-        for i in frontier:
-            for j in range(len(trajectories)):
-                key = (min(i, j), max(i, j))
-                if i == j or key in tested:
-                    continue
-                tested.add(key)
-                a, b = key
-                for kind, hit, child_pair in _crossings(
-                        curve, trajectories[a], trajectories[b],
-                        hits.get(key, []), known):
-                    if kind == "head_on":
-                        head_on.append(hit[0])
-                    else:
-                        births.append((key, hit, child_pair))
-        frontier = []
-        for (key, hit, child_pair) in births:
-            seed = TrajectorySeed(z=hit[0], pair=child_pair,
+        for a, b in sorted(hits, key=lambda ab: ab if ab[0] >= new
+                           else ab[::-1]):
+            for kind, hit, label in _crossings(
+                    curve, trajectories[a], trajectories[b], hits[a, b], known):
+                if kind == "head_on":
+                    head_on.append(hit[0])
+                else:
+                    births.append(((a, b), hit, label))
+        new = len(trajectories)
+        for key, hit, (x, k) in births:
+            seed = TrajectorySeed(z=hit[0], x=x, k=k,
                                   origin=("junction", key[0], key[1]),
                                   theta=theta)
-            child = trace(curve, seed)
-            idx = len(trajectories)
-            trajectories.append(child)
-            frontier.append(idx)
-            junctions.append(Junction(point=hit[0], parents=key, child=idx,
+            trajectories.append(trace(curve, seed))
+            junctions.append(Junction(point=hit[0], parents=key,
+                                      child=len(trajectories) - 1,
                                       parent_params=((hit[1], hit[2]),
                                                      (hit[3], hit[4]))))
 
@@ -859,9 +850,9 @@ def classify_infinity(curve, net):
             zc = R * cmath.exp(1j * cmath.phase(zf))
             xf = curve.track_along([zc + (zf - zc) * m / 4.0 for m in range(5)],
                                    x_frame)
-            fr = (xf, xf * OMEGA, xf * OMEGA * OMEGA)
-            labels.add(tuple(nearest_root(fr, v)
-                             for v in net.trajectories[ti].pair(-1)))
+            traj = net.trajectories[ti]
+            i = nearest_root((xf, xf * OMEGA, xf * OMEGA * OMEGA), traj.x[-1])
+            labels.add((i, (i + traj.k) % 3))
         if len(labels) != 1:
             raise PatternViolation(
                 f"conflicting labels {sorted(labels)} at direction {grid[k]:.4f}")
@@ -998,12 +989,12 @@ def _births(curve, theta, critical):
     out = []
     for (a, b), pair_hits in sorted(hits.items()):
         ka, kb = keys[a], keys[b]
-        for kind, hit, child_pair in _crossings(
+        for kind, hit, label in _crossings(
                 curve, critical[ka], critical[kb], pair_hits, []):
             if kind == "birth":
                 out.append(((ka, kb), hit, TrajectorySeed(
-                    z=hit[0], pair=child_pair, origin=("junction", ka, kb),
-                    theta=theta)))
+                    z=hit[0], x=label[0], k=label[1],
+                    origin=("junction", ka, kb), theta=theta)))
                 break
     return out
 
@@ -1089,8 +1080,8 @@ def _endpoint_chain_correction(traj, idx, zero):
     Near a simple zero |u| grows like c * r^(1/3), so the missing integral
     of |u| over the last stretch of length r is (3/4) |u(endpoint)| * r.
     """
-    x_i, x_j = traj.pair(idx)
-    return 0.75 * abs(x_i - x_j) * abs(traj.points[idx] - zero)
+    x = traj.x[idx]
+    return 0.75 * abs(x - x * _ROTATION[traj.k]) * abs(traj.points[idx] - zero)
 
 
 def _assemble_web(curve, event, point, theta, config, period_map,
@@ -1151,6 +1142,9 @@ THETA_TOL = 1e-6
 # a web's phase arg Z_gamma may lie this far outside the grid bracket of
 # an event whose probe reads its charge
 THETA_SLACK = 2.5e-4
+# a scan grid of more phase steps than this is refused: a full sweep
+# takes 600, and each phase traces every critical ray
+MAX_SCAN_PHASES = 100000
 
 
 def detect_bps(curve, lattice, theta_range, period_map=None,
@@ -1171,8 +1165,9 @@ def detect_bps(curve, lattice, theta_range, period_map=None,
     trajectory hits another zero) and three-string junctions (a
     first-generation child hits a zero).  An event that gives no web is
     reported as a WebEventDropped warning.  A scan_step that is not
-    positive and finite, or a theta_range (lo, hi) that is not finite with
-    lo < hi, raises ValidationError; a curve with fewer than two zeros has
+    positive and finite, a theta_range (lo, hi) that is not finite with
+    lo < hi, or a grid of more than MAX_SCAN_PHASES steps raises
+    ValidationError; a curve with fewer than two zeros has
     no finite web.  The scan and assembly trace settings are fixed, by
     _web_trace_config.  Returns FiniteWeb records sorted by phase.
     """
@@ -1181,6 +1176,11 @@ def detect_bps(curve, lattice, theta_range, period_map=None,
         raise ValidationError(f"scan step {scan_step!r} is not positive and finite")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"theta range ({lo!r}, {hi!r}) is not finite with lo < hi")
+    # compared before ceil, which overflows on an infinite quotient
+    if (hi - lo) / scan_step > MAX_SCAN_PHASES:
+        raise ValidationError(
+            f"scan step {scan_step!r} over ({lo!r}, {hi!r}) needs more than "
+            f"{MAX_SCAN_PHASES} phase steps")
     if len(curve.ramification_points) < 2:
         return []
     cfg = _web_trace_config(curve, fine=False)

@@ -64,7 +64,6 @@ class SolverConfig:
     tol: float = 1e-10         # sup-norm step, relative to the largest sample
     max_iter: int = 100
     relax: float = 1.0         # under-relaxation factor (1 = plain iteration)
-    sigma: int = 1             # sign in log(1 + sigma*X); the examples use +1
 
     def __post_init__(self):
         if not 0 < self.R < math.inf:
@@ -109,12 +108,6 @@ class TbaSolution:
     period_map: object
     pairing: object
     delta_history: list = field(default_factory=list)
-
-    def grid_for(self, charge):
-        for g in self.ray_grids:
-            if g.charge.components == charge.components:
-                return g
-        return None
 
 
 def semiflat(Z_gamma, zeta, R):
@@ -266,7 +259,7 @@ class _Workspace:
             raise NumericOverflow(
                 f"iteration exponent reached {peak[a]:.1f} on ray of "
                 f"{self.rays[a].charge}; the iteration is diverging")
-        f = _log1p(cfg.sigma * np.exp(expo))
+        f = _log1p(np.exp(expo))
         if cfg.relax != 1.0:
             f = cfg.relax * f + (1.0 - cfg.relax) * state
         return f, float(np.max(np.abs(f - state)))

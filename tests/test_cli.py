@@ -305,6 +305,9 @@ RANK_3_SPECTRUM = json.dumps(
       "--spectrum", "{file}"], RANK_3_SPECTRUM, None),
     (["asym", "check", "--example", "pentagon", "--charge", "1,0",
       "--R-grid", "1", "--spectrum", "{file}"], RANK_3_SPECTRUM, None),
+    # 1e8 phase steps, refused before any phase is built
+    (["network", "bps", "--example", "pentagon", "--theta-max", "0.1",
+      "--scan-step", "1e-9"], None, None),
 ], ids=["curve-missing", "curve-malformed", "curve-missing-key",
         "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
         "predict-missing-key", "check-empty", "vertices-missing",
@@ -313,7 +316,7 @@ RANK_3_SPECTRUM = json.dumps(
         "periods-out-unwritable", "check-out-unwritable",
         "polylines-unwritable", "sweep-out-dir-unwritable",
         "check-grid-not-a-number", "check-grid-nan", "predict-wrong-rank",
-        "check-wrong-rank"])
+        "check-wrong-rank", "bps-scan-grid-too-fine"])
 def test_bad_input_gives_one_json_error_line(argv, content, env, tmp_path,
                                              capsys, monkeypatch):
     path = tmp_path / "input.json"

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from trigon import network
-from trigon.curve import OMEGA, Charge, PeriodMap, Polynomial, SpectralCurve
+from trigon.curve import (OMEGA, Charge, PeriodMap, Polynomial, SpectralCurve,
+                          cube_roots, nearest_root)
 from trigon.errors import (
     ChargeIdentificationFailed,
     NumericalError,
@@ -116,11 +117,13 @@ def test_labelled_rays_follow_the_local_model(lead, roots, theta, eps):
     for zi, z0 in enumerate(curve.ramification_points):
         bound = _model_bound(curve, zi, delta0)
         rays, moved = tables[0][zi], tables[1][zi]
-        assert [m for m, _, _ in rays] == list(range(8))
-        phis = sorted(phi for _, phi, _ in rays)
+        assert [m for m, _, _, _ in rays] == list(range(8))
+        phis = sorted(phi for _, phi, _, _ in rays)
         assert min(b - a for a, b in zip(phis, phis[1:] + [phis[0] + TWO_PI])) \
             > math.pi / 8
-        for (m, phi, (xp, xq)), (m1, phi1, _) in zip(rays, moved):
+        for (m, phi, xp, k), (m1, phi1, _, _) in zip(rays, moved):
+            assert k in (1, 2)
+            xq = xp * OMEGA ** k
             z = z0 + delta0 * cmath.exp(1j * phi)
             for x in (xp, xq):
                 assert abs(x ** 3 + curve.polynomial(z)) < 1e-9 * abs(x) ** 3
@@ -133,10 +136,10 @@ def test_labelled_rays_follow_the_local_model(lead, roots, theta, eps):
 
 
 def test_seed_pairs_move_outward(pentagon):
-    # the ordered pair at each seed points the velocity radially outward
+    # the label (x_i, k) at each seed points the velocity radially outward
     for s in seed_critical(pentagon.curve, 0.37):
         z0 = pentagon.curve.ramification_points[s.origin[1]]
-        u = s.pair[0] - s.pair[1]
+        u = s.x - s.x * OMEGA ** s.k
         v = cmath.exp(1j * 0.37) / u
         radial = (v * (s.z - z0).conjugate()).real
         assert radial > 0.99 * abs(v) * abs(s.z - z0)
@@ -148,7 +151,7 @@ def test_constant_polynomial_gives_straight_line():
     curve = SpectralCurve(Polynomial([1.0]), basepoint=0.0)
     sheets = curve.base_sheets
     theta = 0.3
-    seed = TrajectorySeed(z=0.0, pair=(sheets[0], sheets[1]),
+    seed = TrajectorySeed(z=0.0, x=sheets[0], k=1,
                           origin=("critical", -1, 0, 0.0), theta=theta)
     traj = trace(curve, seed, TraceConfig(escape_radius=5.0))
     assert traj.status == "escaped"
@@ -159,15 +162,17 @@ def test_constant_polynomial_gives_straight_line():
         assert abs(off) < 1e-9
 
 
-def test_label_swap_time_reversal_retraces(pentagon):
+def test_label_swap_time_reversal_retraces(pentagon, monkeypatch):
     seeds = seed_critical(pentagon.curve, 0.2)
     traj = trace(pentagon.curve, seeds[0])
     k = len(traj.points) // 3
     z_mid = traj.points[k]
-    xi, xj = traj.pair(k)
+    # the swapped label: track x_j = omega^k x_i, whose partner is x_i
+    xj = traj.sheet(k) * OMEGA ** traj.k
+    monkeypatch.setattr(network, "MAX_ARCLENGTH", traj.chain[-1])
     back = trace(pentagon.curve, TrajectorySeed(
-        z=z_mid, pair=(xj, xi), origin=("critical", -1, 0, 0.0), theta=0.2),
-        TraceConfig(max_arclength=traj.chain[-1]))
+        z=z_mid, x=xj, k=3 - traj.k, origin=("critical", -1, 0, 0.0),
+        theta=0.2))
     # the reversed trace must stay on the original polyline
     pts = traj.points
     for p in back.points[:: max(1, len(back.points) // 24)]:
@@ -217,8 +222,9 @@ def _lane_in_a_batch(curve, seed, config=None):
     for s in seed_critical(curve, seed.theta)[:8]:
         traj = trace(curve, s)
         k = len(traj) // 2
-        others.append(TrajectorySeed(z=traj.points[k], pair=traj.pair(k),
-                                     origin=s.origin, theta=seed.theta))
+        others.append(TrajectorySeed(z=traj.points[k], x=traj.sheet(k),
+                                     k=traj.k, origin=s.origin,
+                                     theta=seed.theta))
     return trace_lanes(curve, others[:4] + [seed] + others[4:], config)[4]
 
 
@@ -229,19 +235,28 @@ _TRACERS = [pytest.param(trace, id="scalar"),
 @pytest.mark.parametrize("tracer", _TRACERS)
 def test_seed_pair_on_one_sheet_is_rejected(tracer, pentagon):
     seed = seed_critical(pentagon.curve, 0.2)[0]
-    x = seed.pair[0]
     with pytest.raises(ValidationError, match="single sheet"):
-        tracer(pentagon.curve, TrajectorySeed(z=seed.z, pair=(x, x),
+        tracer(pentagon.curve, TrajectorySeed(z=seed.z, x=seed.x, k=0,
                                               origin=seed.origin, theta=0.2))
 
 
 @pytest.mark.parametrize("tracer", _TRACERS)
-def test_step_collapse_raises_sheet_ambiguity(tracer, pentagon):
+def test_seed_on_a_zero_is_rejected(tracer):
+    # on a zero of P0 the three sheets coincide, whatever k says
+    curve = SpectralCurve(Polynomial([-1.0, 1.0]))
+    with pytest.raises(ValidationError, match="single sheet"):
+        tracer(curve, TrajectorySeed(z=1.0, x=0j, k=1,
+                                     origin=("critical", 0, 0, 0.0), theta=0.2))
+
+
+@pytest.mark.parametrize("tracer", _TRACERS)
+def test_step_collapse_raises_sheet_ambiguity(tracer, pentagon, monkeypatch):
     # a critical seed sits delta0 = 1e-4 from its zero, where the step cap
-    # 0.1 * dist + delta_hit / 2 is 5.1e-4, below this h_min
+    # 0.1 * dist + delta_hit / 2 is 5.1e-4, below this H_MIN
     seed = seed_critical(pentagon.curve, 0.2)[0]
+    monkeypatch.setattr(network, "H_MIN", 1e-3)
     with pytest.raises(SheetAmbiguity, match="collapsed"):
-        tracer(pentagon.curve, seed, TraceConfig(h_min=1e-3))
+        tracer(pentagon.curve, seed)
 
 
 # ---------------- lanes against the scalar tracer ----------------
@@ -384,7 +399,7 @@ def test_later_crossings_match_pairwise_intersections(window_lanes):
         assert found == {key: _in_segment_order(hits)
                          for key, hits in pairwise.items() if hits}
         # new bounds the later polyline of each pair, as grow_network's
-        # frontier does
+        # newborn trajectories do
         for new in (1, len(polylines) // 2, len(polylines) - 1,
                     len(polylines)):
             assert later_crossings(polylines, new) == {
@@ -403,6 +418,59 @@ def test_junctions_sit_on_their_parents_crossings(name, theta, request):
             for z, ia, ta, ib, tb in polyline_intersections(a, b)]
 
 
+def _straight(a, b, x, k):
+    """A hand-built trajectory from a to b on the constant sheet x with
+    partner omega^k x, in three segments."""
+    points = np.linspace(a, b, 4)
+    return network.Trajectory(points, np.full(4, x), k, np.zeros(4),
+                              "escaped", None, None)
+
+
+def _pair_rule(A, B):
+    """The birth rule on explicit sheet pairs A = (x_i, x_j) and B: head-on
+    when B = (x_j, x_i); a child (x_i, x_l) when B = (x_j, x_l), or when
+    A = (x_j, x_l) and B = (x_i, x_j); else no event."""
+    if A[1] == B[0] and B[1] == A[0]:
+        return "head_on", None
+    if A[1] == B[0]:
+        return "birth", (A[0], B[1])
+    if B[1] == A[0]:
+        return "birth", (B[0], A[1])
+    return None, None
+
+
+@pytest.mark.parametrize("iA, kA, iB, kB", [
+    (iA, kA, iB, kB) for iA in range(3) for kA in (1, 2)
+    for iB in range(3) for kB in (1, 2)])
+def test_crossing_labels_follow_the_pair_rule(iA, kA, iB, kB):
+    # over constant P0 the sheets are the three cube roots of -1, the same
+    # at every point; A and B cross once, mid-segment, at z = 0
+    curve = SpectralCurve(Polynomial([1.0]), basepoint=0.0)
+    rts = cube_roots(-1.0)
+    trajA = _straight(-1.0, 1.0, rts[iA], kA)
+    trajB = _straight(-0.2 - 1j, 0.2 + 1j, rts[iB], kB)
+    hits = polyline_intersections(trajA.points, trajB.points)
+    assert len(hits) == 1
+    kind, child = _pair_rule((rts[iA], rts[(iA + kA) % 3]),
+                             (rts[iB], rts[(iB + kB) % 3]))
+    known = []
+    events = list(network._crossings(curve, trajA, trajB, hits, known))
+    if kind is None:
+        assert events == [] and known == []
+        return
+    (got, hit, label), = events
+    assert (got, hit, known) == (kind, hits[0], [hits[0][0]])
+    if kind == "head_on":
+        assert label is None
+    else:
+        x, k = label
+        i = nearest_root(rts, x)
+        assert abs(x - rts[i]) < 1e-15 and k in (1, 2)
+        assert (rts[i], rts[(i + k) % 3]) == child
+    # the crossing is known now, so it is not found again
+    assert list(network._crossings(curve, trajA, trajB, hits, known)) == []
+
+
 @pytest.mark.parametrize("name, theta, n_points",
                          [("pentagon", 0.0, 3262), ("hexagon", 0.1, 6347)])
 def test_network_tracks_one_sheet_and_a_fixed_partner(name, theta, n_points,
@@ -417,8 +485,6 @@ def test_network_tracks_one_sheet_and_a_fixed_partner(name, theta, n_points,
         x = traj.x
         assert np.all(np.abs(x ** 3 + curve.polynomial(traj.points))
                       < 1e-9 * np.abs(x) ** 3)
-        xi, xj = traj.pair(len(traj) // 2)
-        assert abs(xj - OMEGA ** traj.k * xi) < 1e-12 * abs(xi)
 
 
 # ---------------- networks ----------------
@@ -488,11 +554,11 @@ def test_classify_requires_escaped(pentagon):
 def test_alternation_violation_detected(pentagon):
     net = grow_network(pentagon.curve, 0.0, classify=False)
     marks = classify_infinity(pentagon.curve, net)
-    # corrupt one trajectory's tracked pair: track its partner x_j, whose
+    # corrupt one trajectory's tracked label: track its partner x_j, whose
     # partner is then x_i, so the labels at its mark flip
     ti = marks[0].trajectories[0]
     tr = net.trajectories[ti]
-    tr.x[-1] = tr.pair(-1)[1]
+    tr.x[-1] = tr.x[-1] * OMEGA ** tr.k
     tr.k = 3 - tr.k
     with pytest.raises(PatternViolation):
         classify_infinity(pentagon.curve, net)
@@ -589,14 +655,26 @@ def test_web_segments_recorded(pentagon, pentagon_pm):
 @pytest.mark.parametrize("theta_range, step", [
     ((0.45, 0.6), 0.0), ((0.45, 0.6), -0.1), ((0.45, 0.6), math.nan),
     ((0.45, 0.6), math.inf), ((1.0, 0.5), 0.04), ((0.5, 0.5), 0.04),
-    ((0.0, math.inf), 0.04), ((math.nan, 1.0), 0.04)],
+    ((0.0, math.inf), 0.04), ((math.nan, 1.0), 0.04), ((0.0, 0.1), 1e-9),
+    ((0.0, 1.0), 5e-324)],
     ids=["zero-step", "negative-step", "nan-step", "inf-step",
-         "reversed-range", "empty-range", "inf-range", "nan-range"])
+         "reversed-range", "empty-range", "inf-range", "nan-range",
+         "too-many-phases", "phase-count-overflows"])
 def test_bad_scan_step_or_range_is_rejected(theta_range, step, pentagon,
                                             pentagon_pm):
     with pytest.raises(ValidationError):
         detect_bps(pentagon.curve, pentagon.lattice, theta_range,
                    period_map=pentagon_pm, scan_step=step)
+
+
+def test_scan_grid_bound_counts_phase_steps(monkeypatch):
+    # a one-zero curve has no finite web, so a grid within the bound
+    # returns at once; one step more is refused
+    curve = SpectralCurve(Polynomial([1.0, 1.0]))
+    monkeypatch.setattr(network, "MAX_SCAN_PHASES", 4)
+    assert detect_bps(curve, None, (0.0, 1.0), scan_step=0.25) == []
+    with pytest.raises(ValidationError, match="more than 4 phase steps"):
+        detect_bps(curve, None, (0.0, 1.0), scan_step=0.2499)
 
 
 @pytest.mark.parametrize("coefficients", [[1.0], [-0.5j, 1.0]],

@@ -1,7 +1,8 @@
 """The benchmark still fits trigon's API.
 
 perfbench/tracing.py names the functions it wraps in its TARGETS table,
-and perfbench/workloads.py calls into trigon; a rename or a signature
+and its _enter_* hooks read their arguments by parameter name;
+perfbench/workloads.py calls into trigon.  A rename or a signature
 change in trigon would otherwise only show when the bench runs.  Both
 files are read from the source, without importing the bench.
 """
@@ -29,8 +30,8 @@ def _targets():
 TARGETS = _targets()
 
 
-@pytest.mark.parametrize("name", sorted(TARGETS))
-def test_perfbench_target_resolves(name):
+def _resolve(name):
+    """The function the bench wraps for a TARGETS name."""
     module_name, path = TARGETS[name]
     owner = importlib.import_module(module_name)
     *outer, attr = path.split(".")
@@ -38,7 +39,46 @@ def test_perfbench_target_resolves(name):
         owner = getattr(owner, part)
     # the bench wraps a method where its class defines it
     found = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
-    assert callable(getattr(found, "__func__", found))
+    return getattr(found, "__func__", found)
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_perfbench_target_resolves(name):
+    assert callable(_resolve(name))
+
+
+def _hook_arguments():
+    """{target: the keys its enter hook reads as arguments["..."]}, for
+    each enter hook that the _HOOKS table of tracing.py names."""
+    tree = ast.parse(TRACING.read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    hooks = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and any(
+                     getattr(t, "id", None) == "_HOOKS" for t in node.targets))
+    out = {}
+    for key, value in zip(hooks.keys, hooks.values):
+        enter = value.elts[0]
+        if isinstance(enter, ast.Name):
+            out[key.value] = sorted(
+                node.slice.value for node in ast.walk(functions[enter.id])
+                if isinstance(node, ast.Subscript)
+                and getattr(node.value, "id", None) == "arguments")
+    return out
+
+
+HOOK_ARGUMENTS = _hook_arguments()
+
+
+def test_hook_arguments_are_all_seen():
+    assert HOOK_ARGUMENTS == {"network.detect_bps": ["scan_step", "theta_range"],
+                              "network.trace": ["seed"]}
+
+
+@pytest.mark.parametrize("name", sorted(HOOK_ARGUMENTS))
+def test_perfbench_hook_reads_parameters(name):
+    parameters = inspect.signature(_resolve(name)).parameters
+    assert set(HOOK_ARGUMENTS[name]) <= set(parameters)
 
 
 def _dotted(node):

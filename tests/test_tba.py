@@ -421,10 +421,3 @@ def test_under_relaxation_same_fixed_point(pentagon, pentagon_pm):
     xb = spectral_coordinate(b, Charge((1, 0))).real
     assert abs(xa - xb) < 1e-8
 
-
-def test_sigma_switch_runs(pentagon, pentagon_pm):
-    spec = builtin_spectrum("pentagon")
-    sol = solve(SolverConfig(R=2.0, theta=0.0, sigma=-1), spec,
-                pentagon_pm, pentagon.lattice.pairing)
-    X = spectral_coordinate(sol, Charge((1, 0)))
-    assert abs(X.imag) < 1e-9 and X.real > 0
