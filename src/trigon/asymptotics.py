@@ -68,8 +68,11 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing):
     Contributions with a common minimal |Z_mu| (within RATE_TOL) are
     summed into the reported leading coefficient; the imaginary parts
     cancel between mu and -mu, which is asserted.  A phase within
-    RAY_MARGIN of a coupled ray raises OnRayTheta.
+    RAY_MARGIN of a coupled ray raises OnRayTheta, and a non-finite one
+    ValidationError.
     """
+    if not math.isfinite(theta):
+        raise ValidationError("theta must be finite")
     a = linear_coefficient(gamma, theta, period_map)
     zeta = cmath.exp(1j * theta)
     corrections = []

@@ -164,15 +164,6 @@ def cmd_network_trace(args):
     return 0
 
 
-def _sweep_frame(task):
-    name, k, theta, out_dir = task
-    defn = load_example(name)
-    net = grow_network(defn.curve, theta, classify=False)
-    path = os.path.join(out_dir, f"frame_{k:04d}.txt")
-    _write_polylines(net, path)
-    return k, len(net.trajectories), net.bps_ful
-
-
 def cmd_network_sweep(args):
     if not args.example:
         raise ValidationError("network sweep works on a named example")
@@ -180,26 +171,17 @@ def cmd_network_sweep(args):
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot make {args.out_dir}: {exc}") from None
-    tasks = [(args.example, k, k * math.pi / 300.0, args.out_dir)
-             for k in range(args.frames)]
-    try:
-        workers = int(os.environ.get("TRIGON_WORKERS", "1"))
-    except ValueError:
-        raise ValidationError("TRIGON_WORKERS must be an integer") from None
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_sweep_frame, tasks)
-    else:
-        rows = [_sweep_frame(t) for t in tasks]
-    manifest = {
-        "schema_version": 1,
-        "example": args.example,
-        "frames": [{"index": k, "theta": k * math.pi / 300.0,
-                    "file": f"frame_{k:04d}.txt",
-                    "n_trajectories": n, "bps_ful": b}
-                   for (k, n, b) in sorted(rows)],
-    }
+    defn = load_example(args.example)
+    frames = []
+    for k in range(args.frames):
+        theta = k * math.pi / 300.0
+        net = grow_network(defn.curve, theta, classify=False)
+        file = f"frame_{k:04d}.txt"
+        _write_polylines(net, os.path.join(args.out_dir, file))
+        frames.append({"index": k, "theta": theta, "file": file,
+                       "n_trajectories": len(net.trajectories),
+                       "bps_ful": net.bps_ful})
+    manifest = {"schema_version": 1, "example": args.example, "frames": frames}
     _dump_json(manifest, os.path.join(args.out_dir, "manifest.json"))
     return 0
 

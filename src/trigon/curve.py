@@ -248,23 +248,7 @@ class SpectralCurve:
     def continue_sheet(self, path: LiftedPath):
         """x-value at the end of a lifted path, by continuous tracking."""
         path.validate(self)
-        x = path.starting_sheet_value
-        for a, b in zip(path.waypoints, path.waypoints[1:]):
-            x = self._segment_track(a, b, x)
-        return x
-
-    def _segment_track(self, a, b, x):
-        # walk the segment with steps bounded by distance to ramification
-        t = 0.0
-        z = a
-        while t < 1.0:
-            dist = self.nearest_zero_distance(z)
-            h = max(min(0.5 * dist / max(abs(b - a), 1e-300), 0.25), 1e-6)
-            t_new = min(1.0, t + h)
-            z_new = a + (b - a) * t_new
-            x = self._track_step(x, z_new, 0, z)
-            z, t = z_new, t_new
-        return x
+        return self.track_along(path.waypoints, path.starting_sheet_value)
 
     def sheets_at(self, z, via=None):
         """Ordered sheet triple at z, continued from the basepoint.
@@ -377,21 +361,6 @@ class ChargeLattice:
         g = np.asarray(gamma.components)
         return bool(np.all(self.pairing_matrix @ g == 0))
 
-    def validate(self, curve):
-        """Closure check for every basis contour: its base path to
-        BASE_CLOSURE_TOL and its sheet to SHEET_CLOSURE_TOL."""
-        for name, path in zip(self.names, self.basis_contours):
-            gap = abs(path.waypoints[0] - path.waypoints[-1])
-            if not gap <= BASE_CLOSURE_TOL:
-                raise OpenContour(f"contour {name} does not close in the base")
-            x_end = curve.continue_sheet(path)
-            scale = max(1.0, abs(path.starting_sheet_value))
-            dx = abs(x_end - path.starting_sheet_value)
-            if dx > SHEET_CLOSURE_TOL * scale:
-                raise OpenContour(
-                    f"contour {name} returns on the wrong sheet "
-                    f"(|dx| = {dx:.3e})")
-
 
 # --- periods ---
 
@@ -431,15 +400,21 @@ def _segment_period(curve, a, b, x_start):
     raise SheetAmbiguity(f"quadrature on segment {a} -> {b} did not settle")
 
 
-def contour_period(curve: SpectralCurve, path: LiftedPath):
-    """Period of x dz along one lifted contour."""
+def _lift(curve, path):
+    """(period of x dz, end sheet value) of one lifted path, from one
+    validation and one walk."""
     path.validate(curve)
     total = 0j
     x = path.starting_sheet_value
     for a, b in zip(path.waypoints, path.waypoints[1:]):
         val, x = _segment_period(curve, a, b, x)
         total += val
-    return total
+    return total, x
+
+
+def contour_period(curve: SpectralCurve, path: LiftedPath):
+    """Period of x dz along one lifted contour."""
+    return _lift(curve, path)[0]
 
 
 class PeriodMap:
@@ -451,9 +426,22 @@ class PeriodMap:
 
     @classmethod
     def compute(cls, curve, lattice):
-        """The basis periods of a lattice, after lattice.validate(curve)."""
-        lattice.validate(curve)
-        vals = [contour_period(curve, c) for c in lattice.basis_contours]
+        """The basis periods of a lattice.  Each contour must close in the
+        base to BASE_CLOSURE_TOL and its lift must end on its starting
+        sheet to SHEET_CLOSURE_TOL, or OpenContour is raised."""
+        vals = []
+        for name, path in zip(lattice.names, lattice.basis_contours):
+            gap = abs(path.waypoints[0] - path.waypoints[-1])
+            if not gap <= BASE_CLOSURE_TOL:
+                raise OpenContour(f"contour {name} does not close in the base")
+            period, x_end = _lift(curve, path)
+            scale = max(1.0, abs(path.starting_sheet_value))
+            dx = abs(x_end - path.starting_sheet_value)
+            if dx > SHEET_CLOSURE_TOL * scale:
+                raise OpenContour(
+                    f"contour {name} returns on the wrong sheet "
+                    f"(|dx| = {dx:.3e})")
+            vals.append(period)
         return cls(vals)
 
     def Z(self, gamma: Charge):

@@ -734,7 +734,10 @@ def grow_network(curve, theta, classify=True):
     pair (a, b) with a newborn a is tested before the pairs of a later
     newborn, and one with only b newborn at b's turn, so children are
     numbered in that order.  A network still growing after
-    GENERATION_CAP generations raises GenerationCapExceeded."""
+    GENERATION_CAP generations raises GenerationCapExceeded, and a
+    non-finite theta ValidationError."""
+    if not math.isfinite(theta):
+        raise ValidationError("theta must be finite")
     seeds = seed_critical(curve, theta)
     trajectories = [trace(curve, s) for s in seeds]
     junctions = []
@@ -1041,19 +1044,19 @@ def _scan_events(curve, thetas, tables, config, window):
     return events
 
 
-def _event_point(curve, event, theta, config, delta0):
+def _event_point(curve, event, theta, config):
     """The scan point (critical, children) of one event's own rays at theta.
 
     A "c" event needs its critical ray; a "j" event its two parent rays,
     whose first birth crossing seeds the child.  Each ray is re-found by
-    its label with _critical_rays at the seeding radius delta0, so the
-    rays at a phase depend on that phase alone.
+    its label with _critical_rays at the config's seeding radius delta0,
+    so the rays at a phase depend on that phase alone.
     """
     kind, key, _ = event
     keys = [key] if kind == "c" else list(key)
     rays = {}
     for (zi, m), ray in zip(keys, _critical_rays(
-            curve, [(theta, zi, m) for zi, m in keys], delta0)):
+            curve, [(theta, zi, m) for zi, m in keys], config.delta0)):
         rays.setdefault(zi, []).append((m,) + ray)
     # the scalar trace: 1-3 rays, far below the 32 lanes from which
     # trace_lanes is faster
@@ -1214,8 +1217,7 @@ def detect_bps(curve, lattice, theta_range, period_map=None,
                 if any(w.charge == charge for w in webs):
                     continue
                 web = _assemble_web(
-                    curve, ev, _event_point(curve, ev, th_star, fine,
-                                            cfg.delta0),
+                    curve, ev, _event_point(curve, ev, th_star, fine),
                     th_star, fine, pm, RESIDUAL_REL)
                 if web.charge.components != charge.components:
                     raise ChargeIdentificationFailed(
@@ -1250,8 +1252,7 @@ def _settle_event(curve, event, bracket, misses, config, period_map, window):
     while True:
         theta = (th_a if m_a == 0.0 else th_b if m_b == 0.0
                  else th_a + m_a * (th_b - th_a) / (m_a - m_b))
-        critical, children = point = _event_point(curve, event, theta, config,
-                                                  config.delta0)
+        critical, children = point = _event_point(curve, event, theta, config)
         try:
             charge = _assemble_web(curve, event, point, theta, config,
                                    period_map, 10 * RESIDUAL_REL).charge

@@ -68,10 +68,16 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.R < math.inf:
             raise ValidationError("R must be positive and finite")
+        if not math.isfinite(self.theta):
+            raise ValidationError("theta must be finite")
+        if self.L is not None and not 0 < self.L < math.inf:
+            raise ValidationError("L must be positive and finite")
         if self.N < 3 or self.N % 2 == 0:
             raise ValidationError("N must be odd and at least 3")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValidationError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValidationError("max_iter must be at least 1")
 
     def resolved_L(self, min_absZ):
         """Smallest L with 2 R |Z|min cosh(L) >= 2 R |Z|min + 40.

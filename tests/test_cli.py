@@ -1,6 +1,8 @@
+import ast
 import cmath
 import json
 import math
+import pathlib
 import warnings
 
 import pytest
@@ -264,68 +266,79 @@ RANK_3_SPECTRUM = json.dumps(
                  {"charge": [-1, 0, 0], "omega": 1}]})
 
 
-@pytest.mark.parametrize("argv, content, env", [
-    (["periods", "--curve-file", "{missing}"], None, None),
-    (["periods", "--curve-file", "{file}"], "{not json", None),
-    (["periods", "--curve-file", "{file}"], '{"schema_version": 1}', None),
-    (["bps", "validate", "--spectrum", "{file}"], '{"schema_version": 1}', None),
-    (["bps", "validate", "--spectrum", "{file}"], "[1, 2", None),
+@pytest.mark.parametrize("argv, content", [
+    (["periods", "--curve-file", "{missing}"], None),
+    (["periods", "--curve-file", "{file}"], "{not json"),
+    (["periods", "--curve-file", "{file}"], '{"schema_version": 1}'),
+    (["bps", "validate", "--spectrum", "{file}"], '{"schema_version": 1}'),
+    (["bps", "validate", "--spectrum", "{file}"], "[1, 2"),
     (["tba", "solve", "--example", "pentagon", "--R", "0.5",
-      "--spectrum", "{missing}"], None, None),
+      "--spectrum", "{missing}"], None),
     (["asym", "predict", "--example", "pentagon", "--charge", "1,0",
       "--spectrum", "{file}"],
-     '{"schema_version": 1, "entries": [{"charge": [1, 0]}]}', None),
+     '{"schema_version": 1, "entries": [{"charge": [1, 0]}]}'),
     (["asym", "check", "--example", "pentagon", "--charge", "1,0",
-      "--R-grid", "1,2", "--spectrum", "{file}"], "", None),
+      "--R-grid", "1,2", "--spectrum", "{file}"], ""),
     (["polygon", "eval", "--expr", "pentagon:gamma1", "--vertices",
-      "{missing}"], None, None),
+      "{missing}"], None),
     (["polygon", "eval", "--expr", "pentagon:gamma1", "--vertices",
-      "{file}"], "[[1, 0, 1], [0, 1]]", None),
-    (["network", "sweep", "--example", "pentagon", "--frames", "1",
-      "--out-dir", "{dir}"], None, "two"),
-    (["periods", "--curve-file", "{file}"], "[1, 2]", None),
+      "{file}"], "[[1, 0, 1], [0, 1]]"),
+    (["periods", "--curve-file", "{file}"], "[1, 2]"),
     (["bps", "validate", "--spectrum", "{file}"],
-     '{"schema_version": 1, "entries": [[1, 0]]}', None),
+     '{"schema_version": 1, "entries": [[1, 0]]}'),
     (["tba", "solve", "--example", "pentagon", "--R", "0.5",
       "--spectrum", "{file}"],
-     '{"schema_version": 1, "entries": [[1, 0]]}', None),
+     '{"schema_version": 1, "entries": [[1, 0]]}'),
     # an output path below a regular file cannot be written, even by root
-    (["periods", "--example", "pentagon", "--out", "{below}"], "", None),
+    (["periods", "--example", "pentagon", "--out", "{below}"], ""),
     (["asym", "check", "--example", "pentagon", "--charge", "1,0",
-      "--R-grid", "1", "--out", "{below}"], "", None),
+      "--R-grid", "1", "--out", "{below}"], ""),
     (["network", "trace", "--example", "pentagon", "--polylines", "{below}"],
-     "", None),
+     ""),
     (["network", "sweep", "--example", "pentagon", "--frames", "1",
-      "--out-dir", "{below}"], "", None),
+      "--out-dir", "{below}"], ""),
     (["asym", "check", "--example", "pentagon", "--charge", "1,0",
-      "--R-grid", "1,x"], None, None),
+      "--R-grid", "1,x"], None),
     (["asym", "check", "--example", "pentagon", "--charge", "1,0",
-      "--R-grid", "1,nan"], None, None),
+      "--R-grid", "1,nan"], None),
     (["asym", "predict", "--example", "pentagon", "--charge", "1,0",
-      "--spectrum", "{file}"], RANK_3_SPECTRUM, None),
+      "--spectrum", "{file}"], RANK_3_SPECTRUM),
     (["asym", "check", "--example", "pentagon", "--charge", "1,0",
-      "--R-grid", "1", "--spectrum", "{file}"], RANK_3_SPECTRUM, None),
+      "--R-grid", "1", "--spectrum", "{file}"], RANK_3_SPECTRUM),
     # 1e8 phase steps, refused before any phase is built
     (["network", "bps", "--example", "pentagon", "--theta-max", "0.1",
-      "--scan-step", "1e-9"], None, None),
+      "--scan-step", "1e-9"], None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--max-iter",
+      "0"], None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--L", "0"],
+     None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--L", "-1"],
+     None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--theta",
+      "nan"], None),
+    (["asym", "predict", "--example", "pentagon", "--charge", "1,0",
+      "--theta", "nan"], None),
+    (["asym", "check", "--example", "pentagon", "--charge", "1,0",
+      "--R-grid", "1", "--theta", "nan"], None),
+    (["network", "trace", "--example", "pentagon", "--theta", "nan"], None),
 ], ids=["curve-missing", "curve-malformed", "curve-missing-key",
         "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
         "predict-missing-key", "check-empty", "vertices-missing",
-        "vertices-ragged", "workers-not-integer", "curve-not-an-object",
+        "vertices-ragged", "curve-not-an-object",
         "validate-entry-not-an-object", "tba-entry-not-an-object",
         "periods-out-unwritable", "check-out-unwritable",
         "polylines-unwritable", "sweep-out-dir-unwritable",
         "check-grid-not-a-number", "check-grid-nan", "predict-wrong-rank",
-        "check-wrong-rank", "bps-scan-grid-too-fine"])
-def test_bad_input_gives_one_json_error_line(argv, content, env, tmp_path,
-                                             capsys, monkeypatch):
+        "check-wrong-rank", "bps-scan-grid-too-fine", "tba-max-iter-zero",
+        "tba-L-zero", "tba-L-negative", "tba-theta-nan", "predict-theta-nan",
+        "check-theta-nan", "trace-theta-nan"])
+def test_bad_input_gives_one_json_error_line(argv, content, tmp_path,
+                                             capsys):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content)
-    if env is not None:
-        monkeypatch.setenv("TRIGON_WORKERS", env)
     argv = [a.format(missing=tmp_path / "none.json", file=path,
-                     dir=tmp_path / "frames", below=path / "out")
+                     below=path / "out")
             for a in argv]
     assert run(argv) == 1
     line, = capsys.readouterr().err.splitlines()
@@ -405,3 +418,30 @@ def test_reproduce_pentagon_fast(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["ok"] is True
     assert all(c["ok"] for c in doc["checks"])
+
+
+def _environment_reads(source):
+    """Lines of a module's source that read os.environ or os.getenv, by
+    attribute or by a from-import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in ("environ", "getenv") for a in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_reads_the_environment():
+    assert _environment_reads("import os\nos.environ.get('A')\n") == [2]
+    assert _environment_reads("import os\nos.getenv('A')\n") == [2]
+    assert _environment_reads("from os import environ\n") == [1]
+    assert _environment_reads("import os\nos.path.join('a')\n") == []
+    root = pathlib.Path(cli.__file__).parent
+    found = {str(path.relative_to(root)): _environment_reads(path.read_text())
+             for path in sorted(root.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -18,6 +18,7 @@ from trigon.curve import (
     nearest_root,
     within_margin,
 )
+from trigon.curve import _lift
 from trigon.errors import (
     AtRamificationPoint,
     NonSimpleRoots,
@@ -253,14 +254,38 @@ def test_open_contour_rejected(pentagon):
     lat = ChargeLattice([[0, 1], [-1, 0]],
                         [bad, pentagon.lattice.basis_contours[1]])
     with pytest.raises(OpenContour):
-        lat.validate(curve)
+        PeriodMap.compute(curve, lat)
     # closed in the base, open on the cover: single loop around one zero
     wps = _loop(1.0, 0.4)
     loop = LiftedPath(wps, curve.sheets_at(wps[0])[0])
     lat2 = ChargeLattice([[0, 1], [-1, 0]],
                          [loop, pentagon.lattice.basis_contours[1]])
     with pytest.raises(OpenContour):
-        lat2.validate(curve)
+        PeriodMap.compute(curve, lat2)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
+def test_period_map_lifts_each_contour_once(name, monkeypatch):
+    defn = load_example(name)
+    calls = []
+    real_validate = LiftedPath.validate
+
+    def validate(path, curve):
+        calls.append(path)
+        return real_validate(path, curve)
+
+    monkeypatch.setattr(LiftedPath, "validate", validate)
+    pm = PeriodMap.compute(defn.curve, defn.lattice)
+    assert pm.rank == defn.lattice.rank
+    assert calls == defn.lattice.basis_contours
+
+
+@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
+def test_continue_sheet_ends_where_the_lift_ends(name):
+    defn = load_example(name)
+    for path in defn.lattice.basis_contours:
+        _, x_end = _lift(defn.curve, path)
+        assert abs(defn.curve.continue_sheet(path) - x_end) < 1e-12
 
 
 # ---------------- pairing ----------------

@@ -730,7 +730,7 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
                 critical_lanes[seed.theta] += 1
         return real_trace_lanes(curve, seeds, config)
 
-    def event_point(curve, event, theta, config, delta0):
+    def event_point(curve, event, theta, config):
         build = [theta, 1 if event[0] == "j" else 0, 0]
         builds.append(build)
         if config == fine:
@@ -739,7 +739,7 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
             probes[-1] += 1
         building.append(build)
         try:
-            return real_event_point(curve, event, theta, config, delta0)
+            return real_event_point(curve, event, theta, config)
         finally:
             building.pop()
 
