@@ -32,7 +32,7 @@ from .errors import NumericalError, TrigonError, ValidationError
 from .network import detect_bps, grow_network
 from .polygon import (builtin_expression, builtin_expression_names,
                       cross_ratio, polygon_from_json)
-from .tba import SolverConfig, log_x, solve
+from .tba import SolverConfig, solve, spectral_coordinate
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +238,7 @@ def cmd_tba_solve(args):
     X = {}
     for i, name in enumerate(defn.lattice.names):
         ch = defn.lattice.basis_charge(i)
-        X[name] = _c2pair(cmath.exp(log_x(sol, ch)))
+        X[name] = _c2pair(spectral_coordinate(sol, ch))
     doc = {
         "schema_version": 1,
         "name": defn.name,
@@ -368,10 +368,10 @@ def _reproduce_pentagon(report, fast):
     spec = builtin_spectrum("pentagon")
     sol = solve(SolverConfig(R=ref["tba_R"], theta=ref["tba_theta"]),
                 spec, pm, defn.lattice.pairing)
-    X1 = cmath.exp(log_x(sol, g1)).real
+    X1 = spectral_coordinate(sol, g1).real
     report.add("X_gamma1 at R=0.5", abs(X1 - ref["X_gamma1"]) <= ref["X_tol"],
                f"X = {X1:.6f} (want {ref['X_gamma1']} +- {ref['X_tol']})")
-    X2 = cmath.exp(log_x(sol, g2)).real
+    X2 = spectral_coordinate(sol, g2).real
     report.add("X_gamma2 reflection symmetry", abs(X2 - 1.0) <= 1e-9,
                f"X = {X2:.12f}")
 
@@ -424,7 +424,7 @@ def _reproduce_hexagon(report, fast):
                     defn.lattice.pairing)
         for comps in ref["kernel_charges"]:
             ch = Charge(comps)
-            X = cmath.exp(log_x(sol, ch)).real
+            X = spectral_coordinate(sol, ch).real
             exact = math.exp(linear_coefficient(ch, 0.2, pm) * R)
             worst = max(worst, abs(X - exact) / exact)
     report.add("kernel charges exactly exponential",

@@ -164,8 +164,12 @@ class LiftedPath:
             raise ValidationError("a lifted path needs at least two waypoints")
 
     def validate(self, curve):
-        """Check the keep-out radius EPS_RAM and the on-curve start
-        condition to SHEET_TOL."""
+        """Check that every value is finite, the keep-out radius EPS_RAM
+        and the on-curve start condition to SHEET_TOL."""
+        if not all(map(cmath.isfinite,
+                       self.waypoints + [self.starting_sheet_value])):
+            raise ValidationError(
+                "a lifted path's waypoints and starting sheet must be finite")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             for zr in curve.ramification_points:
                 if _point_segment_distance(zr, a, b) < EPS_RAM:
@@ -199,6 +203,8 @@ class SpectralCurve:
         if basepoint is None:
             basepoint = self._pick_basepoint()
         basepoint = complex(basepoint)
+        if not cmath.isfinite(basepoint):
+            raise ValidationError("basepoint must be finite")
         if abs(self.polynomial(basepoint)) == 0:
             raise ValidationError("basepoint sits on a zero of P0")
         self.basepoint = basepoint

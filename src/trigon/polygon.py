@@ -30,6 +30,8 @@ class ProjectivePolygon:
             raise ValidationError("vertices must be an (m, 3) array")
         if v.shape[0] < 3:
             raise ValidationError("need at least three vertices")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("vertex coordinates must be finite")
         norms = np.linalg.norm(v, axis=1)
         if np.any(norms == 0):
             raise ValidationError("zero vector is not a projective point")

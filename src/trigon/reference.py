@@ -13,8 +13,6 @@ exp(5*pi*i/6), so the reference uses the magnitude of the constant.
 import cmath
 import math
 
-from scipy.special import gamma as _gamma
-
 PENTAGON = {
     "Z": [-2.00324 + 1.15657j, -2.31315j],
     "Z_tol": 5e-5,
@@ -71,5 +69,5 @@ HEXAGON = {
 def pentagon_closed_form():
     """Closed-form value of the pentagon base period (see module note)."""
     const = (12.0 * 2.0 ** (2.0 / 3.0) * math.pi ** 1.5
-             / (5.0 * _gamma(-1.0 / 6.0) * _gamma(2.0 / 3.0)))
+             / (5.0 * math.gamma(-1.0 / 6.0) * math.gamma(2.0 / 3.0)))
     return cmath.exp(5j * math.pi / 6.0) * abs(const)

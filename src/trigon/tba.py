@@ -74,10 +74,12 @@ class SolverConfig:
             raise ValidationError("L must be positive and finite")
         if self.N < 3 or self.N % 2 == 0:
             raise ValidationError("N must be odd and at least 3")
-        if not self.tol > 0:
-            raise ValidationError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValidationError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
+        if not 0 < self.relax < math.inf:
+            raise ValidationError("relax must be positive and finite")
 
     def resolved_L(self, min_absZ):
         """Smallest L with 2 R |Z|min cosh(L) >= 2 R |Z|min + 40.

@@ -3,6 +3,8 @@ import cmath
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -240,6 +242,15 @@ def test_tba_no_convergence_exit_code(tmp_path, capsys):
     assert err["error"] == "NoConvergence"
 
 
+def test_tba_overflow_exit_code(tmp_path, capsys):
+    # converges in one sweep; X_gamma1 = exp(~903) does not fit a double
+    rc = run(["tba", "solve", "--example", "hexagon", "--R", "200",
+              "--theta", "0.2", "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "NumericOverflow"
+
+
 def test_validation_error_exit_code(capsys):
     rc = run(["tba", "solve", "--example", "pentagon", "--R", "-1"])
     assert rc == 1
@@ -264,6 +275,31 @@ RANK_3_SPECTRUM = json.dumps(
     {"schema_version": 1,
      "entries": [{"charge": [1, 0, 0], "omega": 1},
                  {"charge": [-1, 0, 0], "omega": 1}]})
+
+
+def _pentagon_doc_with(*path_and_value):
+    """The pentagon's curve document with the entry at a key path set to
+    a value, as JSON text."""
+    doc = curve_to_json(load_example("pentagon"))
+    *keys, last, value = path_and_value
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    return json.dumps(doc)
+
+
+NAN, INF = float("nan"), float("inf")
+PENTAGON_VERTICES = [[math.cos(2 * math.pi * k / 5),
+                      math.sin(2 * math.pi * k / 5), 1.0] for k in range(5)]
+
+
+def _pentagon_vertices_with(value):
+    """The regular pentagon's vertices, one coordinate set to a value, as
+    JSON text."""
+    vertices = [list(v) for v in PENTAGON_VERTICES]
+    vertices[3][0] = value
+    return json.dumps(vertices)
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -321,6 +357,24 @@ RANK_3_SPECTRUM = json.dumps(
     (["asym", "check", "--example", "pentagon", "--charge", "1,0",
       "--R-grid", "1", "--theta", "nan"], None),
     (["network", "trace", "--example", "pentagon", "--theta", "nan"], None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--tol", "inf"],
+     None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--relax", "0"],
+     None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--relax",
+      "nan"], None),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--relax",
+      "-1"], None),
+    (["polygon", "eval", "--expr", "pentagon:gamma1", "--vertices",
+      "{file}"], _pentagon_vertices_with(NAN)),
+    (["polygon", "eval", "--expr", "pentagon:gamma1", "--vertices",
+      "{file}"], _pentagon_vertices_with(INF)),
+    (["periods", "--curve-file", "{file}"],
+     _pentagon_doc_with("basepoint", 0, NAN)),
+    (["periods", "--curve-file", "{file}"],
+     _pentagon_doc_with("basepoint", 0, INF)),
+    (["periods", "--curve-file", "{file}"],
+     _pentagon_doc_with("lattice", "contours", 0, "starting_sheet", 0, NAN)),
 ], ids=["curve-missing", "curve-malformed", "curve-missing-key",
         "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
         "predict-missing-key", "check-empty", "vertices-missing",
@@ -331,7 +385,10 @@ RANK_3_SPECTRUM = json.dumps(
         "check-grid-not-a-number", "check-grid-nan", "predict-wrong-rank",
         "check-wrong-rank", "bps-scan-grid-too-fine", "tba-max-iter-zero",
         "tba-L-zero", "tba-L-negative", "tba-theta-nan", "predict-theta-nan",
-        "check-theta-nan", "trace-theta-nan"])
+        "check-theta-nan", "trace-theta-nan", "tba-tol-inf", "tba-relax-zero",
+        "tba-relax-nan", "tba-relax-negative", "vertices-nan",
+        "vertices-infinity", "curve-basepoint-nan", "curve-basepoint-infinity",
+        "curve-starting-sheet-nan"])
 def test_bad_input_gives_one_json_error_line(argv, content, tmp_path,
                                              capsys):
     path = tmp_path / "input.json"
@@ -388,11 +445,7 @@ def test_asym_check_decays_to_large_R(tmp_path):
 
 def test_polygon_eval(tmp_path):
     verts = tmp_path / "verts.json"
-    pts = []
-    for k in range(5):
-        a = 2 * math.pi * k / 5
-        pts.append([math.cos(a), math.sin(a), 1.0])
-    verts.write_text(json.dumps(pts))
+    verts.write_text(json.dumps(PENTAGON_VERTICES))
     out = tmp_path / "val.json"
     assert run(["polygon", "eval", "--expr", "pentagon:gamma1",
                 "--vertices", str(verts), "--out", str(out)]) == 0
@@ -434,6 +487,46 @@ def _environment_reads(source):
               and any(a.name in ("environ", "getenv") for a in node.names)):
             lines.append(node.lineno)
     return lines
+
+
+def _third_party_imports(source):
+    """(line, module) for each absolute import in a module's source whose
+    top-level package is neither numpy nor in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] != "numpy"
+                  and name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_runtime_imports_are_numpy_or_stdlib():
+    assert _third_party_imports("import scipy.special\n") == [
+        (1, "scipy.special")]
+    assert _third_party_imports("import math\nfrom scipy import special\n") \
+        == [(2, "scipy")]
+    assert _third_party_imports(
+        "import numpy as np\nfrom numpy.linalg import det\n"
+        "from __future__ import annotations\nfrom .curve import Charge\n") == []
+    root = pathlib.Path(cli.__file__).parent
+    found = {str(path.relative_to(root)): _third_party_imports(path.read_text())
+             for path in sorted(root.rglob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_import_loads_no_scipy():
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import trigon.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_no_module_reads_the_environment():

@@ -11,6 +11,7 @@ from trigon.curve import (
     OMEGA,
     PeriodMap,
     Polynomial,
+    SpectralCurve,
     continue_root,
     contour_period,
     cube_roots,
@@ -25,6 +26,7 @@ from trigon.errors import (
     OpenContour,
     ValidationError,
 )
+from trigon.reference import pentagon_closed_form
 
 W = OMEGA
 
@@ -205,6 +207,18 @@ def test_lifted_path_validation(pentagon):
     path2 = LiftedPath([0.0, 0.5j], 1.234 + 0j)
     with pytest.raises(ValidationError):
         path2.validate(curve)
+    # a non-finite starting sheet or waypoint
+    x0 = curve.sheets_at(0.0)[0]
+    for path3 in (LiftedPath([0.0, 0.5j], complex("nan")),
+                  LiftedPath([0.0, complex("inf"), 0.5j], x0)):
+        with pytest.raises(ValidationError):
+            path3.validate(curve)
+
+
+def test_non_finite_basepoint_rejected(pentagon):
+    for z in (complex("nan"), complex("inf"), complex(0.0, float("nan"))):
+        with pytest.raises(ValidationError):
+            SpectralCurve(pentagon.curve.polynomial, basepoint=z)
 
 
 # ---------------- periods ----------------
@@ -228,6 +242,15 @@ def test_hexagon_periods(hexagon, hexagon_pm):
     for i, ref in enumerate(HEX_Z):
         got = hexagon_pm.Z(hexagon.lattice.basis_charge(i))
         assert abs(got - ref) < 5e-5
+
+
+def test_pentagon_closed_form_matches_scipy_gamma():
+    from scipy.special import gamma
+
+    const = (12.0 * 2.0 ** (2.0 / 3.0) * math.pi ** 1.5
+             / (5.0 * gamma(-1.0 / 6.0) * gamma(2.0 / 3.0)))
+    want = cmath.exp(5j * math.pi / 6.0) * abs(const)
+    assert abs(pentagon_closed_form() - want) <= 1e-15 * abs(want)
 
 
 def test_period_homomorphism(pentagon, pentagon_pm):

@@ -184,6 +184,9 @@ def test_vertex_validation():
         ProjectivePolygon([[1, 0], [0, 1], [1, 1]])
     with pytest.raises(ValidationError):
         ProjectivePolygon([[1, 0, 0], [0, 1, 0]])
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            ProjectivePolygon([[1, 0, 1], [0, 1, 1], [value, -1, 1]])
 
 
 def test_collinear_consecutive_warns():

@@ -405,10 +405,13 @@ def test_solver_config_validation():
         SolverConfig(R=1.0, tol=0.0)
     nan, inf = float("nan"), float("inf")
     bad = [dict(theta=nan), dict(theta=inf), dict(L=0.0), dict(L=-1.0),
-           dict(L=nan), dict(L=inf), dict(max_iter=0), dict(tol=nan)]
+           dict(L=nan), dict(L=inf), dict(max_iter=0), dict(tol=nan),
+           dict(tol=inf), dict(relax=0.0), dict(relax=-1.0), dict(relax=nan),
+           dict(relax=inf)]
     for kwargs in bad:
         with pytest.raises(ValidationError):
             SolverConfig(R=1.0, **kwargs)
+    assert SolverConfig(R=1.0, relax=1.5).relax == 1.5
 
 
 def test_auto_L_satisfies_decay_target():
