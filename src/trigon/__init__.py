@@ -26,8 +26,8 @@ from .network import (
     trace,
     trace_lanes,
 )
-from .tba import SolverConfig, TbaSolution, evaluate, integral_term, log_x, \
-    semiflat, solve, spectral_coordinate
+from .tba import SolverConfig, TbaSolution, integral_term, log_x, semiflat, \
+    solve, spectral_coordinate
 from .asymptotics import (
     AsymptoticPrediction,
     build_prediction,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OnRayTheta, ValidationError
-from .tba import RAY_MARGIN, coupling_coefficient, integral_term, log_x
+from .errors import ValidationError
+from .tba import check_off_ray, coupling_coefficient, integral_term, log_x
 
 # corrections whose rates 2|Z_mu| lie within this of the smallest are
 # summed into the leading coefficient
@@ -68,8 +68,8 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing):
     Contributions with a common minimal |Z_mu| (within RATE_TOL) are
     summed into the reported leading coefficient; the imaginary parts
     cancel between mu and -mu, which is asserted.  A phase within
-    RAY_MARGIN of a coupled ray raises OnRayTheta, and a non-finite one
-    ValidationError.
+    RAY_MARGIN of a coupled ray raises OnRayEvaluation, as log_x does at
+    that phase, and a non-finite one ValidationError.
     """
     if not math.isfinite(theta):
         raise ValidationError("theta must be finite")
@@ -84,10 +84,7 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing):
             continue
         absZ = abs(Z)
         alpha = -Z / absZ
-        if abs(alpha - zeta) < RAY_MARGIN:
-            raise OnRayTheta(
-                f"exp(i*theta) hits the ray of {mu}; the saddle evaluation "
-                f"breaks down there")
+        check_off_ray(zeta, alpha, mu)
         c = (coupling_coefficient(spectrum.omega(mu), ip)
              * (alpha + zeta) / (alpha - zeta) * math.sqrt(math.pi / absZ))
         corrections.append((mu, c, 2.0 * absZ))

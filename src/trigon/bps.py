@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Charge, read_json
+from .curve import Charge, as_integer, read_json
 from .errors import RayCollision, ValidationError
 
 _PENTAGON_POSITIVE = [(1, 0), (0, 1), (1, 1)]
@@ -35,7 +35,7 @@ class BpsSpectrum:
         self.entries = {}
         for ch, om in (entries.items() if isinstance(entries, dict) else entries):
             ch = ch if isinstance(ch, Charge) else Charge(ch)
-            om = int(om)
+            om = as_integer(om, "Omega")
             if om == 0:
                 continue
             if rank is not None and len(ch) != rank:

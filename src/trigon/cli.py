@@ -27,7 +27,8 @@ from . import reference
 from .asymptotics import (build_prediction, decay_table, linear_coefficient,
                           solver_coefficient)
 from .bps import BpsSpectrum, builtin_spectrum, spectrum_from_webs
-from .curve import Charge, PeriodMap, load_curve_file, load_example, read_json
+from .curve import (EXAMPLE_NAMES, Charge, PeriodMap, load_curve_file,
+                    load_example, read_json)
 from .errors import NumericalError, TrigonError, ValidationError
 from .network import detect_bps, grow_network
 from .polygon import (builtin_expression, builtin_expression_names,
@@ -165,8 +166,8 @@ def cmd_network_trace(args):
 
 
 def cmd_network_sweep(args):
-    if not args.example:
-        raise ValidationError("network sweep works on a named example")
+    if args.frames < 1:
+        raise ValidationError("--frames must be at least 1")
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
@@ -232,8 +233,8 @@ def cmd_tba_solve(args):
     defn = _load_definition(args)
     pm = _period_map(defn)
     spec = _spectrum(args, defn)
-    cfg = SolverConfig(R=args.R, theta=args.theta, L=args.L, N=args.N,
-                       tol=args.tol, max_iter=args.max_iter, relax=args.relax)
+    cfg = SolverConfig(R=args.R, theta=args.theta, N=args.N, tol=args.tol,
+                       max_iter=args.max_iter, relax=args.relax)
     sol = solve(cfg, spec, pm, defn.lattice.pairing)
     X = {}
     for i, name in enumerate(defn.lattice.names):
@@ -246,7 +247,7 @@ def cmd_tba_solve(args):
         "theta": args.theta,
         "N": cfg.N,
         "iterations_used": sol.iterations_used,
-        "final_delta": sol.final_delta,
+        "final_delta": sol.delta_history[-1],
         "X": X,
         "ray_grids": [
             {"charge": list(g.charge.components),
@@ -513,7 +514,7 @@ def cmd_reproduce(args):
 
 def _add_source(p, required=True):
     g = p.add_mutually_exclusive_group(required=required)
-    g.add_argument("--example", choices=["pentagon", "hexagon"])
+    g.add_argument("--example", choices=EXAMPLE_NAMES)
     g.add_argument("--curve-file")
 
 
@@ -544,7 +545,7 @@ def build_parser():
     q.set_defaults(func=cmd_network_trace)
 
     q = nsub.add_parser("sweep", help="polyline frames over a phase sweep")
-    q.add_argument("--example", choices=["pentagon", "hexagon"], required=True)
+    q.add_argument("--example", choices=EXAMPLE_NAMES, required=True)
     q.add_argument("--frames", type=int, default=100,
                    help="frames at theta = k*pi/300, k = 0..frames-1")
     q.add_argument("--out-dir", required=True)
@@ -562,13 +563,13 @@ def build_parser():
     bsub = p.add_subparsers(dest="bps_command", required=True)
 
     q = bsub.add_parser("dump", help="write a built-in spectrum as JSON")
-    q.add_argument("--example", choices=["pentagon", "hexagon"], required=True)
+    q.add_argument("--example", choices=EXAMPLE_NAMES, required=True)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_bps_dump)
 
     q = bsub.add_parser("validate", help="symmetry validation report")
     g = q.add_mutually_exclusive_group(required=True)
-    g.add_argument("--example", choices=["pentagon", "hexagon"])
+    g.add_argument("--example", choices=EXAMPLE_NAMES)
     g.add_argument("--spectrum", help="spectrum JSON file")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_bps_validate)
@@ -581,7 +582,6 @@ def build_parser():
     q.add_argument("--R", type=float, required=True)
     q.add_argument("--theta", type=float, default=0.0)
     q.add_argument("--N", type=int, default=257)
-    q.add_argument("--L", type=float, default=None)
     q.add_argument("--tol", type=float, default=1e-10,
                    help="sweep step that stops the iteration, relative to "
                    "the largest sample")
@@ -624,7 +624,7 @@ def build_parser():
 
     p = sub.add_parser("reproduce",
                        help="re-derive the known values for an example")
-    p.add_argument("example", choices=["pentagon", "hexagon"])
+    p.add_argument("example", choices=EXAMPLE_NAMES)
     p.add_argument("--fast", action="store_true",
                    help="skip the finite-web sweep")
     p.add_argument("--out", default=None, help="also write a JSON report")

@@ -297,6 +297,18 @@ class SpectralCurve:
 
 # --- charges and the lattice ---
 
+def as_integer(value, what):
+    """value as an int; a bool, or a value that is not an integer (1.5,
+    nan, "1"), raises ValidationError naming what it was read as."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{what} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class Charge:
     """Integer vector in the fixed lattice basis."""
@@ -304,7 +316,8 @@ class Charge:
     components: tuple
 
     def __init__(self, components):
-        object.__setattr__(self, "components", tuple(int(c) for c in components))
+        object.__setattr__(self, "components", tuple(
+            as_integer(c, "a charge component") for c in components))
 
     def __add__(self, other):
         return Charge([a + b for a, b in zip(self.components, other.components)])
@@ -337,7 +350,10 @@ class ChargeLattice:
     """Charge lattice data: rank, pairing matrix, basis contours."""
 
     def __init__(self, pairing, basis_contours, names=None):
-        self.pairing_matrix = np.asarray(pairing, dtype=int)
+        entries = np.asarray(pairing, dtype=object)
+        self.pairing_matrix = np.array(
+            [as_integer(v, "a pairing entry") for v in entries.flat],
+            dtype=int).reshape(entries.shape)
         self.rank = self.pairing_matrix.shape[0]
         if self.pairing_matrix.shape != (self.rank, self.rank):
             raise ValidationError("pairing matrix must be square")

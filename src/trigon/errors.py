@@ -67,11 +67,8 @@ class NoConvergence(NumericalError):
 
 
 class OnRayEvaluation(ValidationError):
-    """Evaluation point lies on an active ray; offset the phase slightly."""
-
-
-class OnRayTheta(ValidationError):
-    """exp(i*theta) coincides with a contributing ray phase."""
+    """The evaluation phase lies on a coupled active ray, where X_gamma
+    jumps (log_x and build_prediction alike); offset the phase slightly."""
 
 
 # --- polygon ---

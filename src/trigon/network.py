@@ -580,42 +580,21 @@ def _segment_crossings(pA, b0, b1):
 
 
 def polyline_intersections(pA, pB):
-    """All transversal crossings of two polylines.
-
-    Returns a list of (z, ia, ta, ib, tb): crossing point, segment index
-    and local parameter on each polyline.  Bounding-box pruned on chunks
-    of SEGMENT_CHUNK segments, exact parametric solve inside.
-    """
-    nA, nB = len(pA) - 1, len(pB) - 1
-    if nA < 1 or nB < 1:
-        return []
-    out = []
-    for sa in range(0, nA, SEGMENT_CHUNK):
-        ea = min(nA, sa + SEGMENT_CHUNK)
-        segA = pA[sa:ea + 1]
-        ax0, ax1 = segA.real.min(), segA.real.max()
-        ay0, ay1 = segA.imag.min(), segA.imag.max()
-        for sb in range(0, nB, SEGMENT_CHUNK):
-            eb = min(nB, sb + SEGMENT_CHUNK)
-            segB = pB[sb:eb + 1]
-            if (ax0 > segB.real.max() or segB.real.min() > ax1 or
-                    ay0 > segB.imag.max() or segB.imag.min() > ay1):
-                continue
-            out += [(z, sa + ia, ta, sb + ib, tb) for z, ia, ta, ib, tb
-                    in _segment_crossings(segA, pB[sb:eb], pB[sb + 1:eb + 1])]
-    return out
+    """All transversal crossings (z, ia, ta, ib, tb) of two polylines, as
+    later_crossings finds them, in order of (ia, ib)."""
+    return later_crossings([pA, pB]).get((0, 1), [])
 
 
 def later_crossings(polylines, new=0):
-    """polyline_intersections of each polyline with every later one, for
-    the pairs whose later polyline has index new or more.
+    """The transversal crossings of each polyline with every later one,
+    for the pairs whose later polyline has index new or more.
 
     Returns {(a, b): hits} for a < b and b >= new, listing only pairs that
-    cross, each hits list holding polyline_intersections(polylines[a],
-    polylines[b])'s hit tuples in order of (ia, ib).  Polyline a is
-    searched once: each chunk of SEGMENT_CHUNK of its segments is solved
-    against the segments of all the pairs' later polylines whose bounding
-    boxes meet the chunk's.
+    cross, each hits list holding tuples (z, ia, ta, ib, tb), the crossing
+    point and the segment and local parameter on a and on b, in order of
+    (ia, ib).  Polyline a is searched once: each chunk of SEGMENT_CHUNK of
+    its segments is solved exactly against the segments of the later
+    polylines whose bounding boxes meet the box of one chunk segment.
     """
     sizes = [len(p) for p in polylines]
     pts = np.concatenate([np.asarray(p, dtype=complex) for p in polylines])
@@ -1002,18 +981,17 @@ def _births(curve, theta, critical):
     return out
 
 
-def _scan_points(curve, thetas, tables, config, generations, tracer):
+def _scan_points(curve, thetas, tables, config, tracer):
     """The scan point (critical, children) of each phase, from its table
     of labelled rays: critical is {(zero, m): trajectory}, and children is
-    {pair key: (birth hit, child)} for generations = 1, {} for 0.
+    {pair key: (birth hit, child)}, empty for a table of one ray.
     tracer(curve, seeds, config) traces every critical ray of every phase
     in one call, then every child in a second."""
     seeds = [_critical_seeds(curve, th, config.delta0, rays)
              for th, rays in zip(thetas, tables)]
     trajs = iter(tracer(curve, [s for ss in seeds for s in ss], config))
     critical = [{s.origin[1:3]: next(trajs) for s in ss} for ss in seeds]
-    births = [_births(curve, th, crit) if generations else []
-              for th, crit in zip(thetas, critical)]
+    births = [_births(curve, th, crit) for th, crit in zip(thetas, critical)]
     children = iter(tracer(curve, [seed for bs in births for _, _, seed in bs],
                            config))
     return [(crit, {key: (hit, next(children)) for key, hit, _ in bs})
@@ -1029,7 +1007,7 @@ def _scan_events(curve, thetas, tables, config, window):
     not depend on its batch, so neither do a phase's events.
     """
     events = []
-    for critical, children in _scan_points(curve, thetas, tables, config, 1,
+    for critical, children in _scan_points(curve, thetas, tables, config,
                                            trace_lanes):
         legs = [("c", key, traj) for key, traj in critical.items()]
         legs += [("j", key, child) for key, (_, child) in children.items()]
@@ -1060,7 +1038,7 @@ def _event_point(curve, event, theta, config):
         rays.setdefault(zi, []).append((m,) + ray)
     # the scalar trace: 1-3 rays, far below the 32 lanes from which
     # trace_lanes is faster
-    point, = _scan_points(curve, [theta], [rays], config, 1 if kind == "j" else 0,
+    point, = _scan_points(curve, [theta], [rays], config,
                           lambda c, seeds, cf: [trace(c, s, cf) for s in seeds])
     return point
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class SolverConfig:
 
     R: float
     theta: float = 0.0
-    L: float = None            # half-width of the s-grid; None = auto
     N: int = 257               # samples per ray, odd
     tol: float = 1e-10         # sup-norm step, relative to the largest sample
     max_iter: int = 100
@@ -70,8 +69,6 @@ class SolverConfig:
             raise ValidationError("R must be positive and finite")
         if not math.isfinite(self.theta):
             raise ValidationError("theta must be finite")
-        if self.L is not None and not 0 < self.L < math.inf:
-            raise ValidationError("L must be positive and finite")
         if self.N < 3 or self.N % 2 == 0:
             raise ValidationError("N must be odd and at least 3")
         if not 0 < self.tol < math.inf:
@@ -87,8 +84,6 @@ class SolverConfig:
         This pushes the endpoint samples to exp(-2R|Z|min - 40), far below
         double precision noise relative to the peak.
         """
-        if self.L is not None:
-            return self.L
         return math.acosh(1.0 + 20.0 / (self.R * min_absZ))
 
 
@@ -111,11 +106,10 @@ class RayGrid:
 class TbaSolution:
     ray_grids: list
     iterations_used: int
-    final_delta: float
     config: SolverConfig
     period_map: object
     pairing: object
-    delta_history: list = field(default_factory=list)
+    delta_history: list
 
 
 def semiflat(Z_gamma, zeta, R):
@@ -235,13 +229,13 @@ class _Workspace:
     def zero_state(self):
         return np.zeros((self.n, self.config.N), dtype=complex)
 
-    def as_solution(self, state, iterations, delta, history=()):
+    def as_solution(self, state, history):
         grids = [RayGrid(charge=r.charge, alpha=r.alpha, absZ=r.absZ,
                          omega=self.omega[i], s=self.s.copy(),
                          samples=state[i].copy())
                  for i, r in enumerate(self.rays)]
-        return TbaSolution(ray_grids=grids, iterations_used=iterations,
-                           final_delta=delta, config=self.config,
+        return TbaSolution(ray_grids=grids, iterations_used=len(history),
+                           config=self.config,
                            period_map=self.period_map, pairing=self.pairing,
                            delta_history=list(history))
 
@@ -296,15 +290,27 @@ def solve(config, spectrum, period_map, pairing):
     ws = _Workspace(config, spectrum, period_map, pairing)
     state = ws.zero_state()
     history = []
-    for it in range(1, config.max_iter + 1):
+    for _ in range(config.max_iter):
         state, delta = ws.sweep(state)
         history.append(delta)
         if delta <= config.tol * float(np.max(np.abs(state))):
-            return ws.as_solution(state, it, delta, history)
+            return ws.as_solution(state, history)
     raise NoConvergence(
         f"no convergence after {config.max_iter} iterations "
         f"(last delta {history[-1]:.3e}); convergence is only guaranteed "
         f"at sufficiently large R")
+
+
+def check_off_ray(zeta, alpha, charge):
+    """Raise OnRayEvaluation when zeta lies within RAY_MARGIN, in wrapped
+    phase, of the ray alpha * exp(s) of a coupled charge, where X_gamma
+    jumps: the one on-ray rule of log_x and the asymptotic prediction."""
+    gap = abs((cmath.phase(zeta) - cmath.phase(alpha) + math.pi)
+              % (2 * math.pi) - math.pi)
+    if gap < RAY_MARGIN:
+        raise OnRayEvaluation(
+            f"zeta lies on the ray of {charge}; offset the phase by "
+            f"more than {RAY_MARGIN}")
 
 
 def _zeta_or_default(solution, zeta):
@@ -320,9 +326,8 @@ def log_x(solution, gamma, zeta=None):
     """log X_gamma at zeta (default exp(i*theta)): driving term plus the
     Cauchy-kernel quadrature against every coupled ray grid.
 
-    Raises OnRayEvaluation when zeta sits within RAY_MARGIN (in phase) of
-    a coupled active ray, where the stored data alone cannot decide the
-    side of the jump.
+    Raises OnRayEvaluation when zeta is on a coupled active ray (see
+    check_off_ray).
     """
     zeta = _zeta_or_default(solution, zeta)
     Zg = solution.period_map.Z(gamma)
@@ -342,17 +347,11 @@ def integral_term(solution, gamma, zeta=None):
     zeta = _zeta_or_default(solution, zeta)
     pairing = solution.pairing
     total = 0j
-    phase = cmath.phase(zeta)
     for g in solution.ray_grids:
         ip = pairing(gamma, g.charge)
         if ip == 0:
             continue
-        gap = abs((phase - cmath.phase(g.alpha) + math.pi) % (2 * math.pi)
-                  - math.pi)
-        if gap < RAY_MARGIN:
-            raise OnRayEvaluation(
-                f"zeta lies on the ray of {g.charge}; offset the phase by "
-                f"more than {RAY_MARGIN}")
+        check_off_ray(zeta, g.alpha, g.charge)
         zp = g.zeta()
         w = _trapezoid_weights(g.s)
         total += (coupling_coefficient(g.omega, ip)
@@ -360,14 +359,11 @@ def integral_term(solution, gamma, zeta=None):
     return complex(total)
 
 
-def evaluate(solution, gamma, zeta):
-    """X_gamma(zeta) from a converged solution, zeta off the active rays."""
+def spectral_coordinate(solution, gamma, zeta=None):
+    """X_gamma(zeta) from a converged solution, zeta off the active rays
+    (default exp(i*theta), where X_gamma is real for symmetric spectra);
+    raises as log_x does, or NumericOverflow past the double range."""
     expo = log_x(solution, gamma, zeta)
     if expo.real > _EXP_CAP:
         raise NumericOverflow(f"evaluation exponent {expo.real:.1f} too large")
     return cmath.exp(expo)
-
-
-def spectral_coordinate(solution, gamma):
-    """X_gamma = X_gamma(zeta = exp(i*theta)); real for symmetric spectra."""
-    return evaluate(solution, gamma, cmath.exp(1j * solution.config.theta))

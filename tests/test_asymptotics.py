@@ -13,8 +13,8 @@ from trigon.asymptotics import (
 )
 from trigon.bps import BpsSpectrum, builtin_spectrum
 from trigon.curve import Charge
-from trigon.errors import OnRayTheta, ValidationError
-from trigon.tba import SolverConfig, solve
+from trigon.errors import OnRayEvaluation, ValidationError
+from trigon.tba import RAY_MARGIN, SolverConfig, log_x, solve
 
 
 def test_pentagon_linear_coefficient(pentagon_pm):
@@ -92,9 +92,38 @@ def test_on_ray_theta(hexagon, hexagon_pm):
     spec = builtin_spectrum("hexagon")
     mu = Charge((0, 1, 0, 0))
     theta = cmath.phase(-hexagon_pm.Z(mu) / abs(hexagon_pm.Z(mu)))
-    with pytest.raises(OnRayTheta):
+    with pytest.raises(OnRayEvaluation):
         build_prediction(Charge((1, 0, 0, 0)), theta, spec, hexagon_pm,
                          hexagon.lattice.pairing)
+
+
+@pytest.mark.parametrize("name, gamma, mu", [
+    ("pentagon", (1, 0), (-1, -1)),
+    ("hexagon", (1, 0, 0, 0), (0, 1, 0, 0))])
+def test_log_x_and_prediction_share_the_on_ray_rule(name, gamma, mu,
+                                                    request):
+    # both refuse a phase within RAY_MARGIN of the coupled ray of mu, with
+    # the same error, and both accept one just past it, on either side
+    defn = request.getfixturevalue(name)
+    pm = request.getfixturevalue(name + "_pm")
+    spec = builtin_spectrum(name)
+    pairing = defn.lattice.pairing
+    gamma, mu = Charge(gamma), Charge(mu)
+    assert pairing(gamma, mu) != 0
+    sol = solve(SolverConfig(R=1.0), spec, pm, pairing)
+    ray = cmath.phase(-pm.Z(mu))
+    for offset in (0.0, 5e-7, 9.9e-7, 1.01e-6, 2e-6):
+        for theta in (ray - offset, ray + offset):
+            if offset < RAY_MARGIN:
+                with pytest.raises(OnRayEvaluation):
+                    log_x(sol, gamma, cmath.exp(1j * theta))
+                with pytest.raises(OnRayEvaluation):
+                    build_prediction(gamma, theta, spec, pm, pairing)
+            else:
+                assert math.isfinite(
+                    log_x(sol, gamma, cmath.exp(1j * theta)).real)
+                assert not build_prediction(gamma, theta, spec, pm,
+                                            pairing).exact
 
 
 def test_remainder_zero_for_kernel_charge(hexagon, hexagon_pm):

@@ -82,6 +82,16 @@ def test_empty_spectrum_rejected():
         BpsSpectrum({Charge((1, 0)): 0})
 
 
+@pytest.mark.parametrize("value", [1.5, True, math.nan])
+def test_non_integer_omega_and_charge_rejected(value):
+    # a count or a charge component that is not an integer is refused,
+    # not truncated
+    with pytest.raises(ValidationError):
+        BpsSpectrum({(1, 0): value, (-1, 0): value})
+    with pytest.raises(ValidationError):
+        Charge([value, 0])
+
+
 def test_spectrum_from_webs_completes_symmetry():
     class FakeWeb:
         def __init__(self, comps):

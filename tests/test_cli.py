@@ -277,6 +277,15 @@ RANK_3_SPECTRUM = json.dumps(
                  {"charge": [-1, 0, 0], "omega": 1}]})
 
 
+def _spectrum_of(charge, omega):
+    """A symmetric two-entry spectrum document, charge and its negative
+    both with this omega, as JSON text."""
+    return json.dumps(
+        {"schema_version": 1,
+         "entries": [{"charge": charge, "omega": omega},
+                     {"charge": [-c for c in charge], "omega": omega}]})
+
+
 def _pentagon_doc_with(*path_and_value):
     """The pentagon's curve document with the entry at a key path set to
     a value, as JSON text."""
@@ -346,10 +355,6 @@ def _pentagon_vertices_with(value):
       "--scan-step", "1e-9"], None),
     (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--max-iter",
       "0"], None),
-    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--L", "0"],
-     None),
-    (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--L", "-1"],
-     None),
     (["tba", "solve", "--example", "pentagon", "--R", "0.5", "--theta",
       "nan"], None),
     (["asym", "predict", "--example", "pentagon", "--charge", "1,0",
@@ -375,6 +380,16 @@ def _pentagon_vertices_with(value):
      _pentagon_doc_with("basepoint", 0, INF)),
     (["periods", "--curve-file", "{file}"],
      _pentagon_doc_with("lattice", "contours", 0, "starting_sheet", 0, NAN)),
+    (["bps", "validate", "--spectrum", "{file}"], _spectrum_of([1, 0], 1.5)),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5",
+      "--spectrum", "{file}"], _spectrum_of([1, 0], 1.5)),
+    (["bps", "validate", "--spectrum", "{file}"], _spectrum_of([1.5, 0], 1)),
+    (["tba", "solve", "--example", "pentagon", "--R", "0.5",
+      "--spectrum", "{file}"], _spectrum_of([1.5, 0], 1)),
+    (["periods", "--curve-file", "{file}"],
+     _pentagon_doc_with("lattice", "pairing", [[0, 0.5], [-0.5, 0]])),
+    (["network", "sweep", "--example", "pentagon", "--frames", "-2",
+      "--out-dir", "{missing}"], None),
 ], ids=["curve-missing", "curve-malformed", "curve-missing-key",
         "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
         "predict-missing-key", "check-empty", "vertices-missing",
@@ -384,11 +399,14 @@ def _pentagon_vertices_with(value):
         "polylines-unwritable", "sweep-out-dir-unwritable",
         "check-grid-not-a-number", "check-grid-nan", "predict-wrong-rank",
         "check-wrong-rank", "bps-scan-grid-too-fine", "tba-max-iter-zero",
-        "tba-L-zero", "tba-L-negative", "tba-theta-nan", "predict-theta-nan",
+        "tba-theta-nan", "predict-theta-nan",
         "check-theta-nan", "trace-theta-nan", "tba-tol-inf", "tba-relax-zero",
         "tba-relax-nan", "tba-relax-negative", "vertices-nan",
         "vertices-infinity", "curve-basepoint-nan", "curve-basepoint-infinity",
-        "curve-starting-sheet-nan"])
+        "curve-starting-sheet-nan", "validate-omega-not-an-integer",
+        "tba-omega-not-an-integer", "validate-charge-not-an-integer",
+        "tba-charge-not-an-integer", "curve-pairing-not-an-integer",
+        "sweep-frames-negative"])
 def test_bad_input_gives_one_json_error_line(argv, content, tmp_path,
                                              capsys):
     path = tmp_path / "input.json"

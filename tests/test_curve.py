@@ -342,6 +342,12 @@ def test_asymmetric_pairing_rejected():
         ChargeLattice([[0, 1], [1, 0]], [None, None])
 
 
+@pytest.mark.parametrize("value", [0.5, True, math.nan])
+def test_non_integer_pairing_rejected(value):
+    with pytest.raises(ValidationError):
+        ChargeLattice([[0, value], [-value, 0]], [None, None])
+
+
 # ---------------- charges ----------------
 
 def test_charge_arithmetic():

@@ -379,9 +379,15 @@ def test_critical_rays_do_not_depend_on_the_block(name, theta_range, step,
             == [table[zi][m][1:]]
 
 
-def _in_segment_order(hits):
-    """Hit tuples in later_crossings' order: by segment on A, then on B."""
-    return sorted(hits, key=lambda h: (h[1], h[3]))
+def _unpruned_crossings(pA, pB):
+    """Every segment of pA solved against every segment of pB, with no
+    bounding boxes: the hits in order of (ia, ib)."""
+    hits = []
+    for sa in range(0, len(pA) - 1, network.SEGMENT_CHUNK):
+        segA = pA[sa:sa + network.SEGMENT_CHUNK + 1]
+        hits += [(z, sa + ia, ta, ib, tb) for z, ia, ta, ib, tb
+                 in network._segment_crossings(segA, pB[:-1], pB[1:])]
+    return hits
 
 
 def test_later_crossings_match_pairwise_intersections(window_lanes):
@@ -391,13 +397,12 @@ def test_later_crossings_match_pairwise_intersections(window_lanes):
         phases.setdefault(seed.theta, []).append((seed.origin[1:3], lane))
     for rays in phases.values():
         polylines = [lane.points for _, lane in sorted(rays)]
-        pairwise = {(a, b): polyline_intersections(polylines[a], polylines[b])
+        pairwise = {(a, b): _unpruned_crossings(polylines[a], polylines[b])
                     for a in range(len(polylines))
                     for b in range(a + 1, len(polylines))}
         found = later_crossings(polylines)
         assert found
-        assert found == {key: _in_segment_order(hits)
-                         for key, hits in pairwise.items() if hits}
+        assert found == {key: hits for key, hits in pairwise.items() if hits}
         # new bounds the later polyline of each pair, as grow_network's
         # newborn trajectories do
         for new in (1, len(polylines) // 2, len(polylines) - 1,
@@ -572,10 +577,11 @@ def test_polyline_intersections_basic():
     a = np.array([0 + 0j, 1 + 1j, 2 + 0j])
     b = np.array([0 + 1j, 1 + 0j, 2 + 1j])
     hits = polyline_intersections(a, b)
-    assert len(hits) == 2
-    zs = sorted(h[0].real for h in hits)
-    assert abs(zs[0] - 0.5) < 1e-12 and abs(zs[1] - 1.5) < 1e-12
-    assert later_crossings([a, b]) == {(0, 1): _in_segment_order(hits)}
+    # in order along a: (z, ia, ta, ib, tb) of each crossing
+    assert [h[1::2] for h in hits] == [(0, 0), (1, 1)]
+    assert np.allclose([h[::2] for h in hits],
+                       [(0.5 + 0.5j, 0.5, 0.5), (1.5 + 0.5j, 0.5, 0.5)],
+                       rtol=0, atol=1e-12)
 
 
 def test_polyline_intersections_none():

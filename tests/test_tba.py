@@ -21,7 +21,6 @@ from trigon.tba import (
     _log1p,
     _trapezoid_weights,
     _Workspace,
-    evaluate,
     integral_term,
     iterate_once,
     log_x,
@@ -127,8 +126,8 @@ def test_second_iterate_against_direct_quadrature(pentagon, pentagon_pm):
 
     cfg = SolverConfig(R=R, theta=0.0)
     ws = _Workspace(cfg, spec, pentagon_pm, pair)
-    state1, _ = ws.sweep(ws.zero_state())
-    sol1 = ws.as_solution(state1, 1, float("nan"))
+    state1, delta = ws.sweep(ws.zero_state())
+    sol1 = ws.as_solution(state1, [delta])
     got = log_x(sol1, g1)
     assert abs(got - oracle) < 1e-10
 
@@ -262,10 +261,10 @@ def test_pairing_free_spectrum_is_semiflat_fixed_point(hexagon, hexagon_pm):
     sol = solve(SolverConfig(R=0.6, theta=0.1), spec, hexagon_pm,
                 hexagon.lattice.pairing)
     assert sol.iterations_used == 2        # second sweep certifies delta 0
-    assert sol.final_delta == 0.0
+    assert sol.delta_history[-1] == 0.0
     for comps in ((1, 0, 0, 0), (0, 1, 1, 0)):
         g = Charge(comps)
-        got = evaluate(sol, g, 0.3 + 0.2j)
+        got = spectral_coordinate(sol, g, 0.3 + 0.2j)
         want = semiflat(hexagon_pm.Z(g), 0.3 + 0.2j, 0.6)
         assert abs(got - want) <= 1e-14 * abs(want)
 
@@ -320,7 +319,7 @@ def test_fast_convergence_at_large_R(pentagon, pentagon_pm):
     sol = solve(SolverConfig(R=5.0, theta=0.0), spec, pentagon_pm,
                 pentagon.lattice.pairing)
     assert sol.iterations_used <= 5
-    assert sol.final_delta < 1e-10
+    assert sol.delta_history[-1] < 1e-10
 
 
 def test_feedback_is_measured_at_large_R(hexagon, hexagon_pm):
@@ -387,9 +386,9 @@ def test_no_convergence_raises(pentagon, pentagon_pm):
 def test_on_ray_evaluation(pentagon_solution):
     # zeta = i sits exactly on the ray of gamma2, which couples to gamma1
     with pytest.raises(OnRayEvaluation):
-        evaluate(pentagon_solution, Charge((1, 0)), 1j)
+        spectral_coordinate(pentagon_solution, Charge((1, 0)), 1j)
     # but gamma2 itself does not couple to its own ray: fine there
-    val = evaluate(pentagon_solution, Charge((0, 1)), 1j)
+    val = spectral_coordinate(pentagon_solution, Charge((0, 1)), 1j)
     assert abs(val) > 0
 
 
@@ -404,8 +403,7 @@ def test_solver_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(R=1.0, tol=0.0)
     nan, inf = float("nan"), float("inf")
-    bad = [dict(theta=nan), dict(theta=inf), dict(L=0.0), dict(L=-1.0),
-           dict(L=nan), dict(L=inf), dict(max_iter=0), dict(tol=nan),
+    bad = [dict(theta=nan), dict(theta=inf), dict(max_iter=0), dict(tol=nan),
            dict(tol=inf), dict(relax=0.0), dict(relax=-1.0), dict(relax=nan),
            dict(relax=inf)]
     for kwargs in bad:
