@@ -68,7 +68,7 @@ def real_sheet(curve, z):
 
 def build_pentagon():
     poly = Polynomial([0.5, 0.0, -0.5])          # (1 - z^2) / 2
-    curve = SpectralCurve(poly, basepoint=0.0)
+    curve = SpectralCurve(poly)
     wps = hairpin(-1.0 + 0j, 1.0 + 0j, 0.35)
     x_real = real_sheet(curve, wps[0])
     g1 = LiftedPath(wps, x_real)
@@ -84,7 +84,7 @@ def build_pentagon():
 
 def build_hexagon():
     poly = Polynomial([1.0, 0.0, 1.5, -0.5])     # (2 + 3 z^2 - z^3) / 2
-    curve = SpectralCurve(poly, basepoint=0.0)
+    curve = SpectralCurve(poly)
     zs = sorted(curve.ramification_points, key=lambda z: z.real)
     zm = min(zs[:2], key=lambda z: z.imag)       # lower left
     zp = max(zs[:2], key=lambda z: z.imag)       # upper left

@@ -10,7 +10,6 @@ from .curve import (
     PeriodMap,
     Polynomial,
     SpectralCurve,
-    contour_period,
     load_curve_file,
     load_example,
 )

@@ -3,8 +3,7 @@
 The two example spectra are built in; arbitrary spectra can be loaded
 from JSON ({"entries": [{"charge": [...], "omega": n}, ...]}).  The only
 structural requirement used downstream is the symmetry Omega(g) =
-Omega(-g); an optional Z/3 action matrix can be supplied for the cyclic
-symmetry check, but is not reconstructed here.
+Omega(-g).
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .curve import Charge, as_integer, read_json
 from .errors import RayCollision, ValidationError
@@ -29,7 +26,11 @@ _HEXAGON_POSITIVE = [
 
 
 class BpsSpectrum:
-    """Finite map Charge -> Omega, zero entries dropped."""
+    """Finite map Charge -> Omega, zero entries dropped.
+
+    Every charge has the one rank given, or, with rank None, the rank of
+    the first charge; a charge of another rank raises ValidationError.
+    """
 
     def __init__(self, entries, rank=None):
         self.entries = {}
@@ -38,13 +39,14 @@ class BpsSpectrum:
             om = as_integer(om, "Omega")
             if om == 0:
                 continue
-            if rank is not None and len(ch) != rank:
+            rank = len(ch) if rank is None else rank
+            if len(ch) != rank:
                 raise ValidationError(
                     f"charge {ch} has wrong rank (expected {rank})")
             self.entries[ch] = om
         if not self.entries:
             raise ValidationError("empty spectrum")
-        self.rank = rank if rank is not None else len(next(iter(self.entries)))
+        self.rank = rank
 
     def omega(self, gamma):
         gamma = gamma if isinstance(gamma, Charge) else Charge(gamma)
@@ -59,31 +61,12 @@ class BpsSpectrum:
     def __iter__(self):
         return iter(self.charges())
 
-    def validate(self, z3_action=None):
-        """Symmetry report: list of human-readable violations (empty = ok).
-
-        Checks Omega(g) = Omega(-g) always; checks invariance under the
-        Z/3 action when its integer matrix on the lattice is supplied,
-        otherwise reports that check as skipped.
-        """
-        report = []
-        for ch, om in self.entries.items():
-            if self.omega(-ch) != om:
-                report.append(
-                    f"Omega({ch}) = {om} but Omega({-ch}) = {self.omega(-ch)}")
-        if z3_action is None:
-            report_status = "Z/3 action not supplied: not checked"
-            return SpectrumReport(violations=report, z3=report_status)
-        A = np.asarray(z3_action, dtype=int)
-        if np.any(np.linalg.matrix_power(A, 3) != np.eye(self.rank, dtype=int)):
-            report.append("supplied Z/3 action matrix does not cube to identity")
-        else:
-            for ch, om in self.entries.items():
-                img = Charge(A @ np.asarray(ch.components))
-                if self.omega(img) != om:
-                    report.append(
-                        f"Omega({ch}) = {om} but Omega({img}) = {self.omega(img)}")
-        return SpectrumReport(violations=report, z3="checked")
+    def validate(self):
+        """Symmetry report: the human-readable violations of
+        Omega(g) = Omega(-g) (none = ok)."""
+        return SpectrumReport(violations=[
+            f"Omega({ch}) = {om} but Omega({-ch}) = {self.omega(-ch)}"
+            for ch, om in self.entries.items() if self.omega(-ch) != om])
 
     def to_json(self):
         return {
@@ -94,10 +77,12 @@ class BpsSpectrum:
         }
 
     @classmethod
-    def from_entries(cls, doc):
-        """The spectrum a document's entries list, its symmetry unchecked;
-        a missing key, or a document of the wrong shape, raises
-        ValidationError."""
+    def from_json(cls, doc):
+        """The spectrum in a JSON document, its symmetry unchecked; another
+        schema_version, a missing key, or a document of the wrong shape
+        raises ValidationError."""
+        if not isinstance(doc, dict) or doc.get("schema_version") != 1:
+            raise ValidationError("unsupported spectrum schema_version")
         try:
             return cls([(e["charge"], e["omega"]) for e in doc["entries"]])
         except KeyError as exc:
@@ -106,25 +91,20 @@ class BpsSpectrum:
             raise ValidationError(f"malformed spectrum document: {exc}") from None
 
     @classmethod
-    def from_json(cls, doc):
-        if not isinstance(doc, dict) or doc.get("schema_version") != 1:
-            raise ValidationError("unsupported spectrum schema_version")
-        spec = cls.from_entries(doc)
+    def load(cls, path):
+        """The spectrum in the JSON file at path; one that fails the
+        symmetry Omega(g) = Omega(-g) raises ValidationError."""
+        spec = cls.from_json(read_json(path))
         rep = spec.validate()
         if rep.violations:
             raise ValidationError(
                 "spectrum fails symmetry validation: " + "; ".join(rep.violations))
         return spec
 
-    @classmethod
-    def load(cls, path):
-        return cls.from_json(read_json(path))
-
 
 @dataclass
 class SpectrumReport:
     violations: list
-    z3: str
 
     @property
     def ok(self):

@@ -220,12 +220,12 @@ def cmd_bps_dump(args):
 
 def cmd_bps_validate(args):
     if args.spectrum:
-        spec = BpsSpectrum.from_entries(read_json(args.spectrum))
+        spec = BpsSpectrum.from_json(read_json(args.spectrum))
     else:
         spec = builtin_spectrum(args.example)
     rep = spec.validate()
     _dump_json({"schema_version": 1, "ok": rep.ok,
-                "violations": rep.violations, "z3": rep.z3}, args.out)
+                "violations": rep.violations}, args.out)
     return 0 if rep.ok else 1
 
 

@@ -13,10 +13,9 @@ intersection pairing are *input data*; this module computes everything
 that follows from them numerically: sheet continuation, closure checks,
 and the basis periods.
 
-Conventions: the three sheets over the basepoint z* are ordered
-x_k = omega^k * x_0 with omega = exp(2*pi*i/3) and x_0 the principal
-cube root of -P0(z*).  Sheet identity along any path is defined by
-continuous tracking, never by a global branch choice.
+Conventions: there is no global sheet frame.  A sheet is named by a
+starting value x with x^3 + P0(z) = 0 at some point z, and its identity
+along a path is defined by continuous tracking from there.
 """
 
 from __future__ import annotations
@@ -29,13 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import (
-    AtRamificationPoint,
-    NonSimpleRoots,
-    OpenContour,
-    SheetAmbiguity,
-    ValidationError,
-)
+from .errors import NonSimpleRoots, OpenContour, SheetAmbiguity, ValidationError
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -194,39 +187,14 @@ def _point_segment_distance(p, a, b):
 
 
 class SpectralCurve:
-    """The 3-sheeted cover x^3 + P0(z) = 0 with a fixed basepoint frame."""
+    """The 3-sheeted cover x^3 + P0(z) = 0."""
 
-    def __init__(self, polynomial, basepoint=None):
+    def __init__(self, polynomial):
         self.polynomial = polynomial
         # a constant P0 has an unramified cover; useful for flow tests
         self.ramification_points = polynomial.roots() if polynomial.degree else []
-        if basepoint is None:
-            basepoint = self._pick_basepoint()
-        basepoint = complex(basepoint)
-        if not cmath.isfinite(basepoint):
-            raise ValidationError("basepoint must be finite")
-        if abs(self.polynomial(basepoint)) == 0:
-            raise ValidationError("basepoint sits on a zero of P0")
-        self.basepoint = basepoint
-        self.base_sheets = cube_roots(-self.polynomial(basepoint))
-
-    def _pick_basepoint(self):
-        if not self.ramification_points:
-            return 0j
-        center = sum(self.ramification_points) / len(self.ramification_points)
-        spread = max(abs(z - center) for z in self.ramification_points)
-        spread = max(spread, 1.0)
-        cand = center + spread * (1.7 + 0.9j)
-        while min(abs(cand - z) for z in self.ramification_points) < 100 * EPS_RAM:
-            cand += spread * 0.3j
-        return cand
 
     # --- sheet tracking ---
-
-    def nearest_zero_distance(self, z):
-        if not self.ramification_points:
-            return float("inf")
-        return min(abs(z - zr) for zr in self.ramification_points)
 
     def _track_step(self, x_prev, z_new, depth=0, z_prev=None):
         """One tracking step: nearest root at z_new, with margin control.
@@ -250,49 +218,6 @@ class SpectralCurve:
         for zp, zn in zip(points, points[1:]):
             x = self._track_step(x, zn, 0, zp)
         return x
-
-    def continue_sheet(self, path: LiftedPath):
-        """x-value at the end of a lifted path, by continuous tracking."""
-        path.validate(self)
-        return self.track_along(path.waypoints, path.starting_sheet_value)
-
-    def sheets_at(self, z, via=None):
-        """Ordered sheet triple at z, continued from the basepoint.
-
-        The default path is the straight segment from the basepoint,
-        rerouted around any ramification point it passes too close to by
-        a small polygonal arc of radius 10*EPS_RAM.  An explicit chain of
-        intermediate z-values can be supplied instead (via).
-        """
-        z = complex(z)
-        if self.nearest_zero_distance(z) < EPS_RAM:
-            raise AtRamificationPoint(
-                f"z = {z} is within {EPS_RAM} of a ramification point")
-        if via is None:
-            points = self._default_route(self.basepoint, z)
-        else:
-            points = [self.basepoint] + [complex(w) for w in via] + [z]
-        x0 = self.track_along(points, self.base_sheets[0])
-        return (x0, x0 * OMEGA, x0 * OMEGA * OMEGA)
-
-    def _default_route(self, a, b):
-        """Straight segment a -> b with detours around ramification points."""
-        route = [a]
-        blockers = []
-        r_det = 10 * EPS_RAM
-        for zr in self.ramification_points:
-            if _point_segment_distance(zr, a, b) < r_det and abs(zr - a) > r_det and abs(zr - b) > r_det:
-                d = b - a
-                t = ((zr - a) * d.conjugate()).real / (d * d.conjugate()).real
-                blockers.append((t, zr))
-        for t, zr in sorted(blockers):
-            d = (b - a) / abs(b - a)
-            # half-turn polygonal arc on one fixed side of the travel line
-            for k in range(7):
-                ang = cmath.pi * k / 6.0
-                route.append(zr - d * r_det * cmath.exp(-1j * ang))
-        route.append(b)
-        return route
 
 
 # --- charges and the lattice ---
@@ -327,11 +252,6 @@ class Charge:
 
     def __neg__(self):
         return Charge([-a for a in self.components])
-
-    def __mul__(self, k):
-        return Charge([int(k) * a for a in self.components])
-
-    __rmul__ = __mul__
 
     def __iter__(self):
         return iter(self.components)
@@ -378,10 +298,6 @@ class ChargeLattice:
         g = np.asarray(gamma.components)
         m = np.asarray(mu.components)
         return int(g @ self.pairing_matrix @ m)
-
-    def in_pairing_kernel(self, gamma: Charge):
-        g = np.asarray(gamma.components)
-        return bool(np.all(self.pairing_matrix @ g == 0))
 
 
 # --- periods ---
@@ -434,11 +350,6 @@ def _lift(curve, path):
     return total, x
 
 
-def contour_period(curve: SpectralCurve, path: LiftedPath):
-    """Period of x dz along one lifted contour."""
-    return _lift(curve, path)[0]
-
-
 class PeriodMap:
     """Basis periods frozen into a linear map Charge -> complex."""
 
@@ -473,9 +384,6 @@ class PeriodMap:
                 f"{self.rank}")
         return complex(np.dot(gamma.components, self.basis_values))
 
-    def __call__(self, gamma):
-        return self.Z(gamma)
-
 
 # --- example definitions on disk ---
 
@@ -504,7 +412,6 @@ def curve_to_json(defn: CurveDefinition):
         "polynomial": {
             "coefficients": [_c2pair(c) for c in defn.curve.polynomial.coefficients],
         },
-        "basepoint": _c2pair(defn.curve.basepoint),
         "lattice": {
             "pairing": defn.lattice.pairing_matrix.tolist(),
             "charges": defn.lattice.names,
@@ -529,7 +436,7 @@ def curve_from_json(doc) -> CurveDefinition:
         raise ValidationError("unsupported curve schema_version")
     try:
         poly = Polynomial([_pair2c(p) for p in doc["polynomial"]["coefficients"]])
-        curve = SpectralCurve(poly, basepoint=_pair2c(doc["basepoint"]))
+        curve = SpectralCurve(poly)
         lat = doc["lattice"]
         contours = [
             LiftedPath([_pair2c(w) for w in c["waypoints"]], _pair2c(c["starting_sheet"]))

@@ -25,10 +25,6 @@ class NonSimpleRoots(ValidationError):
     """Two roots of the base polynomial are closer than eps_root."""
 
 
-class AtRamificationPoint(ValidationError):
-    """Sheet values requested at (or too close to) a ramification point."""
-
-
 class SheetAmbiguity(NumericalError):
     """Nearest-root tracking lost its margin even at the minimum step."""
 

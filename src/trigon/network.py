@@ -261,10 +261,6 @@ class Trajectory:
             x = x + (self.x[m + 1] - x) * t
         return x
 
-    def chain_integral(self):
-        """The integral of (x_i - x_j) dz along the whole trajectory."""
-        return cmath.exp(1j * self.seed.theta) * self.chain[-1]
-
 
 def _seed_sheet(curve, seed):
     """(z, x_i, k) of a seed: its point, the root of -P0 there nearest its
@@ -661,7 +657,6 @@ class SpectralNetwork:
     final_arcs: list = field(default_factory=list)    # (mid_angle, fading_sheet)
     initial_arcs: list = field(default_factory=list)
     bps_ful: bool = False
-    head_on_points: list = field(default_factory=list)
 
     @property
     def n_born(self):
@@ -754,7 +749,6 @@ def grow_network(curve, theta, classify=True):
         theta=theta,
         trajectories=trajectories,
         junctions=junctions,
-        head_on_points=head_on,
         bps_ful=bool(head_on) or any(t.status == "hit_zero" for t in trajectories),
     )
     if classify and all(t.status == "escaped" for t in trajectories):
@@ -901,7 +895,6 @@ class FiniteWeb:
     residual: float
     zeros: tuple                  # indices of the zeroes involved
     segments: list = field(default_factory=list)   # constituent polylines
-    detail: dict = field(default_factory=dict)
 
 
 # a web's charge matches its period to RESIDUAL_REL relative, with
@@ -1101,15 +1094,13 @@ def _assemble_web(curve, event, point, theta, config, period_map,
         return FiniteWeb(theta_star=theta, charge=charge,
                          topology="single_string", period=Z, residual=res,
                          zeros=(key[0], zi_target),
-                         segments=[end.points[:kmin + 1]],
-                         detail={"miss": miss})
+                         segments=[end.points[:kmin + 1]])
     return FiniteWeb(theta_star=theta, charge=charge,
                      topology="three_string_junction", period=Z, residual=res,
                      zeros=(key[0][0], key[1][0], zi_target),
                      segments=[np.append(trajA.points[:ia + 1], zJ),
                                np.append(trajB.points[:ib + 1], zJ),
-                               end.points[:kmin + 1]],
-                     detail={"miss": miss, "junction": zJ})
+                               end.points[:kmin + 1]])
 
 
 # phases per scan block: about this many critical lanes in one batch.  On

@@ -20,7 +20,7 @@ import pytest
 from trigon.asymptotics import (build_prediction, decay_table,
                                 linear_coefficient, solver_coefficient)
 from trigon.bps import builtin_spectrum, spectrum_from_webs
-from trigon.curve import Charge, LiftedPath, PeriodMap
+from trigon.curve import Charge, PeriodMap, cube_roots
 from trigon.errors import WebEventDropped
 from trigon.network import detect_bps, grow_network
 from trigon.polygon import ProjectivePolygon, builtin_expression, cross_ratio
@@ -331,8 +331,8 @@ def test_criterion_10_property_suites(pentagon, hexagon, pentagon_pm,
     # monodromy order 3
     wps = [1.0 + 0.4 * cmath.exp(2j * cmath.pi * 3 * k / 72)
            for k in range(73)]
-    x0 = pentagon.curve.sheets_at(wps[0])[0]
-    x3 = pentagon.curve.continue_sheet(LiftedPath(wps, x0))
+    x0 = cube_roots(-pentagon.curve.polynomial(wps[0]))[0]
+    x3 = pentagon.curve.track_along(wps, x0)
     checks.append(("monodromy order 3", abs(x3 - x0) <= 1e-8,
                    f"{abs(x3 - x0):.2e}"))
 

@@ -131,7 +131,7 @@ def test_network_bps_one_zero_curve_has_no_webs(tmp_path):
     turn = [[math.cos(math.pi * k / 16), math.sin(math.pi * k / 16)]
             for k in range(97)]
     x0 = (-1 + 0j) ** (1 / 3)
-    curve = {"schema_version": 1, "name": "line", "basepoint": [1.0, 0.0],
+    curve = {"schema_version": 1, "name": "line",
              "polynomial": {"coefficients": [[0.0, 0.0], [1.0, 0.0]]},
              "lattice": {"pairing": [[0]], "contours": [
                  {"waypoints": turn, "starting_sheet": [x0.real, x0.imag]}]}}
@@ -155,7 +155,7 @@ def _rotated(defn, phi):
                 for path in defn.lattice.basis_contours]
     return CurveDefinition(
         name=f"{defn.name}-rotated",
-        curve=SpectralCurve(poly, basepoint=defn.curve.basepoint / turn),
+        curve=SpectralCurve(poly),
         lattice=ChargeLattice(defn.lattice.pairing_matrix, contours,
                               names=defn.lattice.names))
 
@@ -375,10 +375,6 @@ def _pentagon_vertices_with(value):
     (["polygon", "eval", "--expr", "pentagon:gamma1", "--vertices",
       "{file}"], _pentagon_vertices_with(INF)),
     (["periods", "--curve-file", "{file}"],
-     _pentagon_doc_with("basepoint", 0, NAN)),
-    (["periods", "--curve-file", "{file}"],
-     _pentagon_doc_with("basepoint", 0, INF)),
-    (["periods", "--curve-file", "{file}"],
      _pentagon_doc_with("lattice", "contours", 0, "starting_sheet", 0, NAN)),
     (["bps", "validate", "--spectrum", "{file}"], _spectrum_of([1, 0], 1.5)),
     (["tba", "solve", "--example", "pentagon", "--R", "0.5",
@@ -390,6 +386,13 @@ def _pentagon_vertices_with(value):
      _pentagon_doc_with("lattice", "pairing", [[0, 0.5], [-0.5, 0]])),
     (["network", "sweep", "--example", "pentagon", "--frames", "-2",
       "--out-dir", "{missing}"], None),
+    (["bps", "validate", "--spectrum", "{file}"],
+     '{"entries": [{"charge": [1, 0], "omega": 1},'
+     ' {"charge": [-1, 0], "omega": 1}]}'),
+    (["bps", "validate", "--spectrum", "{file}"],
+     '{"schema_version": 1, "entries": [{"charge": [1, 0], "omega": 1},'
+     ' {"charge": [-1, 0], "omega": 1}, {"charge": [0, 0, 1], "omega": 1},'
+     ' {"charge": [0, 0, -1], "omega": 1}]}'),
 ], ids=["curve-missing", "curve-malformed", "curve-missing-key",
         "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
         "predict-missing-key", "check-empty", "vertices-missing",
@@ -402,11 +405,12 @@ def _pentagon_vertices_with(value):
         "tba-theta-nan", "predict-theta-nan",
         "check-theta-nan", "trace-theta-nan", "tba-tol-inf", "tba-relax-zero",
         "tba-relax-nan", "tba-relax-negative", "vertices-nan",
-        "vertices-infinity", "curve-basepoint-nan", "curve-basepoint-infinity",
+        "vertices-infinity",
         "curve-starting-sheet-nan", "validate-omega-not-an-integer",
         "tba-omega-not-an-integer", "validate-charge-not-an-integer",
         "tba-charge-not-an-integer", "curve-pairing-not-an-integer",
-        "sweep-frames-negative"])
+        "sweep-frames-negative", "validate-no-schema-version",
+        "validate-mixed-rank"])
 def test_bad_input_gives_one_json_error_line(argv, content, tmp_path,
                                              capsys):
     path = tmp_path / "input.json"
@@ -556,3 +560,57 @@ def test_no_module_reads_the_environment():
     found = {str(path.relative_to(root)): _environment_reads(path.read_text())
              for path in sorted(root.rglob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# names the library defines but does not use itself, each with the caller
+# that keeps it
+UNUSED_IN_LIBRARY = {
+    "tba.py:iterate_once": "perfbench's tba-small-R workload calls it",
+    "network.py:polyline_intersections": "perfbench wraps it as a layer",
+    "curve.py:curve_to_json": "scripts/generate_example_data.py writes the "
+                              "shipped curve files with it",
+    "tba.py:semiflat": "the tests' oracle for the driving term",
+    "polygon.py:InvariantExpression.inverse": "X_-gamma = 1/X_gamma in the "
+                                              "expression algebra, with __mul__",
+}
+
+
+def _unreferenced_definitions(sources):
+    """"file:name" for each top-level function or class, and each method
+    not named __*__, that no Name or Attribute in the sources
+    ({file: text}) refers to outside the definition itself."""
+    definitions, references = [], []
+    for file, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((file, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    (file, f"{node.name}.{sub.name}", sub)
+                    for sub in node.body if isinstance(sub, ast.FunctionDef)
+                    and not (sub.name.startswith("__")
+                             and sub.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                references.append((file, name, node.lineno))
+    return {f"{file}:{name}" for file, name, node in definitions
+            if not any(ref == name.split(".")[-1]
+                       and (ref_file != file
+                            or not node.lineno <= line <= node.end_lineno)
+                       for ref_file, ref, line in references)}
+
+
+def test_every_library_name_is_used_by_the_library():
+    assert _unreferenced_definitions({
+        "a.py": "def f():\n    return f()\n\n"
+                "class C:\n    def m(self):\n        pass\n"
+                "    def __len__(self):\n        return 0\n",
+        "b.py": "def g():\n    return C().n\n"}) == {"a.py:f", "a.py:C.m",
+                                                    "b.py:g"}
+    # re-exports in __init__ are not uses
+    root = pathlib.Path(cli.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(root.glob("*.py"))
+               if path.name != "__init__.py"}
+    assert _unreferenced_definitions(sources) == set(UNUSED_IN_LIBRARY)

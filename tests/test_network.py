@@ -148,8 +148,8 @@ def test_seed_pairs_move_outward(pentagon):
 # ---------------- tracing ----------------
 
 def test_constant_polynomial_gives_straight_line():
-    curve = SpectralCurve(Polynomial([1.0]), basepoint=0.0)
-    sheets = curve.base_sheets
+    curve = SpectralCurve(Polynomial([1.0]))
+    sheets = cube_roots(-1.0)
     theta = 0.3
     seed = TrajectorySeed(z=0.0, x=sheets[0], k=1,
                           origin=("critical", -1, 0, 0.0), theta=theta)
@@ -194,7 +194,7 @@ def _point_to_polyline(p, pts, lo, hi):
 def test_local_foliation_directions_at_two_pi_over_three(pentagon):
     theta = 0.11
     z = 0.3 + 0.8j
-    x = pentagon.curve.sheets_at(z)
+    x = cube_roots(-pentagon.curve.polynomial(z))
     dirs = []
     for i, j in ((0, 1), (1, 2), (2, 0)):
         v = cmath.exp(1j * theta) / (x[i] - x[j])
@@ -206,12 +206,15 @@ def test_local_foliation_directions_at_two_pi_over_three(pentagon):
 
 def test_chain_integral_matches_phase(pentagon):
     # exp(-i theta) * integral of (x_i - x_j) dz along a trajectory is
-    # real positive: the defining property of the flow
+    # real positive, the defining property of the flow, and equals the
+    # accumulated chain; the trapezoid rule on the polyline's chords holds
+    # both to about 2e-6 and 2e-5
     seeds = seed_critical(pentagon.curve, 0.4)
     traj = trace(pentagon.curve, seeds[3])
-    val = traj.chain_integral()
-    assert abs(cmath.phase(val * cmath.exp(-1j * 0.4))) < 1e-12
-    assert val != 0
+    u = traj.x * (1 - OMEGA ** traj.k)
+    val = np.sum(0.5 * (u[1:] + u[:-1]) * np.diff(traj.points))
+    assert abs(cmath.phase(val * cmath.exp(-1j * 0.4))) < 1e-5
+    assert abs(abs(val) - traj.chain[-1]) <= 1e-4 * traj.chain[-1]
 
 
 def _lane_in_a_batch(curve, seed, config=None):
@@ -450,7 +453,7 @@ def _pair_rule(A, B):
 def test_crossing_labels_follow_the_pair_rule(iA, kA, iB, kB):
     # over constant P0 the sheets are the three cube roots of -1, the same
     # at every point; A and B cross once, mid-segment, at z = 0
-    curve = SpectralCurve(Polynomial([1.0]), basepoint=0.0)
+    curve = SpectralCurve(Polynomial([1.0]))
     rts = cube_roots(-1.0)
     trajA = _straight(-1.0, 1.0, rts[iA], kA)
     trajB = _straight(-0.2 - 1j, 0.2 + 1j, rts[iB], kB)
@@ -687,7 +690,7 @@ def test_scan_grid_bound_counts_phase_steps(monkeypatch):
                          ids=["no-zero", "one-zero"])
 def test_no_webs_without_two_zeros(coefficients):
     # a finite web joins two zeros, so there is nothing to scan for
-    curve = SpectralCurve(Polynomial(coefficients), basepoint=1.0)
+    curve = SpectralCurve(Polynomial(coefficients))
     assert detect_bps(curve, None, (0.0, 1.0)) == []
 
 
