@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands cover every pipeline stage: periods, network trace/sweep/bps,
-bps dump/validate, tba solve, asym predict/check, polygon eval, and a
-reproduce command that re-derives the known values for the two shipped
-examples and reports pass/fail per check.
+Subcommands cover every pipeline stage: curve dump, periods, network
+trace/sweep/bps, bps dump/validate, tba solve, asym predict/check,
+polygon eval, and a reproduce command that re-derives the known values
+for the two shipped examples and reports pass/fail per check.
 
 Artifacts are JSON (sorted keys, schema_version field) or, for plotting,
 plain polyline text: one "x y" pair per line, blank line between
@@ -27,8 +27,8 @@ from . import reference
 from .asymptotics import (build_prediction, decay_table, linear_coefficient,
                           solver_coefficient)
 from .bps import BpsSpectrum, builtin_spectrum, spectrum_from_webs
-from .curve import (EXAMPLE_NAMES, Charge, PeriodMap, load_curve_file,
-                    load_example, read_json)
+from .curve import (EXAMPLE_NAMES, Charge, PeriodMap, curve_to_json,
+                    load_curve_file, load_example, read_json)
 from .errors import NumericalError, TrigonError, ValidationError
 from .network import detect_bps, grow_network
 from .polygon import (builtin_expression, builtin_expression_names,
@@ -135,6 +135,11 @@ def _network_doc(net):
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
+
+def cmd_curve_dump(args):
+    _dump_json(curve_to_json(load_example(args.example)), args.out)
+    return 0
+
 
 def cmd_periods(args):
     defn = _load_definition(args)
@@ -524,6 +529,15 @@ def build_parser():
         description="spectral networks, periods and ray-iteration "
                     "predictions for polynomial cubic differentials")
     sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("curve", help="curve definitions")
+    csub = p.add_subparsers(dest="curve_command", required=True)
+
+    q = csub.add_parser("dump", help="write a shipped curve definition as "
+                                     "--curve-file JSON")
+    q.add_argument("--example", choices=EXAMPLE_NAMES, required=True)
+    q.add_argument("--out", default=None)
+    q.set_defaults(func=cmd_curve_dump)
 
     p = sub.add_parser("periods", help="basis periods of a curve definition")
     _add_source(p)

@@ -23,8 +23,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,7 +266,8 @@ class Charge:
 
 
 class ChargeLattice:
-    """Charge lattice data: rank, pairing matrix, basis contours."""
+    """Charge lattice data: rank, pairing matrix, basis contours, and one
+    distinct name per generator (gamma1, gamma2, ... by default)."""
 
     def __init__(self, pairing, basis_contours, names=None):
         entries = np.asarray(pairing, dtype=object)
@@ -282,7 +282,14 @@ class ChargeLattice:
         if len(basis_contours) != self.rank:
             raise ValidationError("need one basis contour per generator")
         self.basis_contours = list(basis_contours)
-        self.names = list(names) if names else [f"gamma{i+1}" for i in range(self.rank)]
+        if names is None:
+            names = [f"gamma{i+1}" for i in range(self.rank)]
+        if not (isinstance(names, (list, tuple)) and len(names) == self.rank
+                and all(isinstance(n, str) for n in names)
+                and len(set(names)) == self.rank):
+            raise ValidationError(
+                f"need one distinct string name per generator, not {names!r}")
+        self.names = list(names)
 
     def basis_charge(self, i):
         return Charge([1 if j == i else 0 for j in range(self.rank)])
@@ -385,16 +392,15 @@ class PeriodMap:
         return complex(np.dot(gamma.components, self.basis_values))
 
 
-# --- example definitions on disk ---
+# --- curve definitions ---
 
 @dataclass
 class CurveDefinition:
-    """A curve + lattice bundle as loaded from a JSON definition."""
+    """A named curve and its charge lattice."""
 
     name: str
     curve: SpectralCurve
     lattice: ChargeLattice
-    meta: dict = field(default_factory=dict)
 
 
 def _c2pair(c):
@@ -423,7 +429,6 @@ def curve_to_json(defn: CurveDefinition):
                 for path in defn.lattice.basis_contours
             ],
         },
-        "meta": defn.meta,
     }
 
 
@@ -447,12 +452,7 @@ def curve_from_json(doc) -> CurveDefinition:
         raise ValidationError(f"curve document lacks the key {exc}") from None
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed curve document: {exc}") from None
-    return CurveDefinition(
-        name=doc.get("name", "unnamed"),
-        curve=curve,
-        lattice=lattice,
-        meta=doc.get("meta", {}),
-    )
+    return CurveDefinition(doc.get("name", "unnamed"), curve, lattice)
 
 
 def read_json(path):
@@ -469,12 +469,76 @@ def load_curve_file(path) -> CurveDefinition:
     return curve_from_json(read_json(path))
 
 
-EXAMPLE_NAMES = ("pentagon", "hexagon")
+# --- the shipped examples ---
+#
+# Each basis contour is a hairpin between two zeros or a large circle.
+# Loop radii and vertex counts only keep the polylines away from the
+# zeros: the periods are homotopy invariants.
+
+def _hairpin(z1, z2, r, m=16):
+    """Closed hairpin threading z1 and z2, avoiding both by radius r.
+
+    Traversal: start near z1, run to z2, a full counterclockwise loop
+    around z2, run back, a full clockwise loop around z1.  The ccw/cw
+    combination makes the lift close on any starting sheet.
+    """
+    u = (z2 - z1) / abs(z2 - z1)
+    A = z1 + r * u
+    B = z2 - r * u
+    ang_B = cmath.phase(B - z2)
+    ang_A = cmath.phase(A - z1)
+    pts = [A, B]
+    for k in range(1, m + 1):
+        pts.append(z2 + r * cmath.exp(1j * (ang_B + 2 * cmath.pi * k / m)))
+    pts.append(A)
+    for k in range(1, m + 1):
+        pts.append(z1 + r * cmath.exp(1j * (ang_A - 2 * cmath.pi * k / m)))
+    return pts
+
+
+def _circle(center, radius, m=64):
+    """Closed polygonal circle; a large one picks up the residue of a
+    single sheet at infinity."""
+    return [center + radius * cmath.exp(2j * cmath.pi * k / m) for k in range(m + 1)]
+
+
+def _pentagon():
+    """Degree 2, P0 = (1 - z^2)/2: one hairpin between the zeros, lifted
+    on the real sheet and on its deck image; rank 2."""
+    curve = SpectralCurve(Polynomial([0.5, 0.0, -0.5]))
+    wps = _hairpin(-1.0 + 0j, 1.0 + 0j, 0.35)
+    x_real = min(cube_roots(-curve.polynomial(wps[0])), key=lambda r: abs(r.imag))
+    lattice = ChargeLattice([[0, 1], [-1, 0]],
+                            [LiftedPath(wps, x_real), LiftedPath(wps, x_real * OMEGA)])
+    return CurveDefinition("pentagon", curve, lattice)
+
+
+def _hexagon():
+    """Degree 3, P0 = (2 + 3 z^2 - z^3)/2: hairpins from the lower left
+    zero to the upper left and to the right one, and a circle of radius 6
+    on two sheets; rank 4, generators 3 and 4 in the pairing kernel."""
+    poly = Polynomial([1.0, 0.0, 1.5, -0.5])
+    curve = SpectralCurve(poly)
+    zs = sorted(curve.ramification_points, key=lambda z: z.real)
+    lower, upper = sorted(zs[:2], key=lambda z: z.imag)
+    w1 = _hairpin(lower, upper, 0.3)
+    w2 = _hairpin(lower, zs[2], 0.3)
+    wc = _circle(0.0, 6.0)
+    x_inf = cube_roots(-poly(wc[0]))[0]         # the positive real root at z = 6
+    contours = [LiftedPath(w1, cube_roots(-poly(w1[0]))[0]),
+                LiftedPath(w2, cube_roots(-poly(w2[0]))[0]),
+                LiftedPath(wc, x_inf * OMEGA * OMEGA),
+                LiftedPath(wc, x_inf)]
+    pairing = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    return CurveDefinition("hexagon", curve, ChargeLattice(pairing, contours))
+
+
+_EXAMPLES = {"pentagon": _pentagon, "hexagon": _hexagon}
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 
 def load_example(name) -> CurveDefinition:
     """One of the two shipped example definitions: pentagon or hexagon."""
     if name not in EXAMPLE_NAMES:
         raise ValidationError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
-    ref = resources.files("trigon").joinpath(f"data/{name}.json")
-    return curve_from_json(json.loads(ref.read_text()))
+    return _EXAMPLES[name]()

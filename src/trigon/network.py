@@ -901,15 +901,27 @@ class FiniteWeb:
 # coefficients in [-CHARGE_BOX, CHARGE_BOX]
 RESIDUAL_REL = 1e-4
 CHARGE_BOX = 4
+# the box holds (2 CHARGE_BOX + 1)^rank candidates, which take 105 MB at
+# rank 6 and nine times as much per further rank
+MAX_CHARGE_RANK = 6
+
+
+def _check_charge_rank(rank):
+    if rank > MAX_CHARGE_RANK:
+        raise ValidationError(
+            f"charges of rank {rank} are not searched; the largest rank is "
+            f"{MAX_CHARGE_RANK}")
 
 
 def identify_charge(Z_web, period_map, residual_rel=RESIDUAL_REL):
     """Integer charge whose period matches Z_web, by bounded enumeration.
 
     The match must be unique inside the coefficient box; a second candidate
-    within tolerance, or none at all, raises ChargeIdentificationFailed.
+    within tolerance, or none at all, raises ChargeIdentificationFailed.  A
+    rank above MAX_CHARGE_RANK raises ValidationError.
     """
     rank = period_map.rank
+    _check_charge_rank(rank)
     rng = np.arange(-CHARGE_BOX, CHARGE_BOX + 1)
     grids = np.meshgrid(*([rng] * rank), indexing="ij")
     combos = np.stack([g.ravel() for g in grids], axis=1)
@@ -1138,8 +1150,9 @@ def detect_bps(curve, lattice, theta_range, period_map=None,
     first-generation child hits a zero).  An event that gives no web is
     reported as a WebEventDropped warning.  A scan_step that is not
     positive and finite, a theta_range (lo, hi) that is not finite with
-    lo < hi, or a grid of more than MAX_SCAN_PHASES steps raises
-    ValidationError; a curve with fewer than two zeros has
+    lo < hi, a grid of more than MAX_SCAN_PHASES steps, or a lattice of
+    rank above MAX_CHARGE_RANK raises ValidationError; a curve with fewer
+    than two zeros has
     no finite web.  The scan and assembly trace settings are fixed, by
     _web_trace_config.  Returns FiniteWeb records sorted by phase.
     """
@@ -1155,9 +1168,10 @@ def detect_bps(curve, lattice, theta_range, period_map=None,
             f"{MAX_SCAN_PHASES} phase steps")
     if len(curve.ramification_points) < 2:
         return []
+    pm = period_map or PeriodMap.compute(curve, lattice)
+    _check_charge_rank(pm.rank)
     cfg = _web_trace_config(curve, fine=False)
     fine = _web_trace_config(curve, fine=True)
-    pm = period_map or PeriodMap.compute(curve, lattice)
     n_steps = max(2, int(math.ceil((hi - lo) / scan_step)))
     thetas = [lo + (hi - lo) * k / n_steps for k in range(n_steps + 1)]
     sep = min(abs(a - b)

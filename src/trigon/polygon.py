@@ -188,8 +188,10 @@ def builtin_expression_names(example=None):
 
 
 def polygon_from_json(doc):
+    """The polygon in a vertices document: a bare list of homogeneous
+    3-vectors, or an object with schema_version 1 and a "vertices" list."""
     if isinstance(doc, dict):
-        if doc.get("schema_version", 1) != 1:
+        if doc.get("schema_version") != 1:
             raise ValidationError("unsupported polygon schema_version")
         if "vertices" not in doc:
             raise ValidationError("polygon document lacks a 'vertices' field")

@@ -52,6 +52,17 @@ def test_curve_file_roundtrip(tmp_path, capsys):
     assert abs(complex(*out["periods"][1]) - (-2.31315j)) < 5e-5
 
 
+@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
+def test_curve_dump_gives_a_curve_file_of_the_example(name, tmp_path):
+    curve, by_example, by_file = (tmp_path / f for f in
+                                  ("curve.json", "a.json", "b.json"))
+    assert run(["curve", "dump", "--example", name, "--out", str(curve)]) == 0
+    assert run(["periods", "--example", name, "--out", str(by_example)]) == 0
+    assert run(["periods", "--curve-file", str(curve),
+                "--out", str(by_file)]) == 0
+    assert by_file.read_bytes() == by_example.read_bytes()
+
+
 def test_network_trace_artifacts(tmp_path):
     out = tmp_path / "net.json"
     poly = tmp_path / "net.txt"
@@ -393,6 +404,14 @@ def _pentagon_vertices_with(value):
      '{"schema_version": 1, "entries": [{"charge": [1, 0], "omega": 1},'
      ' {"charge": [-1, 0], "omega": 1}, {"charge": [0, 0, 1], "omega": 1},'
      ' {"charge": [0, 0, -1], "omega": 1}]}'),
+    (["periods", "--curve-file", "{file}"],
+     _pentagon_doc_with("lattice", "charges", ["g1"])),
+    (["tba", "solve", "--curve-file", "{file}", "--R", "0.5"],
+     _pentagon_doc_with("lattice", "charges", ["a", "b", "c"])),
+    (["tba", "solve", "--curve-file", "{file}", "--R", "0.5"],
+     _pentagon_doc_with("lattice", "charges", ["g1", "g1"])),
+    (["polygon", "eval", "--expr", "pentagon:gamma1", "--vertices",
+      "{file}"], json.dumps({"vertices": PENTAGON_VERTICES})),
 ], ids=["curve-missing", "curve-malformed", "curve-missing-key",
         "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
         "predict-missing-key", "check-empty", "vertices-missing",
@@ -410,7 +429,9 @@ def _pentagon_vertices_with(value):
         "tba-omega-not-an-integer", "validate-charge-not-an-integer",
         "tba-charge-not-an-integer", "curve-pairing-not-an-integer",
         "sweep-frames-negative", "validate-no-schema-version",
-        "validate-mixed-rank"])
+        "validate-mixed-rank", "curve-too-few-charges",
+        "curve-too-many-charges", "curve-repeated-charge",
+        "vertices-no-schema-version"])
 def test_bad_input_gives_one_json_error_line(argv, content, tmp_path,
                                              capsys):
     path = tmp_path / "input.json"
@@ -567,8 +588,6 @@ def test_no_module_reads_the_environment():
 UNUSED_IN_LIBRARY = {
     "tba.py:iterate_once": "perfbench's tba-small-R workload calls it",
     "network.py:polyline_intersections": "perfbench wraps it as a layer",
-    "curve.py:curve_to_json": "scripts/generate_example_data.py writes the "
-                              "shipped curve files with it",
     "tba.py:semiflat": "the tests' oracle for the driving term",
     "polygon.py:InvariantExpression.inverse": "X_-gamma = 1/X_gamma in the "
                                               "expression algebra, with __mul__",

@@ -355,22 +355,46 @@ def test_example_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("name", ["pentagon", "hexagon"])
 def test_curve_documents_load_with_or_without_a_basepoint(name):
-    # curve files carry no basepoint; one written with the key still loads
-    import json
-    from importlib import resources
-
+    # curve documents carry no basepoint and no meta; a file written with
+    # either key still loads, to the same periods bit for bit
     from trigon.curve import curve_from_json, curve_to_json
 
-    shipped = json.loads(
-        resources.files("trigon").joinpath(f"data/{name}.json").read_text())
     defn = load_example(name)
     doc = curve_to_json(defn)
-    assert "basepoint" not in shipped and "basepoint" not in doc
+    assert "basepoint" not in doc and "meta" not in doc
     want = PeriodMap.compute(defn.curve, defn.lattice).basis_values
-    for extra in ({}, {"basepoint": [0.0, 0.0]}):
+    for extra in ({}, {"basepoint": [0.0, 0.0]},
+                  {"meta": {"description": "an older file's note"}}):
         again = curve_from_json({**doc, **extra})
         got = PeriodMap.compute(again.curve, again.lattice).basis_values
         assert np.array_equal(got, want)
+
+
+# sha256 of json.dumps(curve_to_json(load_example(name)), sort_keys=True)
+EXAMPLE_DIGESTS = {
+    "pentagon": "e019c801cfe8b70b92b33bddb56c8354e813c1c603b2fc55469973e90403676d",
+    "hexagon": "0bcb5b02ca42dc1c659f9425cf1baaa97b03a302e191cbe7e79aedd71bfdf924",
+}
+
+
+@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
+def test_examples_build_the_pinned_documents(name):
+    import hashlib
+    import json
+
+    from trigon.curve import curve_to_json
+
+    text = json.dumps(curve_to_json(load_example(name)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXAMPLE_DIGESTS[name]
+
+
+# the CLI's bad-input test covers too few, too many and repeated names
+@pytest.mark.parametrize("names", [["g1", 2], [], "ab"])
+def test_lattice_names_each_generator_once(names):
+    with pytest.raises(ValidationError):
+        ChargeLattice([[0, 1], [-1, 0]], [None, None], names=names)
+    assert ChargeLattice([[0, 1], [-1, 0]], [None, None],
+                         names=["a", "b"]).names == ["a", "b"]
 
 
 def test_unknown_example_rejected():

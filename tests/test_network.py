@@ -612,6 +612,39 @@ def test_identify_charge_failure(pentagon_pm):
         identify_charge(0j, pentagon_pm)
 
 
+class _RankSevenPeriods:
+    """A period map of rank 7 whose periods are never to be read: its
+    charge box would hold 9^7 candidates, about 1 GB."""
+
+    rank = 7
+
+    @property
+    def basis_values(self):
+        raise AssertionError("periods read past the rank check")
+
+
+def test_charge_search_above_the_largest_rank_is_refused(
+        pentagon, pentagon_pm, monkeypatch):
+    assert network.MAX_CHARGE_RANK == 6
+    with pytest.raises(ValidationError, match="rank 7"):
+        identify_charge(1.0, _RankSevenPeriods())
+
+    def no_rays(*args):
+        raise AssertionError("traced past the rank check")
+
+    monkeypatch.setattr(network, "RayBook", no_rays)
+    with pytest.raises(ValidationError, match="rank 7"):
+        detect_bps(pentagon.curve, pentagon.lattice, (0.45, 0.6),
+                   period_map=_RankSevenPeriods())
+    # the bound is inclusive
+    monkeypatch.setattr(network, "MAX_CHARGE_RANK", 1)
+    with pytest.raises(ValidationError, match="rank 2"):
+        identify_charge(pentagon_pm.basis_values[0], pentagon_pm)
+    monkeypatch.setattr(network, "MAX_CHARGE_RANK", 2)
+    assert identify_charge(pentagon_pm.basis_values[0],
+                           pentagon_pm)[0].components == (1, 0)
+
+
 # ---------------- web detection (narrow windows; sweeps in acceptance) ----
 
 def test_pentagon_web_at_minus_pi_over_six(pentagon, pentagon_pm):
