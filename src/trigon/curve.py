@@ -27,16 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonSimpleRoots, OpenContour, SheetAmbiguity, ValidationError
+from .errors import (NoConvergence, NonSimpleRoots, OpenContour, SheetAmbiguity,
+                     ValidationError)
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
+_OMEGA_POWERS = np.array([1.0, OMEGA, OMEGA * OMEGA])
 
 #: roots of P0 closer than this (pairwise distance) are not simple
 EPS_ROOT = 1e-8
 #: keep-out radius around ramification points for paths
 EPS_RAM = 1e-6
 #: a lifted path's starting sheet value solves x^3 + P0 = 0 to this,
-#: relative to max(1, the largest coefficient)
+#: relative to max(1, the largest coefficient, |P0| at the start)
 SHEET_TOL = 1e-8
 #: a basis contour closes in the base to this distance, and its lift
 #: returns to its starting sheet to this, relative to max(1, |x|)
@@ -169,8 +171,10 @@ class LiftedPath:
                         f"path segment {a} -> {b} passes within {EPS_RAM} of "
                         f"ramification point {zr}")
         z0 = self.waypoints[0]
-        res = abs(self.starting_sheet_value ** 3 + curve.polynomial(z0))
-        if res > SHEET_TOL * max(1.0, curve.polynomial.coefficient_scale()):
+        p0 = curve.polynomial(z0)
+        res = abs(self.starting_sheet_value ** 3 + p0)
+        if res > SHEET_TOL * max(1.0, curve.polynomial.coefficient_scale(),
+                                 abs(p0)):
             raise ValidationError(
                 f"starting sheet value is off the curve (residual {res:.3e})")
 
@@ -195,28 +199,50 @@ class SpectralCurve:
 
     # --- sheet tracking ---
 
-    def _track_step(self, x_prev, z_new, depth=0, z_prev=None):
-        """One tracking step: nearest root at z_new, with margin control.
+    def principal_root(self, z):
+        """(c, arg c): the principal cube root of -P0 at z, and its
+        argument, a third of arg(-P0) in (-pi/3, pi/3].  Works on arrays."""
+        v = -self.polynomial(z)
+        arg = np.angle(v) / 3.0
+        return np.cbrt(np.abs(v)) * np.exp(1j * arg), arg
 
-        Subdivides the step (straight in z) whenever the jump |x_new - x_prev|
-        exceeds a third of the separation between sheets at the new point.
+    def continue_sheet(self, z, x_start, depth=0):
+        """The sheets x_start (one per row, at z[:, 0]) continued along the
+        rows of the 2-d array z; returns x at z[:, 1:].
+
+        The nearest-root rule of continue_root in array form: with c_k the
+        principal cube root of -P0 at node k and c_k omega^j_k the root
+        nearest the previous node's, x_k = c_k omega^s_k with
+        s_k = s_(k-1) + j_k (mod 3); the first node is compared with
+        x_start.  A step whose root is not within_margin of the previous
+        one is bisected (straight in z) and tracked again, 48 levels deep
+        at most, then SheetAmbiguity is raised.
         """
-        x_new = continue_root(-self.polynomial(z_new), x_prev)
-        if within_margin(x_new, x_prev):
-            return x_new
-        if depth >= 48 or z_prev is None:
-            raise SheetAmbiguity(
-                f"sheet tracking margin lost near z = {z_new}")
-        mid = 0.5 * (z_prev + z_new)
-        x_mid = self._track_step(x_prev, mid, depth + 1, z_prev)
-        return self._track_step(x_mid, z_new, depth + 1, mid)
+        x_start = np.asarray(x_start, dtype=complex)
+        c, arg = self.principal_root(z[:, 1:])
+        prev = np.concatenate((x_start[:, None], c[:, :-1]), axis=1)
+        j = _turns(np.angle(prev), arg)
+        for r, k in zip(*np.nonzero(~within_margin(c * _OMEGA_POWERS[j], prev))):
+            if depth >= 48:
+                raise SheetAmbiguity(
+                    f"sheet tracking margin lost near z = {z[r, k + 1]}")
+            za, zb = z[r, k], z[r, k + 1]
+            x_end = self.continue_sheet(np.array([[za, 0.5 * (za + zb), zb]]),
+                                        prev[r, k:k + 1], depth + 1)[0, -1]
+            j[r, k] = _turns(np.angle(x_end), arg[r, k])
+        return c * _OMEGA_POWERS[np.cumsum(j, axis=1) % 3]
 
     def track_along(self, points, x_start):
         """Continue x_start through a chain of z points; returns the final x."""
-        x = complex(x_start)
-        for zp, zn in zip(points, points[1:]):
-            x = self._track_step(x, zn, 0, zp)
-        return x
+        x = self.continue_sheet(np.array([points], dtype=complex), [x_start])
+        return complex(x[0, -1]) if x.size else complex(x_start)
+
+
+def _turns(phase_from, phase_to):
+    """The power j (mod 3) for which the cube root at phase_to times
+    omega^j is nearest in angle (so nearest: the three roots share one
+    modulus) to a value at phase_from.  Works on arrays."""
+    return np.rint((phase_from - phase_to) * (1.5 / math.pi)).astype(int) % 3
 
 
 # --- charges and the lattice ---
@@ -310,51 +336,51 @@ class ChargeLattice:
 # --- periods ---
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
-def _segment_period(curve, a, b, x_start):
-    """integral of x dz over the segment a -> b with tracked sheet.
-
-    Composite Gauss panels, doubled until the relative change drops below
-    PERIOD_REL_TOL.  Returns (integral, x at b).
-    """
-    prev = None
-    panels = 1
-    while panels <= 1024:
-        total = 0j
-        x = x_start
-        z_run = a
-        for p in range(panels):
-            za = a + (b - a) * (p / panels)
-            zb = a + (b - a) * ((p + 1) / panels)
-            mid = 0.5 * (za + zb)
-            half = 0.5 * (zb - za)
-            acc = 0j
-            for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-                zz = mid + half * t
-                x = curve._track_step(x, zz, 0, z_run)
-                z_run = zz
-                acc += w * x
-            total += half * acc
-            x = curve._track_step(x, zb, 0, z_run)
-            z_run = zb
-        if prev is not None and abs(total - prev) <= PERIOD_REL_TOL * max(1.0, abs(total)):
-            return total, x
-        prev = total
-        panels *= 2
-    raise SheetAmbiguity(f"quadrature on segment {a} -> {b} did not settle")
+#: a panel's quadrature nodes, then its end, as fractions of the panel
+_PANEL_NODES = np.append(0.5 * (1.0 + _GL_NODES), 1.0)
 
 
 def _lift(curve, path):
     """(period of x dz, end sheet value) of one lifted path, from one
-    validation and one walk."""
+    validation and one array pass per panel level.
+
+    Each segment a -> b is integrated with composite Gauss panels, doubled
+    until its integral changes by less than PERIOD_REL_TOL relative to
+    max(1, |integral|); all segments not yet settled are tracked together,
+    each on the principal cube root at its a.  A segment starts on the
+    sheet where the one before it ends, so it is then turned onto that
+    sheet: the root at a nearest the previous end, or the starting sheet.
+    """
     path.validate(curve)
-    total = 0j
-    x = path.starting_sheet_value
-    for a, b in zip(path.waypoints, path.waypoints[1:]):
-        val, x = _segment_period(curve, a, b, x)
-        total += val
-    return total, x
+    w = np.array(path.waypoints)
+    a, b = w[:-1], w[1:]
+    frame, frame_arg = curve.principal_root(a)
+    periods = np.full(len(a), np.nan, dtype=complex)    # no level yet
+    ends = np.empty(len(a), dtype=complex)
+    live = np.arange(len(a))
+    panels = 1
+    while live.size:
+        if panels > 1024:
+            raise NoConvergence(
+                f"quadrature on segment {a[live[0]]} -> {b[live[0]]} did not "
+                f"settle within 1024 panels")
+        u = (np.arange(panels)[:, None] + _PANEL_NODES).ravel() / panels
+        d = (b - a)[live, None]
+        z = np.concatenate((a[live, None], a[live, None] + d * u), axis=1)
+        x = curve.continue_sheet(z, frame[live])
+        nodes = x.reshape(len(live), panels, -1)[:, :, :-1]
+        total = (nodes @ _GL_WEIGHTS).sum(axis=1) * (0.5 * d[:, 0] / panels)
+        done = abs(total - periods[live]) <= PERIOD_REL_TOL * np.maximum(
+            1.0, abs(total))
+        periods[live] = total
+        ends[live[done]] = x[done, -1]
+        live = live[~done]
+        panels *= 2
+    turns = np.cumsum(np.append(
+        _turns(cmath.phase(path.starting_sheet_value), frame_arg[0]),
+        _turns(np.angle(ends[:-1]), frame_arg[1:]))) % 3
+    return (complex(_OMEGA_POWERS[turns] @ periods),
+            complex(_OMEGA_POWERS[turns[-1]] * ends[-1]))
 
 
 class PeriodMap:

@@ -59,7 +59,9 @@ class NumericOverflow(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """The fixed-point iteration did not meet tolerance within max_iter."""
+    """An iteration did not meet its tolerance within its cap: the
+    fixed-point solve within max_iter sweeps, or a period quadrature
+    within 1024 Gauss panels on a segment."""
 
 
 class OnRayEvaluation(ValidationError):

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 from trigon import cli
+from trigon import curve as curve_module
 from trigon.cli import main
 from trigon.curve import (Charge, ChargeLattice, CurveDefinition, LiftedPath,
                           Polynomial, SpectralCurve, curve_to_json,
@@ -251,6 +252,13 @@ def test_tba_no_convergence_exit_code(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoConvergence"
+
+
+def test_period_quadrature_no_convergence_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(curve_module, "PERIOD_REL_TOL", -1.0)
+    assert run(["periods", "--example", "pentagon"]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "NoConvergence"
 
 
 def test_tba_overflow_exit_code(tmp_path, capsys):

@@ -17,8 +17,10 @@ from trigon.curve import (
     nearest_root,
     within_margin,
 )
-from trigon.curve import _lift
-from trigon.errors import NonSimpleRoots, OpenContour, ValidationError
+from trigon import curve as curve_module
+from trigon.curve import _circle, _lift
+from trigon.errors import (NoConvergence, NonSimpleRoots, OpenContour,
+                           SheetAmbiguity, ValidationError)
 from trigon.reference import pentagon_closed_form
 
 W = OMEGA
@@ -169,6 +171,71 @@ def test_composite_monodromy_is_composition(pentagon):
     assert big != (0, 1, 2)
 
 
+def _chain(curve, z, x):
+    """The oracle: continue_root from node to node, with no margin check."""
+    out = []
+    for zz in z:
+        x = continue_root(-curve.polynomial(zz), x)
+        out.append(x)
+    return np.array(out)
+
+
+def _smooth_paths(curve, rng, rows, n=2000):
+    """Random closed Fourier curves that keep 0.05 from every zero."""
+    out = []
+    while len(out) < rows:
+        t = np.linspace(0.0, 2 * np.pi, n)
+        z = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2) + sum(
+            rng.uniform(0, 1.5 / k) * np.exp(1j * (k * t + rng.uniform(0, 6.3)))
+            for k in (1, 2, 3))
+        if min(np.min(abs(z - z0)) for z0 in curve.ramification_points) > 0.05:
+            out.append(z)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
+def test_continue_sheet_matches_a_continue_root_chain(name):
+    curve = load_example(name).curve
+    rng = np.random.default_rng(2301)
+    z = _smooth_paths(curve, rng, 6)
+    x0 = np.array([cube_roots(-curve.polynomial(row[0]))[rng.integers(3)]
+                   for row in z])
+    got = curve.continue_sheet(z, x0)
+    for row, x, g in zip(z, x0, got):
+        want = _chain(curve, row[1:], x)
+        assert all(within_margin(want, np.append(x, want[:-1])))
+        assert np.all(abs(g - want) <= 1e-14 * abs(want))
+
+
+def test_continue_sheet_bisects_a_step_past_a_zero(pentagon, monkeypatch):
+    # a straight segment 1e-3 above the zero at 1: in one step the root
+    # nearest the start is not within the margin, so the step is bisected
+    curve = pentagon.curve
+    a, b = 1e-3j, 2 + 1e-3j
+    x0 = cube_roots(-curve.polynomial(a))[0]
+    depths = []
+    real = type(curve).continue_sheet
+
+    def spy(self, z, x_start, depth=0):
+        depths.append(depth)
+        return real(self, z, x_start, depth)
+
+    monkeypatch.setattr(type(curve), "continue_sheet", spy)
+    got = curve.track_along([a, b], x0)
+    assert max(depths) > 0
+    fine = _chain(curve, a + (b - a) * np.linspace(0, 1, 40001)[1:], x0)[-1]
+    assert abs(got - fine) <= 1e-12 * abs(fine)
+
+
+def test_continue_sheet_through_a_zero_raises(pentagon):
+    # the midpoint of 0 -> 2 is the zero at 1, where every root is 0: the
+    # steps onto and off it lose the margin at every bisection depth
+    curve = pentagon.curve
+    x0 = cube_roots(-curve.polynomial(0.0))[0]
+    with pytest.raises(SheetAmbiguity):
+        curve.track_along([0.0, 2.0], x0)
+
+
 def test_lifted_path_validation(pentagon):
     curve = pentagon.curve
     # segment through a ramification point
@@ -266,13 +333,65 @@ def test_period_map_lifts_each_contour_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["pentagon", "hexagon"])
 def test_continue_sheet_ends_where_the_lift_ends(name):
-    # plain tracking through the waypoints and the period quadrature's
-    # walk through its Gauss nodes continue the starting sheet alike
+    # continuing the starting sheet through the waypoints alone and the
+    # period quadrature's pass through its Gauss nodes end alike
     defn = load_example(name)
     for path in defn.lattice.basis_contours:
         _, x_end = _lift(defn.curve, path)
-        x = defn.curve.track_along(path.waypoints, path.starting_sheet_value)
+        x = defn.curve.continue_sheet(np.array([path.waypoints]),
+                                      [path.starting_sheet_value])[0, -1]
         assert abs(x - x_end) < 1e-12
+
+
+# the parent implementation's basis periods (one Gauss-node walk per
+# segment), to all printed digits
+PENT_BASIS = [-2.00324281414015 + 1.1565727779959987j,
+              1.1102230246251565e-16 - 2.3131455559919973j]
+HEX_BASIS = [2.3029811167798946 + 1.3877787807814457e-16j,
+             5.470331086656922 + 4.48792389314925j,
+             -4.318840528266982 + 2.4934837415820006j,
+             -1.27675647831893e-15 - 4.98696748316402j]
+
+
+@pytest.mark.parametrize("name, want", [("pentagon", PENT_BASIS),
+                                        ("hexagon", HEX_BASIS)])
+def test_basis_periods_are_pinned(name, want):
+    defn = load_example(name)
+    got = PeriodMap.compute(defn.curve, defn.lattice).basis_values
+    for g, w in zip(got, want, strict=True):
+        assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+
+
+def _hexagon_circles(radius):
+    """The hexagon's generators 3 and 4: a circle of the given radius,
+    lifted on the sheets the shipped example uses at radius 6."""
+    defn = load_example("hexagon")
+    wc = _circle(0.0, radius)
+    x_inf = cube_roots(-defn.curve.polynomial(wc[0]))[0]
+    return defn, [LiftedPath(wc, x_inf * W * W), LiftedPath(wc, x_inf)]
+
+
+def test_starting_sheet_far_out_is_on_the_curve():
+    # a correctly rounded cube root leaves a residual of about 1e-15 |P0|,
+    # which the on-curve bound scales with
+    defn, far = _hexagon_circles(1000.0)
+    lattice = ChargeLattice(np.zeros((2, 2), dtype=int), far)
+    got = PeriodMap.compute(defn.curve, lattice).basis_values
+    want = PeriodMap.compute(defn.curve, defn.lattice).basis_values[2:]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-9 * abs(w)
+    for radius in (6.0, 1000.0):
+        _, paths = _hexagon_circles(radius)
+        off = LiftedPath(paths[1].waypoints,
+                         paths[1].starting_sheet_value * (1 + 1e-6))
+        with pytest.raises(ValidationError, match="off the curve"):
+            off.validate(defn.curve)
+
+
+def test_unsettled_quadrature_raises_no_convergence(pentagon, monkeypatch):
+    monkeypatch.setattr(curve_module, "PERIOD_REL_TOL", -1.0)
+    with pytest.raises(NoConvergence, match="did not settle within 1024 panels"):
+        PeriodMap.compute(pentagon.curve, pentagon.lattice)
 
 
 # ---------------- pairing ----------------
