@@ -9,16 +9,18 @@ The sheets over z are x, omega*x and omega^2*x, so x_j = omega^k x_i with
 k in {1, 2}: the label (x_i, k) is what a ray, a seed and a trajectory
 carry.  Only x_i is tracked, continued at each RK stage by the one sheet
 rule curve.continue_root, and u = x_i - x_j; a Trajectory holds arrays
-of its points, x_i and chain integral, and the index k.  One
-Cash-Karp step (_cash_karp) has two drivers: trace for one seed on Python
-complex numbers, and trace_lanes for a batch as numpy lanes, where the
-rule takes its array form _lane_sheet.  Networks start from the 8 critical
-trajectories emanating from each simple zero of P0, then grow by the
-junction birth rule: at every crossing whose labels chain as (i,j),(j,l)
-a new trajectory labeled (i,l) is seeded at the crossing.  Each critical
-ray carries a label (zero, m), m = 0..7, from the local model
-x^3 ~ -P0'(z0) (z - z0), continuous in theta; _critical_rays finds any
-list of labelled rays in one array bisection.
+of its points and x_i, and the index k.  One Cash-Karp step
+(_cash_karp), which integrates and error-controls z alone, has two
+drivers: trace for one seed on Python complex numbers, and trace_lanes
+for a batch as numpy lanes, where the rule takes its array form
+_lane_sheet.  Networks start from the 8 critical trajectories emanating
+from each simple zero of P0, then grow by the junction birth rule: at
+every crossing whose labels chain as (i,j),(j,l) a new trajectory
+labeled (i,l) is seeded at the crossing, refined from the polyline
+chords onto the parents' cubic Hermite segments (_refine_crossing).
+Each critical ray carries a label (zero, m), m = 0..7, from the local
+model x^3 ~ -P0'(z0) (z - z0), continuous in theta; _critical_rays finds
+any list of labelled rays in one array bisection.
 
 Finite webs (a trajectory running into a zero, or a junction child doing
 so) are bracketed by the sign changes of the signed miss distance in
@@ -31,8 +33,12 @@ RayBook.rays_at call and traced as numpy lanes (trace_lanes); an event's
 probes run it at one phase on the event's own rays (one critical ray, or
 two parents and their child) with the scalar trace.  No phase's result
 depends on its block.  Each probe sits at the false-position phase of the
-event's miss and reads a charge by matching the chain integral of x dz
-against integer combinations of the basis periods.  A web of charge gamma
+event's miss and reads a charge by matching the web's period against
+integer combinations of the basis periods.  The period is the integral
+of the holomorphic form u dz along the web's legs (_leg_period), by a
+fixed Gauss-Legendre rule on each chord, so a leg's integral depends on
+its ends alone; at a junction the parents' u add up to the child's, and
+where the junction point lies drops out.  A web of charge gamma
 exists only at theta = arg Z_gamma, where its mass exp(-i*theta) Z_gamma
 is real and positive, so the first charge whose arg Z_gamma lies in the
 event's grid bracket settles it, and each new charge is traced once more,
@@ -233,20 +239,18 @@ _ROTATION = np.array([1, OMEGA, OMEGA * OMEGA])
 
 @dataclass(eq=False, slots=True)
 class Trajectory:
-    """A traced WKB trajectory: polyline, tracked sheet, chain integral.
+    """A traced WKB trajectory: polyline and tracked sheet.
 
-    points, x and chain are arrays over the polyline's points: x[m] is the
+    points and x are arrays over the polyline's points: x[m] is the
     tracked sheet x_i at points[m], whose partner is omega^k x_i with k in
-    {1, 2} fixed along the trajectory.  chain[m] is the accumulated
-    integral of |x_i - x_j| over arclength up to point m; the complex
-    integral of (x_i - x_j) dz along the curve is exp(i*theta) * chain[m],
-    a consequence of the trajectory equation.
+    {1, 2} fixed along the trajectory.  The sheet also gives the direction
+    of travel, exp(i*theta) * conj(u)/|u| with u = x_i - x_j, and the
+    period integrand u dz, which _leg_period integrates on the chords.
     """
 
     points: np.ndarray
     x: np.ndarray
     k: int
-    chain: np.ndarray
     status: str                   # "escaped" | "hit_zero" | "truncated"
     hit_zero: int
     seed: TrajectorySeed
@@ -274,35 +278,33 @@ def _seed_sheet(curve, seed):
     return z, rts[nearest_root(rts, seed.x)], seed.k
 
 
-def _cash_karp(rhs, z, h, f1, g1):
-    """One Cash-Karp step (orders 5 and 4) of dz/ds = f, dT/ds = g, with
-    rhs(w) = (f, g) and (f1, g1) = rhs(z), on Python complex numbers or on
-    numpy lanes: (z5, T5, |z5 - z4| + |T5 - T4|, (g2, ..., g6))."""
-    f2, g2 = rhs(z + h * (1 / 5 * f1))
-    f3, g3 = rhs(z + h * (3 / 40 * f1 + 9 / 40 * f2))
-    f4, g4 = rhs(z + h * (3 / 10 * f1 - 9 / 10 * f2 + 6 / 5 * f3))
-    f5, g5 = rhs(z + h * (-11 / 54 * f1 + 5 / 2 * f2 - 70 / 27 * f3
+def _cash_karp(rhs, z, h, f1):
+    """One Cash-Karp step (orders 5 and 4) of dz/ds = f, with rhs(w) =
+    (f, |u|) and f1 = f(z), on Python complex numbers or on numpy lanes:
+    (z5, |z5 - z4|, (|u| at stages 2, ..., 6)).  Only z is integrated and
+    error-controlled; the stages' |u| serve the lanes' on-zero test."""
+    f2, a2 = rhs(z + h * (1 / 5 * f1))
+    f3, a3 = rhs(z + h * (3 / 40 * f1 + 9 / 40 * f2))
+    f4, a4 = rhs(z + h * (3 / 10 * f1 - 9 / 10 * f2 + 6 / 5 * f3))
+    f5, a5 = rhs(z + h * (-11 / 54 * f1 + 5 / 2 * f2 - 70 / 27 * f3
                           + 35 / 27 * f4))
-    f6, g6 = rhs(z + h * (1631 / 55296 * f1 + 175 / 512 * f2
+    f6, a6 = rhs(z + h * (1631 / 55296 * f1 + 175 / 512 * f2
                           + 575 / 13824 * f3 + 44275 / 110592 * f4
                           + 253 / 4096 * f5))
     z5 = z + h * (37 / 378 * f1 + 250 / 621 * f3 + 125 / 594 * f4
                   + 512 / 1771 * f6)
     z4 = z + h * (2825 / 27648 * f1 + 18575 / 48384 * f3
                   + 13525 / 55296 * f4 + 277 / 14336 * f5 + 1 / 4 * f6)
-    T5 = h * (37 / 378 * g1 + 250 / 621 * g3 + 125 / 594 * g4
-              + 512 / 1771 * g6)
-    T4 = h * (2825 / 27648 * g1 + 18575 / 48384 * g3
-              + 13525 / 55296 * g4 + 277 / 14336 * g5 + 1 / 4 * g6)
-    return z5, T5, abs(z5 - z4) + abs(T5 - T4), (g2, g3, g4, g5, g6)
+    return z5, abs(z5 - z4), (a2, a3, a4, a5, a6)
 
 
 def trace(curve, seed, config=None):
     """Integrate one trajectory until escape, a zero hit, or truncation.
 
-    The scalar driver of _cash_karp: each RK stage continues x_i by
-    continue_root, and a step whose end sheet is not within_margin is
-    halved.  trace_lanes has the same rule, two implementations.
+    The scalar driver of _cash_karp, which integrates and error-controls
+    the point z alone: each RK stage continues x_i by continue_root, and
+    a step whose end sheet is not within_margin is halved.  trace_lanes
+    has the same rule, two implementations.
     """
     config = config or TraceConfig()
     eith = cmath.exp(1j * seed.theta)
@@ -326,10 +328,9 @@ def trace(curve, seed, config=None):
             raise SheetAmbiguity(f"RK stage on a zero of P0 at z = {w}")
         return eith * u.conjugate() / au, au
 
-    f1, g1 = rhs(z)
+    f1 = rhs(z)[0]
     points = [z]
     xs = [x]
-    chain = [0.0]
     s_total = 0.0
     dz = [abs(z - z0) for z0 in zeros]
     dist = min(dz, default=float("inf"))
@@ -346,14 +347,17 @@ def trace(curve, seed, config=None):
         if h < H_MIN:
             raise SheetAmbiguity(f"step size collapsed at z = {z}")
         try:
-            z5, T5, err, _ = _cash_karp(rhs, z, h, f1, g1)
+            z5, err, _ = _cash_karp(rhs, z, h, f1)
         except SheetAmbiguity:
             h *= 0.25
             if h < H_MIN:
                 raise
             continue
-        # absolute floor keeps tiny steps near zeros feasible at roundoff
-        tol = config.rk_tol * h + 4e-15 * (1.0 + abs(z))
+        # absolute floor keeps tiny steps near zeros feasible at roundoff;
+        # an error below it is rounding noise, which does not set the
+        # next step: it differs between trace and trace_lanes
+        floor = 4e-15 * (1.0 + abs(z))
+        tol = config.rk_tol * h + floor
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.25)
             continue
@@ -367,10 +371,9 @@ def trace(curve, seed, config=None):
         points.append(z)
         xs.append(x)
         u = x * gap       # the next step's first stage
-        f1, g1 = eith * u.conjugate() / abs(u), abs(u)
-        chain.append(chain[-1] + T5)
+        f1 = eith * u.conjugate() / abs(u)
         h = min(config.h_max,
-                h * min(5.0, 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0))
+                h * min(5.0, 0.9 * (tol / err) ** 0.2 if err > floor else 5.0))
 
         dz = [abs(z - z0) for z0 in zeros]
         dist = min(dz, default=float("inf"))
@@ -388,8 +391,7 @@ def trace(curve, seed, config=None):
             status = "truncated"
             break
 
-    return Trajectory(np.array(points), np.array(xs), k, np.array(chain),
-                      status, hit, seed)
+    return Trajectory(np.array(points), np.array(xs), k, status, hit, seed)
 
 
 def _lane_sheet(coeffs, w, x, inv_cube):
@@ -423,16 +425,16 @@ def trace_lanes(curve, seeds, config=None):
     """
     if not seeds:
         return []
-    z, x, chain, k, ends, status, hit_zero = _trace_lanes(curve, seeds, config)
+    z, x, k, ends, status, hit_zero = _trace_lanes(curve, seeds, config)
     starts = [0] + ends[:-1]
-    return [Trajectory(z[a:b], x[a:b], int(kk), chain[a:b], st, hz, seed)
+    return [Trajectory(z[a:b], x[a:b], int(kk), st, hz, seed)
             for a, b, kk, st, hz, seed in zip(starts, ends, k, status,
                                               hit_zero, seeds)]
 
 
 def _trace_lanes(curve, seeds, config):
-    """The lane loop: z, x_i and chain at every lane's points, lane after
-    lane in seed order; each lane's partner index k and end index in
+    """The lane loop: z and x_i at every lane's points, lane after lane in
+    seed order; each lane's partner index k and end index in
     them; statuses; hit zeros."""
     config = config or TraceConfig()
     n = len(seeds)
@@ -462,16 +464,15 @@ def _trace_lanes(curve, seeds, config):
         return dz, dz.min(axis=1)
 
     with np.errstate(all="ignore"):
-        # each accepted point as (lanes, index along the lane, z, x, chain)
-        records = [(lane, np.zeros(n, np.intp), z, x, np.zeros(n))]
+        # each accepted point as (lanes, index along the lane, z, x)
+        records = [(lane, np.zeros(n, np.intp), z, x)]
         length = np.ones(n, dtype=np.intp)
-        f1, g1 = rhs(z)
+        f1 = rhs(z)[0]
         dz, dist = distances(z)
         h = np.maximum(np.minimum(config.h_max,
                                   0.05 * (dist if len(zeros) else 1.0)),
                        64 * H_MIN)
         disarmed = dz < arm_radius
-        chain = np.zeros(n)
         s_total = np.zeros(n)
         npts = np.ones(n, dtype=np.intp)
         outward = np.zeros(n, dtype=np.intp)
@@ -482,9 +483,10 @@ def _trace_lanes(curve, seeds, config):
             if (h < H_MIN).any():
                 raise SheetAmbiguity(
                     f"step size collapsed at z = {z[h < H_MIN][0]}")
-            z5, T5, err, stages = _cash_karp(rhs, z, h, f1, g1)
+            z5, err, stages = _cash_karp(rhs, z, h, f1)
             on_zero = (np.array(stages) == 0).any(axis=0)
-            tol = config.rk_tol * h + 4e-15 * (1.0 + np.abs(z))
+            floor = 4e-15 * (1.0 + np.abs(z))
+            tol = config.rk_tol * h + floor
             too_big = ~on_zero & (err > tol)
             x5 = _lane_sheet(coeffs, z5, x, inv_cube)
             ok = ~on_zero & ~too_big & within_margin(x5, x)
@@ -496,7 +498,7 @@ def _trace_lanes(curve, seeds, config):
                     f"RK stage on a zero of P0 near z = "
                     f"{z[on_zero & (retry < H_MIN)][0]}")
             grown = np.minimum(config.h_max, h * np.where(
-                err > 0, np.minimum(5.0, 0.9 * (tol / err) ** 0.2), 5.0))
+                err > floor, np.minimum(5.0, 0.9 * (tol / err) ** 0.2), 5.0))
             prev = z
             s_total = np.where(ok, s_total + h, s_total)
             h = np.where(ok, grown, retry)
@@ -505,9 +507,7 @@ def _trace_lanes(curve, seeds, config):
             inv_cube = np.where(ok, -1 / x5 ** 3, inv_cube)
             u = x5 * gap
             f1 = np.where(ok, eith * u.conjugate() / np.abs(u), f1)
-            g1 = np.where(ok, np.abs(u), g1)
-            chain = np.where(ok, chain + T5, chain)
-            records.append((lane[ok], npts[ok], z5[ok], x5[ok], chain[ok]))
+            records.append((lane[ok], npts[ok], z5[ok], x5[ok]))
             npts += ok
 
             dz, dist = distances(z)
@@ -531,20 +531,20 @@ def _trace_lanes(curve, seeds, config):
                 status[lane[a]] = "escaped"
             length[lane[done]] = npts[done]
             keep = ~done
-            (lane, z, x, inv_cube, gap, eith, h, f1, g1, dist, disarmed,
-             chain, s_total, npts, outward) = (v[keep] for v in (
-                 lane, z, x, inv_cube, gap, eith, h, f1, g1, dist, disarmed,
-                 chain, s_total, npts, outward))
+            (lane, z, x, inv_cube, gap, eith, h, f1, dist, disarmed,
+             s_total, npts, outward) = (v[keep] for v in (
+                 lane, z, x, inv_cube, gap, eith, h, f1, dist, disarmed,
+                 s_total, npts, outward))
 
     ends = np.cumsum(length)
     first = ends - length
     total = int(ends[-1])
-    z, x, chain = np.empty(total, complex), np.empty(total, complex), np.empty(total)
+    z, x = np.empty(total, complex), np.empty(total, complex)
     while records:
-        lanes, at, zr, xr, cr = records.pop()
+        lanes, at, zr, xr = records.pop()
         idx = first[lanes] + at
-        z[idx], x[idx], chain[idx] = zr, xr, cr
-    return z, x, chain, k, ends.tolist(), status, hit_zero
+        z[idx], x[idx] = zr, xr
+    return z, x, k, ends.tolist(), status, hit_zero
 
 
 # ----------------------------------------------------------------------
@@ -625,8 +625,50 @@ def later_crossings(polylines, new=0):
     return out
 
 
-def _interp_chain(traj, idx, t):
-    return traj.chain[idx] + (traj.chain[idx + 1] - traj.chain[idx]) * t
+# Newton steps that move a chord crossing onto the Hermite segments
+NEWTON_STEPS = 3
+
+
+def _hermite(traj, m):
+    """The cubic Hermite segment m of a trajectory, as a function of t in
+    [0, 1] that returns (H(t), H'(t)).  It runs from points[m] to
+    points[m + 1] with end tangents L f, where f = exp(i*theta) conj(u)/|u|
+    is the unit direction read from the stored sheet and L the chord
+    length, written as H(t) = p + t (d + (1 - t) ((1 - t) e0 + t e1)) with
+    d the chord, e0 = L f(0) - d and e1 = d - L f(1)."""
+    p = complex(traj.points[m])
+    d = complex(traj.points[m + 1]) - p
+    u = traj.x[m:m + 2] * (1 - _ROTATION[traj.k])
+    f0, f1 = (cmath.exp(1j * traj.seed.theta) * u.conjugate()
+              / np.abs(u)).tolist()
+    e0, e1 = abs(d) * f0 - d, d - abs(d) * f1
+
+    def at(t):
+        s = 1 - t
+        return (p + t * (d + s * (s * e0 + t * e1)),
+                d + s * (1 - 3 * t) * e0 + t * (2 - 3 * t) * e1)
+    return at
+
+
+def _refine_crossing(trajA, trajB, hit):
+    """A chord crossing (z, ia, ta, ib, tb) moved to where the two Hermite
+    segments ia and ib cross, by NEWTON_STEPS Newton steps on
+    H_A(ta) = H_B(tb) from the chord parameters.  The chord crossing is
+    kept when Newton leaves either segment or meets parallel tangents."""
+    _, ia, ta, ib, tb = hit
+    A, B = _hermite(trajA, ia), _hermite(trajB, ib)
+    for _ in range(NEWTON_STEPS):
+        (za, da), (zb, db) = A(ta), B(tb)
+        # da dta - db dtb = zb - za, solved for the real dta and dtb
+        den = (db.conjugate() * da).imag
+        if den == 0.0:
+            return hit
+        r = zb - za
+        ta += (db.conjugate() * r).imag / den
+        tb += (da.conjugate() * r).imag / den
+    if not (0.0 <= ta <= 1.0 and 0.0 <= tb <= 1.0):
+        return hit
+    return (A(ta)[0], ia, ta, ib, tb)
 
 
 # ----------------------------------------------------------------------
@@ -669,7 +711,7 @@ def _crossings(curve, trajA, trajB, hits, known):
     Yields ("birth", hit, (x, k)) and ("head_on", hit, None) in order
     along trajA, for hits as polyline_intersections gives them for the
     two polylines: (z, ia, ta, ib, tb).  Both tracked sheets are
-    continued to the crossing, where x_B = omega^r x_A.  Labels A =
+    continued to the chord crossing, where x_B = omega^r x_A.  Labels A =
     (x_A, omega^kA x_A) and B = (x_B, omega^kB x_B) chain when A's
     partner is x_B (r = kA) or B's partner is x_A (r = -kB): with
     kA + kB = 0 mod 3 the two run head-on, and otherwise the child is
@@ -678,7 +720,9 @@ def _crossings(curve, trajA, trajB, hits, known):
     Crossings within DEDUP_RADIUS of a point in `known` or of
     either trajectory's first point are skipped (they are re-detections
     of an existing junction or of a child's own birth point), and each
-    crossing yielded joins `known`.
+    crossing yielded joins `known`.  A yielded crossing is refined onto
+    the two Hermite segments (_refine_crossing), and the child's sheet is
+    continued there.
     """
     kA, kB = trajA.k, trajB.k
     for hit in sorted(hits, key=lambda h: h[1] + h[2]):
@@ -692,11 +736,14 @@ def _crossings(curve, trajA, trajB, hits, known):
         r = nearest_root((xA, xA * OMEGA, xA * OMEGA * OMEGA), xB)
         if r not in (kA, -kB % 3):
             continue
-        known.append(z)
+        hit = _refine_crossing(trajA, trajB, hit)
+        known.append(hit[0])
         if (kA + kB) % 3 == 0:
             yield ("head_on", hit, None)
         else:
-            yield ("birth", hit, (xA if r == kA else xB, (kA + kB) % 3))
+            yield ("birth", hit, (continue_root(-curve.polynomial(hit[0]),
+                                                xA if r == kA else xB),
+                                  (kA + kB) % 3))
 
 
 def grow_network(curve, theta, classify=True):
@@ -1041,8 +1088,8 @@ def _event_point(curve, event, theta, config):
     for (zi, m), ray in zip(keys, _critical_rays(
             curve, [(theta, zi, m) for zi, m in keys], config.delta0)):
         rays.setdefault(zi, []).append((m,) + ray)
-    # the scalar trace: 1-3 rays, far below the 32 lanes from which
-    # trace_lanes is faster
+    # the scalar trace: 1-3 rays, far below the 24-32 lanes from which
+    # trace_lanes is faster (scan config, pentagon and hexagon)
     point, = _scan_points(curve, [theta], [rays], config,
                           lambda c, seeds, cf: [trace(c, s, cf) for s in seeds])
     return point
@@ -1060,14 +1107,37 @@ def _web_trace_config(curve, fine):
     return TraceConfig(escape_radius=escape_radius, rk_tol=1e-7)
 
 
-def _endpoint_chain_correction(traj, idx, zero):
-    """Missing chain piece between a truncated endpoint and the zero itself.
+# Gauss-Legendre nodes per chord in a web leg's period
+CHORD_NODES = 5
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(CHORD_NODES)
 
-    Near a simple zero |u| grows like c * r^(1/3), so the missing integral
-    of |u| over the last stretch of length r is (3/4) |u(endpoint)| * r.
+
+def _leg_period(curve, traj, polyline, start=None, end=None):
+    """The integral of u dz = (x_i - x_j) dz along one leg of a web.
+
+    The leg is a polyline whose chord m starts at traj.points[m] on the
+    sheet traj.x[m]; each chord is integrated by the CHORD_NODES-point
+    Gauss-Legendre rule, vectorised over the chords, with x_i continued
+    to the nodes by _lane_sheet.  The form is holomorphic, so the result
+    depends on the polyline's ends alone.  A leg that leaves the zero
+    `start` or enters the zero `end` adds the stretch between it and the
+    polyline's end: near a simple zero u grows like (z - z0)^(1/3), so
+    the integral from z0 to z is (3/4) u(z) (z - z0).
     """
-    x = traj.x[idx]
-    return 0.75 * abs(x - x * _ROTATION[traj.k]) * abs(traj.points[idx] - zero)
+    coeffs = tuple(reversed(curve.polynomial.coefficients))
+    gap = 1 - _ROTATION[traj.k]
+    n = len(polyline) - 1
+    a = polyline[:-1, None]
+    half = 0.5 * (polyline[1:, None] - a)
+    x = traj.x[:n, None]
+    u = _lane_sheet(coeffs, a + half * (1 + _NODES), x, -1 / x ** 3) * gap
+    Z = complex(np.sum(half[:, 0] * (u @ _WEIGHTS)))
+    zeros = curve.ramification_points
+    if start is not None:
+        Z += 0.75 * complex(traj.x[0] * gap) * (polyline[0] - zeros[start])
+    if end is not None:
+        Z += 0.75 * complex(traj.x[n] * gap) * (zeros[end] - polyline[-1])
+    return Z
 
 
 def _assemble_web(curve, event, point, theta, config, period_map,
@@ -1075,50 +1145,50 @@ def _assemble_web(curve, event, point, theta, config, period_map,
     """Assemble the web that an event's scan point, built at theta with
     config, forms.
 
-    The period is the chain integral of every leg up to the target zero,
-    plus the missing end piece at each zero; the leg into the target must
-    pass within 100 delta_hit of it.  The charge is the one that period
-    matches to residual_rel.
+    The legs run from their zeros along the trajectories' points: a
+    single string's up to its point nearest the target zero, which must
+    lie within 100 delta_hit of it; a junction web's two parents up to
+    the junction point J, and the child from J up to its point nearest
+    the target.  The period is the sum of _leg_period over the legs, with
+    the stretches from and into the zeros, so it does not depend on where
+    J lies.  The charge is the one that period matches to residual_rel.
     """
     kind, key, zi_target = event
     critical, children = point
-    zeros = curve.ramification_points
     if kind == "c":
         end = critical[key]
-        T = _endpoint_chain_correction(end, 0, zeros[key[0]])
+    elif key not in children:
+        raise NumericalError("lost the junction child during web assembly")
     else:
-        if key not in children:
-            raise NumericalError("lost the junction child during web assembly")
-        (zJ, ia, ta, ib, tb), end = children[key]
-        trajA, trajB = critical[key[0]], critical[key[1]]
-        T = (_interp_chain(trajA, ia, ta) + _interp_chain(trajB, ib, tb)
-             + _endpoint_chain_correction(trajA, 0, zeros[key[0][0]])
-             + _endpoint_chain_correction(trajB, 0, zeros[key[1][0]]))
-    kmin, miss = _nearest(end.points, zeros[zi_target])
+        (zJ, ia, _, ib, _), end = children[key]
+    kmin, miss = _nearest(end.points, curve.ramification_points[zi_target])
     if miss > 100 * config.delta_hit:
         raise NumericalError(
             f"assembled {'trajectory' if kind == 'c' else 'child'} misses "
             f"the zero by {miss:.2e}")
-    T += end.chain[kmin] + _endpoint_chain_correction(end, kmin, zeros[zi_target])
-    Z = cmath.exp(1j * theta) * T
-    charge, res = identify_charge(Z, period_map, residual_rel)
     if kind == "c":
-        return FiniteWeb(theta_star=theta, charge=charge,
-                         topology="single_string", period=Z, residual=res,
-                         zeros=(key[0], zi_target),
-                         segments=[end.points[:kmin + 1]])
+        legs = [(end, end.points[:kmin + 1], key[0], zi_target)]
+        zeros = (key[0], zi_target)
+    else:
+        trajA, trajB = critical[key[0]], critical[key[1]]
+        legs = [(trajA, np.append(trajA.points[:ia + 1], zJ), key[0][0], None),
+                (trajB, np.append(trajB.points[:ib + 1], zJ), key[1][0], None),
+                (end, end.points[:kmin + 1], None, zi_target)]
+        zeros = (key[0][0], key[1][0], zi_target)
+    Z = sum(_leg_period(curve, *leg) for leg in legs)
+    charge, res = identify_charge(Z, period_map, residual_rel)
     return FiniteWeb(theta_star=theta, charge=charge,
-                     topology="three_string_junction", period=Z, residual=res,
-                     zeros=(key[0][0], key[1][0], zi_target),
-                     segments=[np.append(trajA.points[:ia + 1], zJ),
-                               np.append(trajB.points[:ib + 1], zJ),
-                               end.points[:kmin + 1]])
+                     topology=("single_string" if kind == "c"
+                               else "three_string_junction"),
+                     period=Z, residual=res, zeros=zeros,
+                     segments=[polyline for _, polyline, _, _ in legs])
 
 
 # phases per scan block: about this many critical lanes in one batch.  On
-# the full pentagon and hexagon sweeps, blocks of 256 lanes ran about 20%
-# slower and blocks of 1000 or 2000 only 5-8% faster, while a block's
-# arrays take 10-13 kB of peak memory per lane
+# the full pentagon and hexagon sweeps (best of two runs on a shared
+# 2-vCPU machine), blocks of 256 lanes ran 5-20% slower, and blocks of
+# 1000 or 2000 from 15% slower to 20% faster, while a block's scan takes
+# 8-10 kB of peak memory per lane (tracemalloc)
 SCAN_BLOCK_LANES = 500
 # an event whose probes read no charge is dropped once their bracket is
 # narrower than this

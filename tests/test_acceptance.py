@@ -170,6 +170,23 @@ def test_sweep_webs_sit_at_arg_z(sweep, pm, request):
             assert abs(w.period - Z) < 1e-10 * abs(Z)
 
 
+@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
+def test_sweep_web_periods_meet_z_and_children_reach_their_zeros(name,
+                                                                 request):
+    # every web's period, junction webs' included, is Z(gamma) to 1e-10,
+    # and every junction child, born on the parents' Hermite segments,
+    # ends within 1e-4 of its zero
+    webs, _, dropped = request.getfixturevalue(f"{name}_sweep")
+    pm = request.getfixturevalue(f"{name}_pm")
+    zeros = request.getfixturevalue(name).curve.ramification_points
+    assert dropped == [] and webs
+    for w in webs:
+        Z = pm.Z(w.charge)
+        assert abs(w.period - Z) < 1e-10 * abs(Z)
+        if w.topology == "three_string_junction":
+            assert abs(w.segments[-1][-1] - zeros[w.zeros[-1]]) < 1e-4
+
+
 def test_criterion_6_tba_spot_value(pentagon, pentagon_pm):
     spec = builtin_spectrum("pentagon")
     t0 = time.time()

@@ -8,7 +8,7 @@ import pytest
 
 from trigon import network
 from trigon.curve import (OMEGA, Charge, PeriodMap, Polynomial, SpectralCurve,
-                          cube_roots, nearest_root)
+                          continue_root, cube_roots, nearest_root)
 from trigon.errors import (
     ChargeIdentificationFailed,
     NumericalError,
@@ -169,7 +169,8 @@ def test_label_swap_time_reversal_retraces(pentagon, monkeypatch):
     z_mid = traj.points[k]
     # the swapped label: track x_j = omega^k x_i, whose partner is x_i
     xj = traj.sheet(k) * OMEGA ** traj.k
-    monkeypatch.setattr(network, "MAX_ARCLENGTH", traj.chain[-1])
+    monkeypatch.setattr(network, "MAX_ARCLENGTH",
+                        float(np.abs(np.diff(traj.points)).sum()))
     back = trace(pentagon.curve, TrajectorySeed(
         z=z_mid, x=xj, k=3 - traj.k, origin=("critical", -1, 0, 0.0),
         theta=0.2))
@@ -204,17 +205,21 @@ def test_local_foliation_directions_at_two_pi_over_three(pentagon):
         assert min(abs(diff - TWO_PI / 3), abs(diff - 2 * TWO_PI / 3)) < 1e-12
 
 
-def test_chain_integral_matches_phase(pentagon):
+def test_leg_integral_matches_phase(pentagon):
     # exp(-i theta) * integral of (x_i - x_j) dz along a trajectory is
-    # real positive, the defining property of the flow, and equals the
-    # accumulated chain; the trapezoid rule on the polyline's chords holds
-    # both to about 2e-6 and 2e-5
+    # real positive, the defining property of the flow, from its first
+    # point and from its zero; the Gauss rule on the chords holds the
+    # phase to about 2e-12, and the trapezoid rule agrees to about 3e-5
     seeds = seed_critical(pentagon.curve, 0.4)
     traj = trace(pentagon.curve, seeds[3])
+    rot = cmath.exp(-1j * 0.4)
+    for start in (None, traj.seed.origin[1]):
+        val = network._leg_period(pentagon.curve, traj, traj.points, start)
+        assert (val * rot).real > 0
+        assert abs(cmath.phase(val * rot)) < 1e-11
     u = traj.x * (1 - OMEGA ** traj.k)
-    val = np.sum(0.5 * (u[1:] + u[:-1]) * np.diff(traj.points))
-    assert abs(cmath.phase(val * cmath.exp(-1j * 0.4))) < 1e-5
-    assert abs(abs(val) - traj.chain[-1]) <= 1e-4 * traj.chain[-1]
+    trapezoid = np.sum(0.5 * (u[1:] + u[:-1]) * np.diff(traj.points))
+    assert abs(trapezoid - val) <= 1e-4 * abs(val)
 
 
 def _lane_in_a_batch(curve, seed, config=None):
@@ -290,8 +295,15 @@ def _distance_to_polyline(points, polyline):
     return float(np.abs(p - (a + t * d)).min(axis=1).max())
 
 
-def _as_tuple(traj):
-    return (traj.points.tolist(), traj.x.tolist(), traj.k, traj.chain.tolist(),
+def _leg(curve, traj, end=None):
+    """The integral of u dz along a trajectory's chords, closed by a chord
+    to `end` if given."""
+    points = traj.points if end is None else np.append(traj.points, end)
+    return network._leg_period(curve, traj, points)
+
+
+def _as_tuple(curve, traj):
+    return (traj.points.tolist(), traj.x.tolist(), traj.k, _leg(curve, traj),
             traj.status, traj.hit_zero)
 
 
@@ -301,8 +313,11 @@ def test_lanes_follow_the_scalar_tracer(window_lanes):
         ref = trace(curve, seed, cfg)
         assert lane.seed is seed
         assert (lane.status, lane.hit_zero) == (ref.status, ref.hit_zero)
-        assert _distance_to_polyline(lane.points, ref.points) < 1e-3
-        assert abs(lane.chain[-1] - ref.chain[-1]) < 1e-4 * ref.chain[-1]
+        assert _distance_to_polyline(lane.points, ref.points) < 1e-9
+        # the same sheet: closed by a chord to the lane's end, the scalar
+        # trace's integral is the lane's, since u dz is holomorphic
+        leg = _leg(curve, lane)
+        assert abs(leg - _leg(curve, ref, lane.points[-1])) < 1e-12 * abs(leg)
         assert (lane.x[0], lane.k) == (ref.x[0], ref.k)
 
 
@@ -310,8 +325,7 @@ def test_both_tracers_return_arrays(pentagon):
     seeds = seed_critical(pentagon.curve, 0.2)[:3]
     for traj in [trace(pentagon.curve, s) for s in seeds] \
             + trace_lanes(pentagon.curve, seeds):
-        for values, dtype in ((traj.points, complex), (traj.x, complex),
-                              (traj.chain, float)):
+        for values, dtype in ((traj.points, complex), (traj.x, complex)):
             assert isinstance(values, np.ndarray) and values.dtype == dtype
             assert values.shape == (len(traj),)
         assert type(traj.k) is int and traj.k in (1, 2)
@@ -323,13 +337,13 @@ def test_a_lane_does_not_depend_on_its_batch(window_lanes):
     np.random.default_rng(8).shuffle(order)
     shuffled = trace_lanes(curve, [seeds[i] for i in order], cfg)
     for i, lane in zip(order, shuffled):
-        assert _as_tuple(lane) == _as_tuple(lanes[i])
+        assert _as_tuple(curve, lane) == _as_tuple(curve, lanes[i])
     # one ray of each phase on its own, a different label at each phase
     per_phase = 8 * len(curve.ramification_points)
     for p in range(len(seeds) // per_phase):
         i = p * per_phase + p % per_phase
         alone, = trace_lanes(curve, [seeds[i]], cfg)
-        assert _as_tuple(alone) == _as_tuple(lanes[i])
+        assert _as_tuple(curve, alone) == _as_tuple(curve, lanes[i])
 
 
 @pytest.mark.parametrize("name, theta_range, step", [
@@ -416,22 +430,52 @@ def test_later_crossings_match_pairwise_intersections(window_lanes):
 
 @pytest.mark.parametrize("name, theta", [("pentagon", 0.0), ("hexagon", 0.1)])
 def test_junctions_sit_on_their_parents_crossings(name, theta, request):
+    # J lies on both parents' Hermite segments, on the segments whose
+    # chords cross, and within a chord-to-curve distance of the chord
+    # crossing
     curve = request.getfixturevalue(name).curve
     net = grow_network(curve, theta)
     assert net.junctions
     for j in net.junctions:
-        a, b = (net.trajectories[i].points for i in j.parents)
-        assert (j.point, j.parent_params) in [
-            (z, ((ia, ta), (ib, tb)))
-            for z, ia, ta, ib, tb in polyline_intersections(a, b)]
+        A, B = (net.trajectories[i] for i in j.parents)
+        (ia, ta), (ib, tb) = j.parent_params
+        assert 0 <= ta <= 1 and 0 <= tb <= 1
+        assert abs(network._hermite(A, ia)(ta)[0] - j.point) < 1e-13
+        assert abs(network._hermite(B, ib)(tb)[0] - j.point) < 1e-13
+        chord, = [z for z, ia1, _, ib1, _ in polyline_intersections(
+            A.points, B.points) if (ia1, ib1) == (ia, ib)]
+        assert 0 < abs(chord - j.point) < 1e-3
+
+
+@pytest.mark.parametrize("name, theta", [("pentagon", 0.0), ("hexagon", 0.1)])
+def test_census_junctions_match_a_fine_trace(name, theta, request,
+                                             monkeypatch):
+    # the same network traced with rk_tol 1e-13 and h_max 0.005 has the
+    # same births, at points within 1e-5
+    curve = request.getfixturevalue(name).curve
+    net = grow_network(curve, theta, classify=False)
+    fine = TraceConfig(rk_tol=1e-13, h_max=0.005)
+    real_trace = network.trace
+    monkeypatch.setattr(network, "trace",
+                        lambda c, seed, config=None: real_trace(c, seed, fine))
+    ref = grow_network(curve, theta, classify=False)
+    assert [(j.parents, j.child) for j in net.junctions] \
+        == [(j.parents, j.child) for j in ref.junctions]
+    for j, r in zip(net.junctions, ref.junctions):
+        assert abs(j.point - r.point) < 1e-5
 
 
 def _straight(a, b, x, k):
     """A hand-built trajectory from a to b on the constant sheet x with
-    partner omega^k x, in three segments."""
+    partner omega^k x, in three segments, at the phase whose direction
+    exp(i theta) conj(u)/|u| points from a to b, so that its Hermite
+    segments are its chords."""
     points = np.linspace(a, b, 4)
-    return network.Trajectory(points, np.full(4, x), k, np.zeros(4),
-                              "escaped", None, None)
+    theta = cmath.phase((b - a) * (x - x * OMEGA ** k))
+    seed = TrajectorySeed(z=a, x=x, k=k, origin=("critical", -1, 0, 0.0),
+                          theta=theta)
+    return network.Trajectory(points, np.full(4, x), k, "escaped", None,
+                              seed)
 
 
 def _pair_rule(A, B):
@@ -467,7 +511,11 @@ def test_crossing_labels_follow_the_pair_rule(iA, kA, iB, kB):
         assert events == [] and known == []
         return
     (got, hit, label), = events
-    assert (got, hit, known) == (kind, hits[0], [hits[0][0]])
+    # the Hermite segments are the chords, so the refined crossing is the
+    # chord crossing, to rounding
+    assert got == kind and known == [hit[0]]
+    assert hit[1::2] == hits[0][1::2]
+    assert np.allclose(hit[::2], hits[0][::2], rtol=0, atol=1e-15)
     if kind == "head_on":
         assert label is None
     else:
@@ -479,8 +527,37 @@ def test_crossing_labels_follow_the_pair_rule(iA, kA, iB, kB):
     assert list(network._crossings(curve, trajA, trajB, hits, known)) == []
 
 
+def _directed(points, directions, k=1):
+    """A hand-built trajectory at theta = 0 whose sheets point it along
+    the unit `directions` at its `points`."""
+    x = np.conj(np.asarray(directions, dtype=complex)) / (1 - OMEGA ** k)
+    seed = TrajectorySeed(z=points[0], x=x[0], k=k,
+                          origin=("critical", -1, 0, 0.0), theta=0.0)
+    return network.Trajectory(np.asarray(points, dtype=complex), x, k,
+                              "escaped", None, seed)
+
+
+def test_a_crossing_moves_onto_the_hermite_segments():
+    # B's chord crosses A's at 0.5; B's segment leaves at pi/6 and arrives
+    # at pi/3, so its Hermite segment crosses the real axis at 0.564
+    A = _directed([0, 1], [1, 1])
+    B = _directed([0.5 - 1j, 0.5 + 1j], [cmath.exp(1j * math.pi / 6),
+                                         cmath.exp(1j * math.pi / 3)])
+    hit, = polyline_intersections(A.points, B.points)
+    z, ia, ta, ib, tb = network._refine_crossing(A, B, hit)
+    assert (ia, ib) == (hit[1], hit[3]) and abs(z - hit[0]) > 0.06
+    assert abs(network._hermite(A, ia)(ta)[0] - z) < 1e-15
+    assert abs(network._hermite(B, ib)(tb)[0] - z) < 1e-15
+    # leaving at 0 and arriving at pi/2, B's segment crosses the axis at
+    # 0.694, beyond A's segment [0, 0.6]: the chord crossing stays
+    A = _directed([0, 0.6], [1, 1])
+    B = _directed([0.5 - 1j, 0.5 + 1j], [1, 1j])
+    hit, = polyline_intersections(A.points, B.points)
+    assert network._refine_crossing(A, B, hit) is hit
+
+
 @pytest.mark.parametrize("name, theta, n_points",
-                         [("pentagon", 0.0, 3262), ("hexagon", 0.1, 6347)])
+                         [("pentagon", 0.0, 2060), ("hexagon", 0.1, 4138)])
 def test_network_tracks_one_sheet_and_a_fixed_partner(name, theta, n_points,
                                                       request):
     # x is a sheet at every point, partnered by omega^k x with k fixed
@@ -946,12 +1023,63 @@ def test_webscan_windows_pin_the_web_phases(pentagon, pentagon_pm, hexagon,
     hexa, = detect_bps(hexagon.curve, hexagon.lattice, (lo, lo + 0.06),
                        period_map=hexagon_pm)
     assert _arg_gap(hexa, hexagon_pm) < 1e-12
-    # the junction point sits on parent polyline chords, which keeps the
-    # junction web's period a few 1e-6 off Z(gamma)
+    # the junction web's period is the integral of u dz along its legs,
+    # which does not depend on where the junction point lies: it meets
+    # Z(gamma) to about 1e-13
     Z = hexagon_pm.Z(hexa.charge)
-    assert abs(hexa.period - Z) < 5e-6 * abs(Z)
-    period = 7.773329911 + 4.487934116j
-    assert abs(hexa.period - period) < 1e-7 * abs(period)
+    assert abs(hexa.period - Z) < 1e-10 * abs(Z)
+    period = 7.7733122034 + 4.4879238931j
+    assert abs(hexa.period - period) < 1e-10 * abs(period)
+
+
+def _moved_junction(curve, point, key, zJ):
+    """A scan point whose junction child starts at zJ: its first point and
+    sheet moved there, and zJ recorded as the junction point."""
+    critical, children = point
+    (_, ia, ta, ib, tb), child = children[key]
+    x0 = continue_root(-curve.polynomial(zJ), child.x[0])
+    moved = network.Trajectory(np.append(zJ, child.points[1:]),
+                               np.append(x0, child.x[1:]), child.k,
+                               child.status, child.hit_zero, child.seed)
+    return critical, {key: ((zJ, ia, ta, ib, tb), moved)}
+
+
+def test_junction_period_does_not_depend_on_the_junction_point(
+        hexagon, hexagon_pm, monkeypatch):
+    # u dz is holomorphic and u_A + u_B = u_child at J, so moving J along
+    # either parent's chord or off both changes the period by rounding
+    curve = hexagon.curve
+    fine = network._web_trace_config(curve, fine=True)
+    assemblies = []
+    real_assemble = network._assemble_web
+
+    def assemble(curve, event, point, theta, config, period_map,
+                 residual_rel):
+        web = real_assemble(curve, event, point, theta, config, period_map,
+                            residual_rel)
+        if config == fine:
+            assemblies.append((event, point, theta, web))
+        return web
+
+    monkeypatch.setattr(network, "_assemble_web", assemble)
+    detect_bps(curve, hexagon.lattice, (0.47, 0.58), period_map=hexagon_pm,
+               scan_step=math.pi / 120)
+    (event, point, theta, web), = assemblies
+    kind, key, _ = event
+    assert kind == "j"
+    (zJ, ia, _, ib, _), _ = point[1][key]
+    A, B = point[0][key[0]].points, point[0][key[1]].points
+    # along A's chord, along B's, and 1e-3 off in three directions
+    moves = [A[ia] + t * (A[ia + 1] - A[ia]) for t in (0.1, 0.9)]
+    moves += [B[ib] + 0.5 * (B[ib + 1] - B[ib])]
+    moves += [zJ + 1e-3, zJ - 1e-3j, zJ + 1e-3 * cmath.exp(2j)]
+    for z in moves:
+        assert abs(z - zJ) > 1e-5
+        moved = real_assemble(curve, event,
+                              _moved_junction(curve, point, key, z), theta,
+                              fine, hexagon_pm, network.RESIDUAL_REL)
+        assert moved.charge == web.charge
+        assert abs(moved.period - web.period) < 1e-12 * abs(web.period)
 
 
 @pytest.mark.parametrize("tilt, reason", [
