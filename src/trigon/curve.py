@@ -31,7 +31,7 @@ from .errors import (NoConvergence, NonSimpleRoots, OpenContour, SheetAmbiguity,
                      ValidationError)
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
-_OMEGA_POWERS = np.array([1.0, OMEGA, OMEGA * OMEGA])
+OMEGA_POWERS = np.array([1.0, OMEGA, OMEGA * OMEGA])
 
 #: roots of P0 closer than this (pairwise distance) are not simple
 EPS_ROOT = 1e-8
@@ -222,7 +222,7 @@ class SpectralCurve:
         c, arg = self.principal_root(z[:, 1:])
         prev = np.concatenate((x_start[:, None], c[:, :-1]), axis=1)
         j = _turns(np.angle(prev), arg)
-        for r, k in zip(*np.nonzero(~within_margin(c * _OMEGA_POWERS[j], prev))):
+        for r, k in zip(*np.nonzero(~within_margin(c * OMEGA_POWERS[j], prev))):
             if depth >= 48:
                 raise SheetAmbiguity(
                     f"sheet tracking margin lost near z = {z[r, k + 1]}")
@@ -230,7 +230,7 @@ class SpectralCurve:
             x_end = self.continue_sheet(np.array([[za, 0.5 * (za + zb), zb]]),
                                         prev[r, k:k + 1], depth + 1)[0, -1]
             j[r, k] = _turns(np.angle(x_end), arg[r, k])
-        return c * _OMEGA_POWERS[np.cumsum(j, axis=1) % 3]
+        return c * OMEGA_POWERS[np.cumsum(j, axis=1) % 3]
 
     def track_along(self, points, x_start):
         """Continue x_start through a chain of z points; returns the final x."""
@@ -379,8 +379,8 @@ def _lift(curve, path):
     turns = np.cumsum(np.append(
         _turns(cmath.phase(path.starting_sheet_value), frame_arg[0]),
         _turns(np.angle(ends[:-1]), frame_arg[1:]))) % 3
-    return (complex(_OMEGA_POWERS[turns] @ periods),
-            complex(_OMEGA_POWERS[turns[-1]] * ends[-1]))
+    return (complex(OMEGA_POWERS[turns] @ periods),
+            complex(OMEGA_POWERS[turns[-1]] * ends[-1]))
 
 
 class PeriodMap:

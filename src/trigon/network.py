@@ -29,34 +29,36 @@ phases: their critical rays traced as one batch, each phase's
 first-generation births found with one crossing search per ray
 (later_crossings), and the children traced as a second batch.  The grid
 runs it on blocks of about SCAN_BLOCK_LANES critical rays, found by one
-RayBook.rays_at call and traced as numpy lanes (trace_lanes); an event's
-probes run it at one phase on the event's own rays (one critical ray, or
-two parents and their child) with the scalar trace.  No phase's result
-depends on its block.  Each probe sits at the false-position phase of the
-event's miss and reads a charge by matching the web's period against
-integer combinations of the basis periods.  The period is the integral
-of the holomorphic form u dz along the web's legs (_leg_period), by a
-fixed Gauss-Legendre rule on each chord, so a leg's integral depends on
-its ends alone; at a junction the parents' u add up to the child's, and
-where the junction point lies drops out.  A web of charge gamma
-exists only at theta = arg Z_gamma, where its mass exp(-i*theta) Z_gamma
-is real and positive, so the first charge whose arg Z_gamma lies in the
-event's grid bracket settles it, and each new charge is traced once more,
-at arg Z_gamma and assembly quality.  An event that does not settle is
-dropped with a WebEventDropped warning that says why.
+RayBook.rays_at call and traced as numpy lanes (trace_lanes); no phase's
+result depends on its block.  Each event's charge is read from the scan
+point at the end of its grid bracket that passes nearer the zero, by
+matching the web's period against integer combinations of the basis
+periods.  The period is the integral of the holomorphic form u dz along
+the web's legs (_leg_period), by a fixed Gauss-Legendre rule on each
+chord and on the stretch into a zero, so a leg's integral depends on its
+ends alone, however near the zero the trajectory passes; at a junction
+the parents' u add up to the child's, and where the junction point lies
+drops out.  A web of charge gamma exists only at theta = arg Z_gamma,
+where its mass exp(-i*theta) Z_gamma is real and positive, so a charge
+whose arg Z_gamma lies in the event's grid bracket settles it, and each
+new charge is traced once more, at arg Z_gamma and assembly quality, on
+the event's own rays with the scalar trace (_event_point).  An event
+that gives no web is dropped with a WebEventDropped warning that says
+why.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import (Charge, OMEGA, PeriodMap, continue_root, cube_roots,
-                    nearest_root, within_margin)
+from .curve import (Charge, OMEGA, OMEGA_POWERS, PeriodMap, continue_root,
+                    cube_roots, nearest_root, within_margin)
 from .errors import (
     ChargeIdentificationFailed,
     GenerationCapExceeded,
@@ -162,7 +164,7 @@ def _critical_rays(curve, rays, delta0):
     x0 = (-curve.polynomial(z0 + delta0 * np.exp(1j * phi0))) ** (1 / 3)
     inv_cube = -1 / x0 ** 3
     rot = np.exp(-1j * theta)
-    diffs = _ROTATION[_PAIRS[:, 0]] - _ROTATION[_PAIRS[:, 1]]
+    diffs = OMEGA_POWERS[_PAIRS[:, 0]] - OMEGA_POWERS[_PAIRS[:, 1]]
     pair = (rot * x0 * np.exp(1j * phi0) * diffs[:, None]).real.argmax(axis=0)
     rot = rot * diffs[pair]
 
@@ -186,7 +188,7 @@ def _critical_rays(curve, rays, delta0):
         raise NumericalError(f"lost critical ray {(int(zi[i]), int(m[i]))} "
                              f"at theta = {float(theta[i])!r}")
     p, q = _PAIRS[pair].T
-    return list(zip((phi % TWO_PI).tolist(), (x * _ROTATION[p]).tolist(),
+    return list(zip((phi % TWO_PI).tolist(), (x * OMEGA_POWERS[p]).tolist(),
                     ((q - p) % 3).tolist()))
 
 
@@ -233,9 +235,6 @@ def seed_critical(curve, theta):
 # ----------------------------------------------------------------------
 # tracing
 # ----------------------------------------------------------------------
-
-_ROTATION = np.array([1, OMEGA, OMEGA * OMEGA])
-
 
 @dataclass(eq=False, slots=True)
 class Trajectory:
@@ -312,7 +311,7 @@ def trace(curve, seed, config=None):
     zeros = curve.ramification_points
     coeffs = tuple(reversed(curve.polynomial.coefficients))
     z, x, k = _seed_sheet(curve, seed)
-    gap = 1 - complex(_ROTATION[k])     # u = x_i - x_j = gap * x_i
+    gap = 1 - complex(OMEGA_POWERS[k])     # u = x_i - x_j = gap * x_i
 
     def sheet(w):
         # P0 inlined: a call to curve.polynomial per stage slows trace ~10%
@@ -446,7 +445,7 @@ def _trace_lanes(curve, seeds, config):
     z, x, k = (np.array(v) for v in zip(*[_seed_sheet(curve, s)
                                           for s in seeds]))
     lane = np.arange(n)
-    gap = 1 - _ROTATION[k]              # u = x_i - x_j = gap * x_i
+    gap = 1 - OMEGA_POWERS[k]              # u = x_i - x_j = gap * x_i
     inv_cube = -1 / x ** 3
     eith = np.array([cmath.exp(1j * s.theta) for s in seeds])
     status = ["truncated"] * n
@@ -638,7 +637,7 @@ def _hermite(traj, m):
     d the chord, e0 = L f(0) - d and e1 = d - L f(1)."""
     p = complex(traj.points[m])
     d = complex(traj.points[m + 1]) - p
-    u = traj.x[m:m + 2] * (1 - _ROTATION[traj.k])
+    u = traj.x[m:m + 2] * (1 - OMEGA_POWERS[traj.k])
     f0, f1 = (cmath.exp(1j * traj.seed.theta) * u.conjugate()
               / np.abs(u)).tolist()
     e0, e1 = abs(d) * f0 - d, d - abs(d) * f1
@@ -995,17 +994,18 @@ def _nearest(points, z0):
     return k, abs(complex(points[k]) - z0)
 
 
-def _signed_miss(traj, z0, window):
-    """Signed closest approach of a trajectory to the zero z0.
+def _signed_miss(traj, zeros, zi, window):
+    """Signed closest approach of a trajectory to the zero zeros[zi].
 
     Positive when the zero lies to the left of the travel direction;
-    exactly 0.0 for a recorded hit.  None when the approach is farther
-    than the window or happens at the very start of the polyline.
+    exactly 0.0 when the trajectory's recorded hit is this zero.  None
+    when the approach is farther than the window or happens at the very
+    start of the polyline.
     """
-    pts = traj.points
-    k, dk = _nearest(pts, z0)
-    if traj.status == "hit_zero" and dk < window:
+    if traj.hit_zero == zi:
         return 0.0
+    pts, z0 = traj.points, zeros[zi]
+    k, dk = _nearest(pts, z0)
     if dk > window or k == 0:
         return None
     v = pts[k + 1] - pts[k] if k < len(pts) - 1 else pts[k] - pts[k - 1]
@@ -1051,31 +1051,35 @@ def _scan_points(curve, thetas, tables, config, tracer):
 
 
 def _scan_events(curve, thetas, tables, config, window):
-    """The events {("c"|"j", key, target_zero): signed miss} at each phase
-    of a block: the zeros that its critical rays ("c", leaving out a ray's
-    own zero) and then its junction children ("j") pass within the
-    window, in key order.  The block's critical rays are traced as one
-    batch of lanes and its children as a second, however few: a lane does
-    not depend on its batch, so neither do a phase's events.
+    """(events, scan point) at each phase of a block, the events
+    {("c"|"j", key, target_zero): signed miss} being the zeros that its
+    critical rays ("c", leaving out a ray's own zero) and then its
+    junction children ("j") pass within the window, in key order.  The
+    block's critical rays are traced as one batch of lanes and its
+    children as a second, however few: a lane does not depend on its
+    batch, so neither do a phase's events.
     """
-    events = []
-    for critical, children in _scan_points(curve, thetas, tables, config,
-                                           trace_lanes):
+    zeros = curve.ramification_points
+    out = []
+    for point in _scan_points(curve, thetas, tables, config, trace_lanes):
+        critical, children = point
         legs = [("c", key, traj) for key, traj in critical.items()]
         legs += [("j", key, child) for key, (_, child) in children.items()]
-        events.append({})
+        events = {}
         for kind, key, traj in legs:
-            for zi, z0 in enumerate(curve.ramification_points):
+            for zi in range(len(zeros)):
                 if kind == "c" and zi == key[0]:
                     continue
-                miss = _signed_miss(traj, z0, window)
+                miss = _signed_miss(traj, zeros, zi, window)
                 if miss is not None:
-                    events[-1][(kind, key, zi)] = miss
-    return events
+                    events[(kind, key, zi)] = miss
+        out.append((events, point))
+    return out
 
 
 def _event_point(curve, event, theta, config):
-    """The scan point (critical, children) of one event's own rays at theta.
+    """The scan point (critical, children) of one event's own rays at
+    theta, for the web's assembly.
 
     A "c" event needs its critical ray; a "j" event its two parent rays,
     whose first birth crossing seeds the child.  Each ray is re-found by
@@ -1120,12 +1124,11 @@ def _leg_period(curve, traj, polyline, start=None, end=None):
     Gauss-Legendre rule, vectorised over the chords, with x_i continued
     to the nodes by _lane_sheet.  The form is holomorphic, so the result
     depends on the polyline's ends alone.  A leg that leaves the zero
-    `start` or enters the zero `end` adds the stretch between it and the
-    polyline's end: near a simple zero u grows like (z - z0)^(1/3), so
-    the integral from z0 to z is (3/4) u(z) (z - z0).
+    `start` or enters the zero `end` adds the straight stretch between it
+    and the polyline's end (_from_zero).
     """
     coeffs = tuple(reversed(curve.polynomial.coefficients))
-    gap = 1 - _ROTATION[traj.k]
+    gap = 1 - OMEGA_POWERS[traj.k]
     n = len(polyline) - 1
     a = polyline[:-1, None]
     half = 0.5 * (polyline[1:, None] - a)
@@ -1134,25 +1137,28 @@ def _leg_period(curve, traj, polyline, start=None, end=None):
     Z = complex(np.sum(half[:, 0] * (u @ _WEIGHTS)))
     zeros = curve.ramification_points
     if start is not None:
-        Z += 0.75 * complex(traj.x[0] * gap) * (polyline[0] - zeros[start])
+        Z += _from_zero(coeffs, zeros[start], polyline[0], traj.x[0]) * gap
     if end is not None:
-        Z += 0.75 * complex(traj.x[n] * gap) * (zeros[end] - polyline[-1])
-    return Z
+        Z -= _from_zero(coeffs, zeros[end], polyline[-1], traj.x[n]) * gap
+    return complex(Z)
 
 
-def _assemble_web(curve, event, point, theta, config, period_map,
-                  residual_rel):
-    """Assemble the web that an event's scan point, built at theta with
-    config, forms.
+def _from_zero(coeffs, z0, p, x):
+    """The integral of x_i dz from the simple zero z0 straight to p, where
+    x_i = x: x_i grows like (z - z0)^(1/3), so on z = z0 + (p - z0) s^3 the
+    integrand is smooth in s, and the Gauss-Legendre rule takes it."""
+    s = 0.5 * (1 + _NODES)
+    d = p - z0
+    xs = _lane_sheet(coeffs, z0 + d * s ** 3, x, -1 / x ** 3)
+    return 1.5 * d * np.sum(_WEIGHTS * s * s * xs)
 
-    The legs run from their zeros along the trajectories' points: a
-    single string's up to its point nearest the target zero, which must
-    lie within 100 delta_hit of it; a junction web's two parents up to
-    the junction point J, and the child from J up to its point nearest
-    the target.  The period is the sum of _leg_period over the legs, with
-    the stretches from and into the zeros, so it does not depend on where
-    J lies.  The charge is the one that period matches to residual_rel.
-    """
+
+def _web_legs(curve, event, point):
+    """The legs [(trajectory, polyline, start zero, end zero)] of the web
+    that an event's scan point forms, and the zeros it joins: a single
+    string's from its zero up to its point nearest the target zero, a
+    junction web's two parents from their zeros up to the junction point
+    J, and the child from J up to its point nearest the target."""
     kind, key, zi_target = event
     critical, children = point
     if kind == "c":
@@ -1161,27 +1167,51 @@ def _assemble_web(curve, event, point, theta, config, period_map,
         raise NumericalError("lost the junction child during web assembly")
     else:
         (zJ, ia, _, ib, _), end = children[key]
-    kmin, miss = _nearest(end.points, curve.ramification_points[zi_target])
+    kmin, _ = _nearest(end.points, curve.ramification_points[zi_target])
+    if kind == "c":
+        return ([(end, end.points[:kmin + 1], key[0], zi_target)],
+                (key[0], zi_target))
+    trajA, trajB = critical[key[0]], critical[key[1]]
+    return ([(trajA, np.append(trajA.points[:ia + 1], zJ), key[0][0], None),
+             (trajB, np.append(trajB.points[:ib + 1], zJ), key[1][0], None),
+             (end, end.points[:kmin + 1], None, zi_target)],
+            (key[0][0], key[1][0], zi_target))
+
+
+def _assemble_web(curve, event, point, theta, config, period_map):
+    """Assemble the web that an event's scan point, built at theta with
+    config, forms: its legs (_web_legs), whose last must end within
+    100 delta_hit of the target zero, and the charge that the sum of
+    their periods matches to RESIDUAL_REL.
+    """
+    kind, _, zi_target = event
+    legs, zeros = _web_legs(curve, event, point)
+    miss = abs(complex(legs[-1][1][-1]) - curve.ramification_points[zi_target])
     if miss > 100 * config.delta_hit:
         raise NumericalError(
             f"assembled {'trajectory' if kind == 'c' else 'child'} misses "
             f"the zero by {miss:.2e}")
-    if kind == "c":
-        legs = [(end, end.points[:kmin + 1], key[0], zi_target)]
-        zeros = (key[0], zi_target)
-    else:
-        trajA, trajB = critical[key[0]], critical[key[1]]
-        legs = [(trajA, np.append(trajA.points[:ia + 1], zJ), key[0][0], None),
-                (trajB, np.append(trajB.points[:ib + 1], zJ), key[1][0], None),
-                (end, end.points[:kmin + 1], None, zi_target)]
-        zeros = (key[0][0], key[1][0], zi_target)
     Z = sum(_leg_period(curve, *leg) for leg in legs)
-    charge, res = identify_charge(Z, period_map, residual_rel)
+    charge, res = identify_charge(Z, period_map)
     return FiniteWeb(theta_star=theta, charge=charge,
                      topology=("single_string" if kind == "c"
                                else "three_string_junction"),
                      period=Z, residual=res, zeros=zeros,
                      segments=[polyline for _, polyline, _, _ in legs])
+
+
+def _read_charge(Z, bracket, theta, period_map):
+    """(charge, theta*) of the web whose period Z an event's scan point at
+    theta, one end of its grid bracket, gives: the charge gamma that Z
+    matches at 10 * RESIDUAL_REL, and theta* = arg Z_gamma on the branch
+    nearest theta, which must lie within THETA_SLACK of the bracket."""
+    charge, _ = identify_charge(Z, period_map, 10 * RESIDUAL_REL)
+    arg = cmath.phase(period_map.Z(charge))
+    th_star = arg + TWO_PI * round((theta - arg) / TWO_PI)
+    if not bracket[0] - THETA_SLACK <= th_star <= bracket[1] + THETA_SLACK:
+        raise NumericalError(f"arg Z{charge.components} = {th_star!r} "
+                             "lies outside the grid bracket")
+    return charge, th_star
 
 
 # phases per scan block: about this many critical lanes in one batch.  On
@@ -1190,41 +1220,69 @@ def _assemble_web(curve, event, point, theta, config, period_map,
 # 1000 or 2000 from 15% slower to 20% faster, while a block's scan takes
 # 8-10 kB of peak memory per lane (tracemalloc)
 SCAN_BLOCK_LANES = 500
-# an event whose probes read no charge is dropped once their bracket is
-# narrower than this
-THETA_TOL = 1e-6
 # a web's phase arg Z_gamma may lie this far outside the grid bracket of
-# an event whose probe reads its charge
+# an event whose read gives its charge
 THETA_SLACK = 2.5e-4
 # a scan grid of more phase steps than this is refused: a full sweep
 # takes 600, and each phase traces every critical ray
 MAX_SCAN_PHASES = 100000
 
 
+def _event_periods(curve, thetas, config, window):
+    """[(event, bracket, theta, period)] for each event whose signed miss
+    changes sign, or is a recorded hit (0.0), between consecutive grid
+    phases: the period of its web's legs (_web_legs) at theta, the
+    bracket end with the smaller |miss|.  The grid is traced in blocks
+    (_scan_events), each block's rays found by one RayBook.rays_at call.
+    The scan points are released on return, before any charge is read."""
+    ray_book = RayBook(curve, config.delta0)
+    block = max(1, SCAN_BLOCK_LANES // (8 * len(curve.ramification_points)))
+    scan = itertools.chain.from_iterable(
+        zip(phases, _scan_events(curve, phases, ray_book.rays_at(phases),
+                                 config, window))
+        for phases in (thetas[i:i + block]
+                       for i in range(0, len(thetas), block)))
+    out = []
+    for (th0, (events0, point0)), (th1, (events1, point1)) in \
+            itertools.pairwise(scan):
+        for ev, m1 in events1.items():
+            m0 = events0.get(ev)
+            if m0 is None or not ((m0 < 0) != (m1 < 0) or m0 == 0.0
+                                  or m1 == 0.0):
+                continue
+            theta, point = ((th0, point0) if abs(m0) <= abs(m1)
+                            else (th1, point1))
+            legs, _ = _web_legs(curve, ev, point)
+            out.append((ev, (th0, th1), theta,
+                        sum(_leg_period(curve, *leg) for leg in legs)))
+    return out
+
+
 def detect_bps(curve, lattice, theta_range, period_map=None,
                scan_step=math.pi / 300):
     """Scan a phase interval for finite webs and identify their charges.
 
-    The grid phases are traced in blocks (see _scan_events), each block's
-    critical rays found by one RayBook.rays_at call, and their events
-    compared at consecutive phases.  Each sign change of the signed miss
-    distance between a trajectory and a zero of P0 is settled by
-    _settle_event: probes at the false-position phase of the miss, each
-    tracing the event's rays once with the scan config, until one reads a
-    charge gamma whose theta* = arg Z_gamma lies in the grid bracket.  A
-    charge already found ends the event; a new one is traced once more, at
-    theta* with the assembly config, for the web's period and residual at
-    RESIDUAL_REL, and must still pass within 100 delta_hit of the zero and
-    give gamma.  Supported topologies are single strings (a critical
-    trajectory hits another zero) and three-string junctions (a
-    first-generation child hits a zero).  An event that gives no web is
-    reported as a WebEventDropped warning.  A scan_step that is not
-    positive and finite, a theta_range (lo, hi) that is not finite with
-    lo < hi, a grid of more than MAX_SCAN_PHASES steps, or a lattice of
-    rank above MAX_CHARGE_RANK raises ValidationError; a curve with fewer
-    than two zeros has
-    no finite web.  The scan and assembly trace settings are fixed, by
-    _web_trace_config.  Returns FiniteWeb records sorted by phase.
+    The grid phases are traced in blocks, and their events compared at
+    consecutive phases, across blocks too.  At each sign
+    change of the signed miss distance between a trajectory and a zero of
+    P0, the period of the web's legs at the bracket end whose miss is
+    smaller (_event_periods) gives the charge gamma (_read_charge), which
+    settles the event when theta* = arg Z_gamma lies in the grid bracket.
+    Once every event is read, they are taken in phase order: a charge
+    already found
+    ends its event, and a new one is traced once more, at theta* with the
+    assembly config, for the web's period and residual at RESIDUAL_REL,
+    and must still pass within 100 delta_hit of the zero and give gamma.
+    Supported topologies are single strings (a critical trajectory hits
+    another zero) and three-string junctions (a first-generation child
+    hits a zero).  An event that gives no web is reported as a
+    WebEventDropped warning.  A scan_step that is not positive and finite,
+    a theta_range (lo, hi) that is not finite with lo < hi, a grid of
+    more than MAX_SCAN_PHASES steps, or a lattice of rank above
+    MAX_CHARGE_RANK raises ValidationError; a curve with fewer than two
+    zeros has no finite web.  The scan and assembly trace settings are
+    fixed, by _web_trace_config.  Returns FiniteWeb records sorted by
+    phase.
     """
     lo, hi = theta_range
     if not (math.isfinite(scan_step) and scan_step > 0):
@@ -1249,92 +1307,30 @@ def detect_bps(curve, lattice, theta_range, period_map=None,
               for b in curve.ramification_points[i + 1:])
     window = 0.35 * sep
 
-    ray_book = RayBook(curve, cfg.delta0)
-    block = max(1, SCAN_BLOCK_LANES // (8 * len(curve.ramification_points)))
-    scan = []
-    for start in range(0, len(thetas), block):
-        phases = thetas[start:start + block]
-        scan += _scan_events(curve, phases, ray_book.rays_at(phases), cfg,
-                             window)
+    reads = []
+    for ev, bracket, theta, Z in _event_periods(curve, thetas, cfg, window):
+        try:
+            reads.append((ev, bracket) + _read_charge(Z, bracket, theta, pm))
+        except NumericalError as exc:
+            _warn_dropped(ev, bracket, exc)
     webs = []
-    points = list(zip(thetas, scan))
-    for (th_prev, prev_events), (th, events) in zip(points, points[1:]):
-        for ev, m1 in events.items():
-            m0 = prev_events.get(ev)
-            if m0 is None or not ((m0 < 0) != (m1 < 0) or m0 == 0.0
-                                  or m1 == 0.0):
-                continue
-            try:
-                charge, th_star = _settle_event(curve, ev, (th_prev, th),
-                                                (m0, m1), cfg, pm, window)
-                if any(w.charge == charge for w in webs):
-                    continue
-                web = _assemble_web(
-                    curve, ev, _event_point(curve, ev, th_star, fine),
-                    th_star, fine, pm, RESIDUAL_REL)
-                if web.charge.components != charge.components:
-                    raise ChargeIdentificationFailed(
-                        f"the web at arg Z{charge.components} matches "
-                        f"{web.charge.components}")
-            except NumericalError as exc:
-                _warn_dropped(ev, (th_prev, th), exc)
-                continue
-            webs.append(web)
+    for ev, bracket, charge, th_star in reads:
+        if any(w.charge == charge for w in webs):
+            continue
+        try:
+            web = _assemble_web(curve, ev,
+                                _event_point(curve, ev, th_star, fine),
+                                th_star, fine, pm)
+            if web.charge.components != charge.components:
+                raise ChargeIdentificationFailed(
+                    f"the web at arg Z{charge.components} matches "
+                    f"{web.charge.components}")
+        except NumericalError as exc:
+            _warn_dropped(ev, bracket, exc)
+            continue
+        webs.append(web)
     webs.sort(key=lambda w: w.theta_star)
     return webs
-
-
-def _settle_event(curve, event, bracket, misses, config, period_map, window):
-    """(charge, theta*) of the web that an event sees in its grid bracket.
-
-    Each probe traces the event's rays once with the scan config, at the
-    false-position phase of the signed misses at the ends of the bracket
-    (at a grid end whose miss is a recorded hit, alone), and reads the
-    charge gamma from that build at 10 * RESIDUAL_REL.  The first charge
-    whose theta* = arg Z_gamma, on the branch nearest the probe, lies
-    within THETA_SLACK of the grid bracket settles the event.  Otherwise
-    the probe's own miss replaces the bracket end of its sign, and an end
-    kept twice in a row has its miss halved (the Illinois rule).  A
-    recorded hit, or a bracket narrower than THETA_TOL, with no charge
-    raises the last probe's reason; so does a probe that loses the
-    event's trajectory, with its own.
-    """
-    kind, key, zi = event
-    (th_a, th_b), (m_a, m_b) = bracket, misses
-    kept = None
-    while True:
-        theta = (th_a if m_a == 0.0 else th_b if m_b == 0.0
-                 else th_a + m_a * (th_b - th_a) / (m_a - m_b))
-        critical, children = point = _event_point(curve, event, theta, config)
-        try:
-            charge = _assemble_web(curve, event, point, theta, config,
-                                   period_map, 10 * RESIDUAL_REL).charge
-            # the web's mass exp(-i theta) Z is real and positive
-            arg = cmath.phase(period_map.Z(charge))
-            th_star = arg + TWO_PI * round((theta - arg) / TWO_PI)
-            if bracket[0] - THETA_SLACK <= th_star <= bracket[1] + THETA_SLACK:
-                return charge, th_star
-            reason = NumericalError(f"arg Z{charge.components} = {th_star!r} "
-                                    "lies outside the grid bracket")
-        except NumericalError as exc:
-            reason = exc
-        miss = None if kind == "j" and key not in children else _signed_miss(
-            critical[key] if kind == "c" else children[key][1],
-            curve.ramification_points[zi], window)
-        if miss is None:
-            raise NumericalError(
-                f"lost the event's trajectory at theta = {theta!r}: no birth "
-                "crossing, or no approach within the window")
-        if 0.0 in (miss, m_a, m_b):
-            raise reason
-        if (miss < 0) == (m_a < 0):
-            th_a, m_a, m_b = theta, miss, m_b / 2 if kept == "b" else m_b
-            kept = "b"
-        else:
-            th_b, m_b, m_a = theta, miss, m_a / 2 if kept == "a" else m_a
-            kept = "a"
-        if th_b - th_a < THETA_TOL:
-            raise reason
 
 
 def _warn_dropped(event, bracket, reason):

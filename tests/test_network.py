@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trigon import network
+from trigon.bps import builtin_spectrum, spectrum_from_webs
 from trigon.curve import (OMEGA, Charge, PeriodMap, Polynomial, SpectralCurve,
                           continue_root, cube_roots, nearest_root)
 from trigon.errors import (
@@ -362,12 +363,29 @@ def test_scan_events_do_not_depend_on_the_block(name, theta_range, step,
     tables = network.RayBook(curve, cfg.delta0).rays_at(thetas)
     zs = curve.ramification_points
     window = 0.35 * min(abs(a - b) for i, a in enumerate(zs) for b in zs[i + 1:])
-    whole = network._scan_events(curve, thetas, tables, cfg, window)
+    whole = [ev for ev, _ in network._scan_events(curve, thetas, tables, cfg,
+                                                  window)]
     assert len(thetas) % 5 == 1 and any(whole)
     split = [ev for b in range(0, len(thetas), 5)
-             for ev in network._scan_events(curve, thetas[b:b + 5],
-                                            tables[b:b + 5], cfg, window)]
+             for ev, _ in network._scan_events(curve, thetas[b:b + 5],
+                                               tables[b:b + 5], cfg, window)]
     assert split == whole
+
+
+def test_a_recorded_hit_counts_only_at_its_own_zero():
+    # a trajectory that hit zero 0 passes 0.1 to the left of zero 1 on
+    # its way there: at zero 1 its miss is signed, not a recorded hit
+    zeros = [0j, 2 + 0.1j]
+    points = np.array([4 + 0j, 3 + 0j, 2 + 0j, 1 + 0j, 1e-4 + 0j])
+    traj = network.Trajectory(points, np.ones(5, complex), 1, "hit_zero", 0,
+                              None)
+    assert network._signed_miss(traj, zeros, 0, 0.5) == 0.0
+    assert network._signed_miss(traj, zeros, 1, 0.5) == -0.1
+    # the same polyline run the other way, not recorded as a hit
+    reverse = network.Trajectory(points[::-1], np.ones(5, complex), 1,
+                                 "escaped", None, None)
+    assert network._signed_miss(reverse, zeros, 1, 0.5) == 0.1
+    assert network._signed_miss(reverse, zeros, 1, 0.05) is None
 
 
 @pytest.mark.parametrize("name, theta_range, step", [
@@ -811,26 +829,23 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
     phases that RayBook.rays_at is asked for, the critical lanes traced at
     each grid phase, the traces (scalar or lane) made by each event build
     (with its phase and generation depth), every trace off the grid, the
-    phases of the builds at the assembly config, the number of
-    scan-quality probes of each event settled, the (residual_rel, charge)
-    of every charge identification, and any WebEventDropped.  fault(mp),
-    if given, patches network further through the MonkeyPatch mp."""
+    phases of the builds at the assembly config, the (bracket, phase) of
+    each charge read, the (residual_rel, charge) of every charge
+    identification, each read's residual relative to its period, and any
+    WebEventDropped.  fault(mp), if given, patches network further
+    through the MonkeyPatch mp."""
     lo, hi = theta_range
     n = max(2, int(math.ceil((hi - lo) / scan_step)))
     grid = [lo + (hi - lo) * k / n for k in range(n + 1)]
     fine = network._web_trace_config(defn.curve, fine=True)
     rays_at_blocks, builds, off_grid_traces = [], [], []
-    fine_builds, identified, probes = [], [], []
+    fine_builds, reads, identified, read_residuals = [], [], [], []
     critical_lanes = {theta: 0 for theta in grid}
     building = []
 
     def rays_at(self, thetas):
         rays_at_blocks.append(list(thetas))
         return real_rays_at(self, thetas)
-
-    def settle_event(*args):
-        probes.append(0)
-        return real_settle_event(*args)
 
     def count(seed):
         if seed.theta not in grid:
@@ -854,17 +869,21 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
         builds.append(build)
         if config == fine:
             fine_builds.append(theta)
-        else:
-            probes[-1] += 1
         building.append(build)
         try:
             return real_event_point(curve, event, theta, config)
         finally:
             building.pop()
 
+    def read_charge(Z, bracket, theta, period_map):
+        reads.append((bracket, theta))
+        return real_read_charge(Z, bracket, theta, period_map)
+
     def identify(Z, period_map, residual_rel=1e-4):
         charge, res = real_identify(Z, period_map, residual_rel)
         identified.append((residual_rel, charge.components))
+        if residual_rel != network.RESIDUAL_REL:
+            read_residuals.append(res / abs(Z))
         return charge, res
 
     real_rays_at = network.RayBook.rays_at
@@ -872,7 +891,7 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
     real_trace_lanes = network._trace_lanes
     real_event_point = network._event_point
     real_identify = network.identify_charge
-    real_settle_event = network._settle_event
+    real_read_charge = network._read_charge
     with pytest.MonkeyPatch.context() as mp, \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", WebEventDropped)
@@ -881,7 +900,7 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
         mp.setattr(network, "_trace_lanes", trace_lanes)
         mp.setattr(network, "_event_point", event_point)
         mp.setattr(network, "identify_charge", identify)
-        mp.setattr(network, "_settle_event", settle_event)
+        mp.setattr(network, "_read_charge", read_charge)
         if fault:
             fault(mp)
         webs = detect_bps(defn.curve, defn.lattice, theta_range,
@@ -890,8 +909,8 @@ def _counted_scan(defn, pm, theta_range, scan_step, fault=None):
     return {"webs": webs, "grid": grid, "rays_at": rays_at_blocks,
             "critical_lanes": critical_lanes, "builds": builds,
             "off_grid": off_grid_traces, "fine": fine_builds,
-            "identified": identified, "probes": probes,
-            "dropped": dropped,
+            "reads": reads, "identified": identified,
+            "read_residuals": read_residuals, "dropped": dropped,
             "zeros": len(defn.curve.ramification_points)}
 
 
@@ -911,18 +930,20 @@ def hexagon_window_scan(hexagon, hexagon_pm):
                                           ("hexagon_window_scan", 2010)])
 def test_event_refinement_traces_only_the_event(scan, before, request):
     run = request.getfixturevalue(scan)
+    web, = run["webs"]
     # the shared ray book is asked for the rays of each scan point once,
     # and only there: each window is one scan block
     assert [th for block in run["rays_at"] for th in block] == run["grid"]
     assert len(run["rays_at"]) == 1
     # every grid phase traces its 8 critical rays per zero as lanes
     assert set(run["critical_lanes"].values()) == {8 * run["zeros"]}
+    # the only build off the grid is the web's fine one, at theta*: one
+    # critical ray ("c"), or two parents and their child ("j")
     off_grid = [b for b in run["builds"] if b[0] not in run["grid"]]
-    assert off_grid
-    for theta, generations, traces in off_grid:
-        # one critical ray ("c"), or two parents and their child ("j")
-        assert traces <= (3 if generations else 1)
-    assert len(run["off_grid"]) < before / 5
+    assert [b[0] for b in off_grid] == run["fine"] == [web.theta_star]
+    (_, generations, traces), = off_grid
+    assert traces == (3 if generations else 1)
+    assert len(run["off_grid"]) == traces < before / 5
 
 
 # sign-changing events that see the one web of each window
@@ -933,66 +954,92 @@ def test_each_web_is_assembled_once(scan, events, request):
     web, = run["webs"]
     # one trace at the assembly config, at the web's phase
     assert run["fine"] == [web.theta_star]
-    # every event is identified at scan quality (10 * residual_rel); only
-    # the first goes on to the assembly, the others stop there
+    # every event is read at scan quality (10 * residual_rel) before the
+    # first assembly; only the first read goes on to the assembly
     charge = web.charge.components
-    assert run["identified"] == ([(1e-3, charge), (1e-4, charge)]
-                                 + [(1e-3, charge)] * (events - 1))
+    assert run["identified"] == [(1e-3, charge)] * events + [(1e-4, charge)]
 
 
 # the same windows and event counts as above
 @pytest.mark.parametrize("scan, events", [("pentagon_window_scan", 2),
                                           ("hexagon_window_scan", 3)])
-def test_each_event_settles_at_one_probe(scan, events, request):
+def test_each_event_is_read_at_a_grid_end(scan, events, request):
     run = request.getfixturevalue(scan)
     web, = run["webs"]
-    # each event costs one scan-quality probe, off the grid, and the web
-    # one fine build at theta*
-    assert run["probes"] == [1] * events
-    assert len(run["builds"]) == events + 1
-    assert all(b[0] not in run["grid"] for b in run["builds"])
-    assert run["fine"] == [web.theta_star]
+    # each event's charge is read from the scan point at one end of its
+    # grid bracket, with no trace of its own; the web takes one fine
+    # build at theta*
+    assert len(run["reads"]) == events
+    for (th0, th1), theta in run["reads"]:
+        assert theta in (th0, th1) and run["grid"].index(th1) \
+            == run["grid"].index(th0) + 1
+    assert len(run["builds"]) == 1
+    # the legs, closed into their zeros, give the charge's period far
+    # inside the read's 1e-3: measured at most 2.1e-11
+    assert len(run["read_residuals"]) == events
+    assert max(run["read_residuals"]) < 1e-8
 
 
-def _fail_first_probes(mp):
-    # the first scan-quality charge reading of every event fails
-    real_settle, real_assemble = network._settle_event, network._assemble_web
-    fresh = [False]
-
-    def settle_event(*args):
-        fresh[0] = True
-        return real_settle(*args)
-
-    def assemble(curve, event, point, theta, config, period_map,
-                 residual_rel):
-        if residual_rel != network.RESIDUAL_REL and fresh[0]:
-            fresh[0] = False
-            raise ChargeIdentificationFailed("first probe (test)")
-        return real_assemble(curve, event, point, theta, config, period_map,
-                             residual_rel)
-
-    mp.setattr(network, "_settle_event", settle_event)
-    mp.setattr(network, "_assemble_web", assemble)
-
-
-@pytest.mark.parametrize("name, theta_range, step, scan, events", [
-    ("pentagon", (-0.62, -0.43), math.pi / 80, "pentagon_window_scan", 2),
-    ("hexagon", (0.47, 0.58), math.pi / 120, "hexagon_window_scan", 3)],
+@pytest.mark.parametrize("name, theta_range, step, scan", [
+    ("pentagon", (-0.62, -0.43), math.pi / 80, "pentagon_window_scan"),
+    ("hexagon", (0.47, 0.58), math.pi / 120, "hexagon_window_scan")],
     ids=["pentagon", "hexagon"])
-def test_a_failed_first_probe_falls_back_to_false_position(
-        name, theta_range, step, scan, events, request):
-    # the probe's own miss shrinks the bracket, and the next probe settles
-    # the event on the same web, with no drop
+def test_a_failed_read_drops_its_event(name, theta_range, step, scan,
+                                       request):
+    # the event whose read fails is dropped, naming itself, its bracket
+    # and the reason, with no fine build; the window's web comes from its
+    # next event, which sees it from its other end (pentagon) or with
+    # the parents swapped (hexagon)
+    failed = []
+
+    def fail_first_read(mp):
+        real_read = network._read_charge
+
+        def read_charge(Z, bracket, *args):
+            if not failed:
+                failed.append(bracket)
+                raise ChargeIdentificationFailed("first read (test)")
+            return real_read(Z, bracket, *args)
+
+        mp.setattr(network, "_read_charge", read_charge)
+
     run = _counted_scan(request.getfixturevalue(name),
                         request.getfixturevalue(f"{name}_pm"), theta_range,
-                        step, fault=_fail_first_probes)
-    assert run["probes"] == [2] * events
-    assert run["dropped"] == []
+                        step, fault=fail_first_read)
+    (th0, th1), = failed
+    drop, = run["dropped"]
+    assert re.fullmatch(
+        r"finite-web event \('[cj]', \(.+\), zero \d\) in theta bracket "
+        + re.escape(f"[{th0!r}, {th1!r}] dropped: first read (test)"),
+        str(drop.message))
     web, = run["webs"]
     ref, = request.getfixturevalue(scan)["webs"]
-    assert (web.charge, web.topology, web.zeros, web.theta_star,
-            web.period) == (ref.charge, ref.topology, ref.zeros,
-                            ref.theta_star, ref.period)
+    assert run["fine"] == [web.theta_star]
+    assert (web.charge, web.topology, web.theta_star) \
+        == (ref.charge, ref.topology, ref.theta_star)
+    assert set(web.zeros) == set(ref.zeros) and web.zeros != ref.zeros
+    assert abs(web.period - ref.period) < 1e-12 * abs(ref.period)
+
+
+@pytest.mark.parametrize("name, theta_range", [
+    ("pentagon", (-math.pi, math.pi)), ("hexagon", (0.0, 2 * math.pi))],
+    ids=["pentagon", "hexagon"])
+def test_coarse_full_sweeps_give_the_builtin_spectra(name, theta_range,
+                                                      request):
+    # a grid ten times coarser than the default: a bracket end may miss
+    # its zero by up to the window, and the legs closed into the zeros
+    # still read every charge (hexagon reads within 1.0e-9 relative)
+    defn = request.getfixturevalue(name)
+    pm = request.getfixturevalue(f"{name}_pm")
+    run = _counted_scan(defn, pm, theta_range, math.pi / 30)
+    assert run["dropped"] == []
+    assert max(run["read_residuals"]) < 1e-8
+    builtin = builtin_spectrum(name)
+    harvested = spectrum_from_webs(run["webs"], rank=pm.rank)
+    assert set(harvested.charges()) == set(builtin.charges())
+    for web in run["webs"]:
+        Z = pm.Z(web.charge)
+        assert abs(web.period - Z) < 1e-10 * abs(Z)
 
 
 def _arg_gap(web, pm):
@@ -1053,10 +1100,8 @@ def test_junction_period_does_not_depend_on_the_junction_point(
     assemblies = []
     real_assemble = network._assemble_web
 
-    def assemble(curve, event, point, theta, config, period_map,
-                 residual_rel):
-        web = real_assemble(curve, event, point, theta, config, period_map,
-                            residual_rel)
+    def assemble(curve, event, point, theta, config, period_map):
+        web = real_assemble(curve, event, point, theta, config, period_map)
         if config == fine:
             assemblies.append((event, point, theta, web))
         return web
@@ -1077,7 +1122,7 @@ def test_junction_period_does_not_depend_on_the_junction_point(
         assert abs(z - zJ) > 1e-5
         moved = real_assemble(curve, event,
                               _moved_junction(curve, point, key, z), theta,
-                              fine, hexagon_pm, network.RESIDUAL_REL)
+                              fine, hexagon_pm)
         assert moved.charge == web.charge
         assert abs(moved.period - web.period) < 1e-12 * abs(web.period)
 
