@@ -58,15 +58,11 @@ class BpsSpectrum:
     def __len__(self):
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.charges())
-
     def validate(self):
-        """Symmetry report: the human-readable violations of
-        Omega(g) = Omega(-g) (none = ok)."""
-        return SpectrumReport(violations=[
-            f"Omega({ch}) = {om} but Omega({-ch}) = {self.omega(-ch)}"
-            for ch, om in self.entries.items() if self.omega(-ch) != om])
+        """The human-readable violations of Omega(g) = Omega(-g); the
+        spectrum is symmetric when there are none."""
+        return [f"Omega({ch}) = {om} but Omega({-ch}) = {self.omega(-ch)}"
+                for ch, om in self.entries.items() if self.omega(-ch) != om]
 
     def to_json(self):
         return {
@@ -95,20 +91,11 @@ class BpsSpectrum:
         """The spectrum in the JSON file at path; one that fails the
         symmetry Omega(g) = Omega(-g) raises ValidationError."""
         spec = cls.from_json(read_json(path))
-        rep = spec.validate()
-        if rep.violations:
+        violations = spec.validate()
+        if violations:
             raise ValidationError(
-                "spectrum fails symmetry validation: " + "; ".join(rep.violations))
+                "spectrum fails symmetry validation: " + "; ".join(violations))
         return spec
-
-
-@dataclass
-class SpectrumReport:
-    violations: list
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def builtin_spectrum(example):
@@ -164,7 +151,7 @@ class Ray:
         return abs(self.Z)
 
 
-def active_rays(spectrum, period_map, pairing=None):
+def active_rays(spectrum, period_map, pairing):
     """One ray per spectrum charge, sorted by phase.
 
     Raises RayCollision when two rays whose charges do not commute under
@@ -178,15 +165,14 @@ def active_rays(spectrum, period_map, pairing=None):
             raise ValidationError(f"charge {ch} has vanishing period")
         rays.append(Ray(charge=ch, Z=Z, phase=cmath.phase(-Z / abs(Z))))
     rays.sort(key=lambda r: r.phase)
-    if pairing is not None:
-        n = len(rays)
-        for i in range(n):
-            j = (i + 1) % n
-            gap = rays[j].phase - rays[i].phase
-            if j == 0:
-                gap += 2 * math.pi
-            if gap < RAY_COLLISION_TOL and pairing(rays[i].charge, rays[j].charge) != 0:
-                raise RayCollision(
-                    f"rays of {rays[i].charge} and {rays[j].charge} collide "
-                    f"at phase {rays[i].phase:.8f}")
+    n = len(rays)
+    for i in range(n):
+        j = (i + 1) % n
+        gap = rays[j].phase - rays[i].phase
+        if j == 0:
+            gap += 2 * math.pi
+        if gap < RAY_COLLISION_TOL and pairing(rays[i].charge, rays[j].charge) != 0:
+            raise RayCollision(
+                f"rays of {rays[i].charge} and {rays[j].charge} collide "
+                f"at phase {rays[i].phase:.8f}")
     return rays

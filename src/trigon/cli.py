@@ -14,7 +14,6 @@ failure; failures also emit one machine-readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -27,8 +26,8 @@ from . import reference
 from .asymptotics import (build_prediction, decay_table, linear_coefficient,
                           solver_coefficient)
 from .bps import BpsSpectrum, builtin_spectrum, spectrum_from_webs
-from .curve import (EXAMPLE_NAMES, Charge, PeriodMap, curve_to_json,
-                    load_curve_file, load_example, read_json)
+from .curve import (EXAMPLE_NAMES, OMEGA, Charge, PeriodMap, _c2pair,
+                    curve_to_json, load_curve_file, load_example, read_json)
 from .errors import NumericalError, TrigonError, ValidationError
 from .network import detect_bps, grow_network
 from .polygon import (builtin_expression, builtin_expression_names,
@@ -39,10 +38,6 @@ from .tba import SolverConfig, solve, spectral_coordinate
 # ----------------------------------------------------------------------
 # small helpers
 # ----------------------------------------------------------------------
-
-def _c2pair(c):
-    return [c.real, c.imag]
-
 
 def _write(text, path):
     """Write text to the file at path, or to stdout for None or "-"; a
@@ -195,8 +190,7 @@ def cmd_network_sweep(args):
 def cmd_network_bps(args):
     defn = _load_definition(args)
     pm = _period_map(defn)
-    lo = args.theta_min if args.theta_min is not None else 0.0
-    hi = args.theta_max if args.theta_max is not None else math.pi
+    lo, hi = args.theta_min, args.theta_max
     webs = detect_bps(defn.curve, defn.lattice, (lo, hi), period_map=pm,
                       scan_step=args.scan_step)
     doc = {
@@ -228,10 +222,10 @@ def cmd_bps_validate(args):
         spec = BpsSpectrum.from_json(read_json(args.spectrum))
     else:
         spec = builtin_spectrum(args.example)
-    rep = spec.validate()
-    _dump_json({"schema_version": 1, "ok": rep.ok,
-                "violations": rep.violations}, args.out)
-    return 0 if rep.ok else 1
+    violations = spec.validate()
+    _dump_json({"schema_version": 1, "ok": not violations,
+                "violations": violations}, args.out)
+    return 1 if violations else 0
 
 
 def cmd_tba_solve(args):
@@ -454,9 +448,8 @@ def _reproduce_hexagon(report, fast):
     # the minimal rate with a second pair (the Z/3 images of gamma1 and
     # their negatives), and the summed coefficient is the solver's
     z1 = pm.Z(g1)
-    omega = cmath.exp(2j * math.pi / 3)
     images = [Charge(m) for m in ref["gamma1_z3_images"]]
-    tie = max(abs(pm.Z(m) - omega ** k * z1)
+    tie = max(abs(pm.Z(m) - OMEGA ** k * z1)
               for k, m in enumerate(images, start=1))
     tied = {c.components for m in images for c in (m, -m)}
     published = Charge(ref["c_gamma1_charge"])
@@ -517,8 +510,8 @@ def cmd_reproduce(args):
 # parser
 # ----------------------------------------------------------------------
 
-def _add_source(p, required=True):
-    g = p.add_mutually_exclusive_group(required=required)
+def _add_source(p):
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--example", choices=EXAMPLE_NAMES)
     g.add_argument("--curve-file")
 
@@ -567,8 +560,8 @@ def build_parser():
 
     q = nsub.add_parser("bps", help="finite-web scan over a phase interval")
     _add_source(q)
-    q.add_argument("--theta-min", type=float, default=None)
-    q.add_argument("--theta-max", type=float, default=None)
+    q.add_argument("--theta-min", type=float, default=0.0)
+    q.add_argument("--theta-max", type=float, default=math.pi)
     q.add_argument("--scan-step", type=float, default=math.pi / 300)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_network_bps)

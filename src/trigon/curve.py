@@ -501,12 +501,13 @@ def load_curve_file(path) -> CurveDefinition:
 # Loop radii and vertex counts only keep the polylines away from the
 # zeros: the periods are homotopy invariants.
 
-def _hairpin(z1, z2, r, m=16):
+def _hairpin(z1, z2, r):
     """Closed hairpin threading z1 and z2, avoiding both by radius r.
 
     Traversal: start near z1, run to z2, a full counterclockwise loop
-    around z2, run back, a full clockwise loop around z1.  The ccw/cw
-    combination makes the lift close on any starting sheet.
+    around z2, run back, a full clockwise loop around z1, each loop a
+    16-gon.  The ccw/cw combination makes the lift close on any starting
+    sheet.
     """
     u = (z2 - z1) / abs(z2 - z1)
     A = z1 + r * u
@@ -514,18 +515,18 @@ def _hairpin(z1, z2, r, m=16):
     ang_B = cmath.phase(B - z2)
     ang_A = cmath.phase(A - z1)
     pts = [A, B]
-    for k in range(1, m + 1):
-        pts.append(z2 + r * cmath.exp(1j * (ang_B + 2 * cmath.pi * k / m)))
+    for k in range(1, 17):
+        pts.append(z2 + r * cmath.exp(1j * (ang_B + 2 * cmath.pi * k / 16)))
     pts.append(A)
-    for k in range(1, m + 1):
-        pts.append(z1 + r * cmath.exp(1j * (ang_A - 2 * cmath.pi * k / m)))
+    for k in range(1, 17):
+        pts.append(z1 + r * cmath.exp(1j * (ang_A - 2 * cmath.pi * k / 16)))
     return pts
 
 
-def _circle(center, radius, m=64):
-    """Closed polygonal circle; a large one picks up the residue of a
+def _circle(center, radius):
+    """Closed 64-gon on a circle; a large one picks up the residue of a
     single sheet at infinity."""
-    return [center + radius * cmath.exp(2j * cmath.pi * k / m) for k in range(m + 1)]
+    return [center + radius * cmath.exp(2j * cmath.pi * k / 64) for k in range(65)]
 
 
 def _pentagon():

@@ -257,8 +257,8 @@ class Trajectory:
     def __len__(self):
         return len(self.points)
 
-    def sheet(self, m, t=0.0):
-        """x_i at point m, or a fraction t along segment m."""
+    def sheet(self, m, t):
+        """x_i a fraction t along segment m (at point m for t = 0)."""
         x = self.x[m]
         if t:
             x = x + (self.x[m + 1] - x) * t
@@ -408,7 +408,7 @@ def _lane_sheet(coeffs, w, x, inv_cube):
     return x * np.cbrt(np.abs(rho)) * root
 
 
-def trace_lanes(curve, seeds, config=None):
+def trace_lanes(curve, seeds, config):
     """trace for many seeds at once: one Cash-Karp loop over numpy lanes.
 
     Each lane keeps its own step size and runs every test of trace: step
@@ -424,18 +424,6 @@ def trace_lanes(curve, seeds, config=None):
     """
     if not seeds:
         return []
-    z, x, k, ends, status, hit_zero = _trace_lanes(curve, seeds, config)
-    starts = [0] + ends[:-1]
-    return [Trajectory(z[a:b], x[a:b], int(kk), st, hz, seed)
-            for a, b, kk, st, hz, seed in zip(starts, ends, k, status,
-                                              hit_zero, seeds)]
-
-
-def _trace_lanes(curve, seeds, config):
-    """The lane loop: z and x_i at every lane's points, lane after lane in
-    seed order; each lane's partner index k and end index in
-    them; statuses; hit zeros."""
-    config = config or TraceConfig()
     n = len(seeds)
     esc = config.resolved_escape_radius(curve)
     zeros = np.asarray(curve.ramification_points, dtype=complex)
@@ -543,7 +531,9 @@ def _trace_lanes(curve, seeds, config):
         lanes, at, zr, xr = records.pop()
         idx = first[lanes] + at
         z[idx], x[idx] = zr, xr
-    return z, x, k, ends.tolist(), status, hit_zero
+    return [Trajectory(z[a:b], x[a:b], int(kk), st, hz, seed)
+            for a, b, kk, st, hz, seed in zip(first.tolist(), ends.tolist(),
+                                              k, status, hit_zero, seeds)]
 
 
 # ----------------------------------------------------------------------
@@ -696,7 +686,6 @@ class SpectralNetwork:
     junctions: list
     infinity_marks: list = field(default_factory=list)
     final_arcs: list = field(default_factory=list)    # (mid_angle, fading_sheet)
-    initial_arcs: list = field(default_factory=list)
     bps_ful: bool = False
 
     @property
@@ -913,18 +902,16 @@ def _validate_alternation(curve, marks, wrap_shift, net):
         if shared_pos[a] == shared_pos[(a + 1) % m]:
             raise PatternViolation("alternation of shared label positions broken")
     net.final_arcs = []
-    net.initial_arcs = []
     for a in range(m):
-        b = (a + 1) % m
-        mid = (marks[a].angle +
-               0.5 * ((marks[b].angle - marks[a].angle) % TWO_PI)) % TWO_PI
         if shared_pos[a] == 1:
+            b = (a + 1) % m
+            mid = (marks[a].angle +
+                   0.5 * ((marks[b].angle - marks[a].angle) % TWO_PI)) % TWO_PI
             net.final_arcs.append((mid, marks[a].label[1]))
-        else:
-            net.initial_arcs.append((mid, marks[a].label[0]))
-    if len(net.final_arcs) != n + 3 or len(net.initial_arcs) != n + 3:
+    n_initial = m - len(net.final_arcs)
+    if len(net.final_arcs) != n + 3 or n_initial != n + 3:
         raise PatternViolation(
-            f"{len(net.final_arcs)} final / {len(net.initial_arcs)} initial "
+            f"{len(net.final_arcs)} final / {n_initial} initial "
             f"arcs, expected {n + 3} of each")
 
 

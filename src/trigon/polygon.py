@@ -97,10 +97,9 @@ class Factor:
 class InvariantExpression:
     """Monomial in Plucker / hexapod factors with integer exponents."""
 
-    def __init__(self, factors, name=None):
+    def __init__(self, factors):
         self.factors = [f if isinstance(f, Factor) else Factor(*f)
                         for f in factors]
-        self.name = name
 
     def __str__(self):
         return " ".join(str(f) for f in self.factors)
@@ -119,14 +118,6 @@ class InvariantExpression:
             raise UnbalancedExpression(
                 f"nonzero scaling weights {bad}; the monomial does not "
                 f"descend to a projective invariant")
-
-    def inverse(self):
-        return InvariantExpression(
-            [Factor(f.kind, f.indices, -f.exponent) for f in self.factors],
-            name=f"({self.name})^-1" if self.name else None)
-
-    def __mul__(self, other):
-        return InvariantExpression(self.factors + other.factors)
 
 
 def cross_ratio(poly, expr):
@@ -150,27 +141,27 @@ _BUILTIN = {
     ("pentagon", "gamma1"): InvariantExpression([
         ("p", (1, 2, 3), 1), ("p", (3, 4, 5), 1),
         ("p", (1, 3, 5), -1), ("p", (2, 3, 4), -1),
-    ], name="pentagon:gamma1"),
+    ]),
     ("pentagon", "gamma2"): InvariantExpression([
         ("p", (1, 3, 5), 1), ("p", (2, 3, 4), 1), ("p", (1, 2, 5), 1),
         ("p", (1, 2, 3), -1), ("p", (2, 3, 5), -1), ("p", (1, 4, 5), -1),
-    ], name="pentagon:gamma2"),
+    ]),
     ("hexagon", "gamma1"): InvariantExpression([
         ("q", (2, 3, 4, 5, 6, 1), 1),
         ("p", (1, 5, 6), -1), ("p", (2, 3, 4), -1),
-    ], name="hexagon:gamma1"),
+    ]),
     ("hexagon", "gamma2"): InvariantExpression([
         ("p", (1, 5, 6), 1), ("p", (2, 3, 6), 1), ("p", (1, 4, 6), 1),
         ("p", (1, 2, 6), -1), ("p", (1, 3, 6), -1), ("p", (4, 5, 6), -1),
-    ], name="hexagon:gamma2"),
+    ]),
     ("hexagon", "gamma3"): InvariantExpression([
         ("p", (1, 2, 3), 1), ("p", (4, 5, 6), 1),
         ("p", (2, 3, 4), -1), ("p", (1, 5, 6), -1),
-    ], name="hexagon:gamma3"),
+    ]),
     ("hexagon", "gamma4"): InvariantExpression([
         ("p", (1, 2, 6), 1), ("p", (3, 4, 5), 1),
         ("p", (1, 2, 3), -1), ("p", (4, 5, 6), -1),
-    ], name="hexagon:gamma4"),
+    ]),
 }
 
 
@@ -183,8 +174,8 @@ def builtin_expression(example, charge_name):
             f"no built-in expression for {example}:{charge_name}") from None
 
 
-def builtin_expression_names(example=None):
-    return sorted(k for k in _BUILTIN if example is None or k[0] == example)
+def builtin_expression_names():
+    return sorted(_BUILTIN)
 
 
 def polygon_from_json(doc):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bps import active_rays
-from .curve import Charge
+from .curve import Charge, as_integer
 from .errors import (
     NoConvergence,
     NumericOverflow,
@@ -65,6 +65,8 @@ class SolverConfig:
     relax: float = 1.0         # under-relaxation factor (1 = plain iteration)
 
     def __post_init__(self):
+        self.N = as_integer(self.N, "N")
+        self.max_iter = as_integer(self.max_iter, "max_iter")
         if not 0 < self.R < math.inf:
             raise ValidationError("R must be positive and finite")
         if not math.isfinite(self.theta):
@@ -105,11 +107,14 @@ class RayGrid:
 @dataclass
 class TbaSolution:
     ray_grids: list
-    iterations_used: int
     config: SolverConfig
     period_map: object
     pairing: object
     delta_history: list
+
+    @property
+    def iterations_used(self):
+        return len(self.delta_history)
 
 
 def semiflat(Z_gamma, zeta, R):
@@ -234,8 +239,7 @@ class _Workspace:
                          omega=self.omega[i], s=self.s.copy(),
                          samples=state[i].copy())
                  for i, r in enumerate(self.rays)]
-        return TbaSolution(ray_grids=grids, iterations_used=len(history),
-                           config=self.config,
+        return TbaSolution(ray_grids=grids, config=self.config,
                            period_map=self.period_map, pairing=self.pairing,
                            delta_history=list(history))
 
@@ -317,8 +321,8 @@ def _zeta_or_default(solution, zeta):
     if zeta is None:
         return cmath.exp(1j * solution.config.theta)
     zeta = complex(zeta)
-    if zeta == 0:
-        raise ValidationError("zeta must be nonzero")
+    if zeta == 0 or not cmath.isfinite(zeta):
+        raise ValidationError(f"zeta must be finite and nonzero, not {zeta}")
     return zeta
 
 

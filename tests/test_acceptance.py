@@ -371,8 +371,8 @@ def test_criterion_10_property_suites(pentagon, hexagon, pentagon_pm,
     checks.append(("polygon invariance", worst <= 1e-10, f"{worst:.2e}"))
 
     # spectrum symmetry validation
-    ok_omega = (builtin_spectrum("pentagon").validate().ok
-                and builtin_spectrum("hexagon").validate().ok)
+    ok_omega = (builtin_spectrum("pentagon").validate() == []
+                and builtin_spectrum("hexagon").validate() == [])
     checks.append(("omega symmetry", ok_omega, str(ok_omega)))
 
     all_ok = all(ok for _, ok, _ in checks)

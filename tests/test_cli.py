@@ -597,8 +597,6 @@ UNUSED_IN_LIBRARY = {
     "tba.py:iterate_once": "perfbench's tba-small-R workload calls it",
     "network.py:polyline_intersections": "perfbench wraps it as a layer",
     "tba.py:semiflat": "the tests' oracle for the driving term",
-    "polygon.py:InvariantExpression.inverse": "X_-gamma = 1/X_gamma in the "
-                                              "expression algebra, with __mul__",
 }
 
 

@@ -27,6 +27,12 @@ def regular(n, offset=0.5):
     return ProjectivePolygon(pts)
 
 
+def inverse(expr):
+    """expr with every exponent negated: X_-gamma = 1/X_gamma."""
+    return InvariantExpression([Factor(f.kind, f.indices, -f.exponent)
+                                for f in expr.factors])
+
+
 def random_convexish(rng, n):
     angles = np.sort(rng.uniform(0, 2 * np.pi, size=n))
     radii = rng.uniform(0.8, 1.6, size=n)
@@ -104,7 +110,8 @@ def test_expression_times_inverse_is_one():
     rng = np.random.default_rng(1)
     poly = random_convexish(rng, 5)
     expr = builtin_expression("pentagon", "gamma1")
-    assert cross_ratio(poly, expr * expr.inverse()) == pytest.approx(1.0)
+    assert (cross_ratio(poly, expr) * cross_ratio(poly, inverse(expr))
+            == pytest.approx(1.0))
 
 
 def test_reflection_symmetric_pentagon_gamma2_is_one():
@@ -173,7 +180,7 @@ def test_zero_numerator_is_zero():
     # the vanishing factor in the numerator, with nonzero denominators
     poly = ProjectivePolygon([[0, 0, 1], [1, 0.5, 1], [1, 0, 1],
                               [1.5, -0.5, 1], [2, 0, 1]])
-    expr = builtin_expression("pentagon", "gamma1").inverse()
+    expr = inverse(builtin_expression("pentagon", "gamma1"))
     assert cross_ratio(poly, expr) == 0.0
 
 

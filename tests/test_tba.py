@@ -405,11 +405,23 @@ def test_solver_config_validation():
     nan, inf = float("nan"), float("inf")
     bad = [dict(theta=nan), dict(theta=inf), dict(max_iter=0), dict(tol=nan),
            dict(tol=inf), dict(relax=0.0), dict(relax=-1.0), dict(relax=nan),
-           dict(relax=inf)]
+           dict(relax=inf), dict(max_iter=2.5), dict(N=257.5), dict(N=nan)]
     for kwargs in bad:
         with pytest.raises(ValidationError):
             SolverConfig(R=1.0, **kwargs)
     assert SolverConfig(R=1.0, relax=1.5).relax == 1.5
+    # a whole float is read as its integer
+    cfg = SolverConfig(R=0.5, N=257.0, max_iter=100.0)
+    assert (cfg.N, cfg.max_iter) == (257, 100)
+    assert type(cfg.N) is int and type(cfg.max_iter) is int
+
+
+def test_non_finite_zeta_rejected(pentagon_solution):
+    nan, inf = float("nan"), float("inf")
+    for zeta in (nan, inf, complex(1.0, nan), complex(inf, 1.0)):
+        for evaluate in (log_x, integral_term, spectral_coordinate):
+            with pytest.raises(ValidationError):
+                evaluate(pentagon_solution, Charge((1, 0)), zeta)
 
 
 def test_auto_L_satisfies_decay_target():
