@@ -12,8 +12,9 @@ rule curve.continue_root, and u = x_i - x_j; a Trajectory holds arrays
 of its points and x_i, and the index k.  One Cash-Karp step
 (_cash_karp), which integrates and error-controls z alone, has two
 drivers: trace for one seed on Python complex numbers, and trace_lanes
-for a batch as numpy lanes, where the rule takes its array form
-_lane_sheet.  Networks start from the 8 critical trajectories emanating
+for a batch as numpy lanes, whose RK stages need only the phase of
+-P0/x_i^3 and whose steps end with the rule's array form _lane_sheet.
+Networks start from the 8 critical trajectories emanating
 from each simple zero of P0, then grow by the junction birth rule: at
 every crossing whose labels chain as (i,j),(j,l) a new trajectory
 labeled (i,l) is seeded at the crossing, refined from the polyline
@@ -26,8 +27,9 @@ Finite webs (a trajectory running into a zero, or a junction child doing
 so) are bracketed by the sign changes of the signed miss distance in
 theta on a scan grid.  _scan_points builds the scan points of a list of
 phases: their critical rays traced as one batch, each phase's
-first-generation births found with one crossing search per ray
-(later_crossings), and the children traced as a second batch.  The grid
+first-generation births found with one crossing search over all its
+rays (later_crossings, one sort-and-sweep over every segment by left x),
+and the children traced as a second batch.  The grid
 runs it on blocks of about SCAN_BLOCK_LANES critical rays, found by one
 RayBook.rays_at call and traced as numpy lanes (trace_lanes); no phase's
 result depends on its block.  Each event's charge is read from the scan
@@ -279,9 +281,10 @@ def _seed_sheet(curve, seed):
 
 def _cash_karp(rhs, z, h, f1):
     """One Cash-Karp step (orders 5 and 4) of dz/ds = f, with rhs(w) =
-    (f, |u|) and f1 = f(z), on Python complex numbers or on numpy lanes:
-    (z5, |z5 - z4|, (|u| at stages 2, ..., 6)).  Only z is integrated and
-    error-controlled; the stages' |u| serve the lanes' on-zero test."""
+    (f, flag) and f1 = f(z), on Python complex numbers or on numpy lanes:
+    (z5, |z5 - z4|, (flag at stages 2, ..., 6)).  Only z is integrated and
+    error-controlled; a flag of 0 marks a stage on a zero of P0, the lanes'
+    on-zero test (the scalar rhs raises there instead)."""
     f2, a2 = rhs(z + h * (1 / 5 * f1))
     f3, a3 = rhs(z + h * (3 / 40 * f1 + 9 / 40 * f2))
     f4, a4 = rhs(z + h * (3 / 10 * f1 - 9 / 10 * f2 + 6 / 5 * f3))
@@ -301,9 +304,10 @@ def trace(curve, seed, config=None):
     """Integrate one trajectory until escape, a zero hit, or truncation.
 
     The scalar driver of _cash_karp, which integrates and error-controls
-    the point z alone: each RK stage continues x_i by continue_root, and
-    a step whose end sheet is not within_margin is halved.  trace_lanes
-    has the same rule, two implementations.
+    the point z alone: each RK stage continues x_i by the rule of
+    continue_root, with x_i^3 computed once per accepted step, and a step
+    whose end sheet is not within_margin is halved.  trace_lanes has the
+    same rule, two implementations.
     """
     config = config or TraceConfig()
     eith = cmath.exp(1j * seed.theta)
@@ -311,14 +315,17 @@ def trace(curve, seed, config=None):
     zeros = curve.ramification_points
     coeffs = tuple(reversed(curve.polynomial.coefficients))
     z, x, k = _seed_sheet(curve, seed)
+    x3 = x ** 3
     gap = 1 - complex(OMEGA_POWERS[k])     # u = x_i - x_j = gap * x_i
+    h_max, delta_hit, rk_tol = config.h_max, config.delta_hit, config.rk_tol
 
     def sheet(w):
-        # P0 inlined: a call to curve.polynomial per stage slows trace ~10%
+        # P0 and continue_root(-P0(w), x) inlined, x^3 taken once per
+        # accepted step: a call per stage slows trace ~10%
         acc = 0j
         for c in coeffs:
             acc = acc * w + c
-        return continue_root(-acc, x)
+        return x * (-acc / x3) ** (1.0 / 3.0)
 
     def rhs(w):
         u = sheet(w) * gap
@@ -333,16 +340,16 @@ def trace(curve, seed, config=None):
     s_total = 0.0
     dz = [abs(z - z0) for z0 in zeros]
     dist = min(dz, default=float("inf"))
-    h = max(min(config.h_max, 0.05 * min(dz, default=1.0)), 64 * H_MIN)
+    h = max(min(h_max, 0.05 * min(dz, default=1.0)), 64 * H_MIN)
     status, hit = "truncated", None
     outward = 0
     # the zero a trajectory starts from does not count as a hit until the
     # trajectory has genuinely left its neighborhood
-    arm_radius = 4 * config.delta_hit
+    arm_radius = 4 * delta_hit
     disarmed = {n for n, d in enumerate(dz) if d < arm_radius}
 
     while True:
-        h = min(h, config.h_max, 0.1 * dist + 0.5 * config.delta_hit)
+        h = min(h, h_max, 0.1 * dist + 0.5 * delta_hit)
         if h < H_MIN:
             raise SheetAmbiguity(f"step size collapsed at z = {z}")
         try:
@@ -356,7 +363,7 @@ def trace(curve, seed, config=None):
         # an error below it is rounding noise, which does not set the
         # next step: it differs between trace and trace_lanes
         floor = 4e-15 * (1.0 + abs(z))
-        tol = config.rk_tol * h + floor
+        tol = rk_tol * h + floor
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.25)
             continue
@@ -366,19 +373,20 @@ def trace(curve, seed, config=None):
             continue
         prev = z
         z, x = z5, x5
+        x3 = x ** 3
         s_total += h
         points.append(z)
         xs.append(x)
         u = x * gap       # the next step's first stage
         f1 = eith * u.conjugate() / abs(u)
-        h = min(config.h_max,
+        h = min(h_max,
                 h * min(5.0, 0.9 * (tol / err) ** 0.2 if err > floor else 5.0))
 
         dz = [abs(z - z0) for z0 in zeros]
         dist = min(dz, default=float("inf"))
         if disarmed:
             disarmed = {n for n in disarmed if dz[n] < arm_radius}
-        if dist < config.delta_hit and dz.index(dist) not in disarmed:
+        if dist < delta_hit and dz.index(dist) not in disarmed:
             status, hit = "hit_zero", dz.index(dist)
             break
         if abs(z) > esc:
@@ -393,19 +401,29 @@ def trace(curve, seed, config=None):
     return Trajectory(np.array(points), np.array(xs), k, status, hit, seed)
 
 
+def _lane_rho(coeffs, w, inv_cube):
+    """rho = -P0(w)/x^3 per lane, given inv_cube = -1/x^3."""
+    acc = np.full_like(w, coeffs[0])
+    for c in coeffs[1:]:
+        acc = acc * w + c
+    return acc * inv_cube
+
+
+def _unit(arg):
+    """exp(i*arg) of a real array."""
+    out = np.empty(arg.shape, complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
 def _lane_sheet(coeffs, w, x, inv_cube):
     """continue_root(-P0(w), x) per lane, given -1/x^3: the array form of
     the one sheet rule, with the principal cube root spelled out (numpy's
     complex power is slower on lanes)."""
-    acc = np.full_like(w, coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * w + c
-    rho = acc * inv_cube
-    arg = np.arctan2(rho.imag, rho.real) * (1.0 / 3.0)
-    root = np.empty_like(w)
-    root.real = np.cos(arg)
-    root.imag = np.sin(arg)
-    return x * np.cbrt(np.abs(rho)) * root
+    rho = _lane_rho(coeffs, w, inv_cube)
+    return (x * np.cbrt(np.abs(rho))
+            * _unit(np.arctan2(rho.imag, rho.real) * (1.0 / 3.0)))
 
 
 def trace_lanes(curve, seeds, config):
@@ -418,9 +436,15 @@ def trace_lanes(curve, seeds, config):
     together and a finished lane leaves the arrays, so a lane's trajectory
     does not depend on the rest of its batch.  Its sheet rule is trace's
     in array form (_lane_sheet): the same rule, two implementations, which
-    round differently, so the accepted steps drift apart slowly.  A seed
-    that trace would reject fails the whole batch.  Each Trajectory's
-    arrays are slices of the batch's.
+    round differently, so the accepted steps drift apart slowly.  An RK
+    stage at w needs only the direction, which depends on the phase of
+    rho = -P0(w)/x_i^3 alone: the stage's sheet is x_i rho^(1/3), so
+    f = f1 exp(-i arg(rho)/3), with f1 = exp(i*theta) conj(u)/|u| at the
+    lane's last accepted point, and rho == 0 flags a stage on a zero of
+    P0.  A stage takes no cube-root modulus, |u| or division; the sheet
+    itself is continued only to the step's end, for the margin test.  A
+    seed that trace would reject fails the whole batch.  Each
+    Trajectory's arrays are slices of the batch's.
     """
     if not seeds:
         return []
@@ -434,15 +458,14 @@ def trace_lanes(curve, seeds, config):
                                           for s in seeds]))
     lane = np.arange(n)
     gap = 1 - OMEGA_POWERS[k]              # u = x_i - x_j = gap * x_i
-    inv_cube = -1 / x ** 3
+    inv_cube = -1 / (x * x * x)     # x ** 3 takes numpy's slower complex power
     eith = np.array([cmath.exp(1j * s.theta) for s in seeds])
     status = ["truncated"] * n
     hit_zero = [None] * n
 
     def rhs(w):
-        u = _lane_sheet(coeffs, w, x, inv_cube) * gap
-        au = np.abs(u)
-        return eith * u.conjugate() / au, au
+        rho = _lane_rho(coeffs, w, inv_cube)
+        return f1 * _unit(np.arctan2(rho.imag, rho.real) * (-1.0 / 3.0)), rho
 
     def distances(z):
         if not len(zeros):
@@ -454,7 +477,8 @@ def trace_lanes(curve, seeds, config):
         # each accepted point as (lanes, index along the lane, z, x)
         records = [(lane, np.zeros(n, np.intp), z, x)]
         length = np.ones(n, dtype=np.intp)
-        f1 = rhs(z)[0]
+        u = x * gap
+        f1 = eith * u.conjugate() / np.abs(u)
         dz, dist = distances(z)
         h = np.maximum(np.minimum(config.h_max,
                                   0.05 * (dist if len(zeros) else 1.0)),
@@ -491,7 +515,7 @@ def trace_lanes(curve, seeds, config):
             h = np.where(ok, grown, retry)
             z = np.where(ok, z5, z)
             x = np.where(ok, x5, x)
-            inv_cube = np.where(ok, -1 / x5 ** 3, inv_cube)
+            inv_cube = np.where(ok, -1 / (x5 * x5 * x5), inv_cube)
             u = x5 * gap
             f1 = np.where(ok, eith * u.conjugate() / np.abs(u), f1)
             records.append((lane[ok], npts[ok], z5[ok], x5[ok]))
@@ -540,34 +564,52 @@ def trace_lanes(curve, seeds, config):
 # polyline intersections
 # ----------------------------------------------------------------------
 
-# segments per bounding box in the crossing searches
-SEGMENT_CHUNK = 64
-
-
-def _segment_crossings(pA, b0, b1):
-    """The transversal crossings (z, ia, ta, ib, tb) of polyline pA's
-    segments with the segments b0[ib] -> b1[ib], in order of (ia, ib):
-    z = pA[ia] + ta (pA[ia + 1] - pA[ia]) = b0[ib] + tb (b1[ib] - b0[ib])
-    with ta and tb in [0, 1)."""
-    d1 = (pA[1:] - pA[:-1])[:, None]
-    d2 = (b1 - b0)[None, :]
-    w = b0[None, :] - pA[:-1, None]
-    den = (d1.conjugate() * d2).imag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (w.conjugate() * d2).imag / den
-        s = (w.conjugate() * d1).imag / den
-    ia, ib = np.nonzero((np.abs(den) > 1e-30) & (t >= 0) & (t < 1)
-                        & (s >= 0) & (s < 1))
-    ta, tb = t[ia, ib], s[ia, ib]
-    z = pA[ia] + (pA[ia + 1] - pA[ia]) * ta
-    return list(zip(z.tolist(), ia.tolist(), ta.tolist(), ib.tolist(),
-                    tb.tolist()))
+# candidate segment pairs the crossing search expands at once, which bounds
+# its memory: on the hexagon census's largest call (theta = -0.5, 4524
+# points, 55670 pairs) the tracemalloc peak is 0.64 MB, against 3.3 MB
+# with every pair expanded at once
+CROSSING_PAIRS = 2048
 
 
 def polyline_intersections(pA, pB):
     """All transversal crossings (z, ia, ta, ib, tb) of two polylines, as
     later_crossings finds them, in order of (ia, ib)."""
     return later_crossings([pA, pB]).get((0, 1), [])
+
+
+def _sorted_segments(polylines):
+    """The segments of a list of polylines, sorted by left x: arrays of
+    their polyline, their index along it, their start point and chord,
+    and their x- and y-ranges [x0, x1] and [y0, y1]."""
+    sizes = [len(p) for p in polylines]
+    pts = np.concatenate([np.asarray(p, dtype=complex) for p in polylines]
+                         + [np.empty(0, complex)])
+    owner = np.repeat(np.arange(len(polylines)), sizes)
+    # segment g runs from pts[g] to pts[g + 1] inside one polyline
+    g = np.nonzero(owner[:-1] == owner[1:])[0]
+    g = g[np.argsort(np.minimum(pts.real[g], pts.real[g + 1]), kind="stable")]
+    s0, s1 = pts[g], pts[g + 1]
+    owner = owner[g]
+    first = np.cumsum(sizes, dtype=np.intp) - sizes
+    return (owner, g - first[owner], s0, s1 - s0,
+            np.minimum(s0.real, s1.real), np.maximum(s0.real, s1.real),
+            np.minimum(s0.imag, s1.imag), np.maximum(s0.imag, s1.imag))
+
+
+def _solve_pairs(owner, s0, d, i, j):
+    """The pairs of segments (i, j) of _sorted_segments that cross, as
+    arrays (ia, ib, ta, tb) with segment ia on the earlier polyline:
+    z = s0[ia] + ta d[ia] = s0[ib] + tb d[ib] with ta and tb in [0, 1)
+    and the chords not parallel."""
+    swap = owner[i] > owner[j]
+    ia, ib = np.where(swap, j, i), np.where(swap, i, j)
+    d1, d2, w = d[ia], d[ib], s0[ib] - s0[ia]
+    den = (d1.conjugate() * d2).imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w.conjugate() * d2).imag / den
+        s = (w.conjugate() * d1).imag / den
+    hit = (np.abs(den) > 1e-30) & (t >= 0) & (t < 1) & (s >= 0) & (s < 1)
+    return ia[hit], ib[hit], t[hit], s[hit]
 
 
 def later_crossings(polylines, new=0):
@@ -577,40 +619,53 @@ def later_crossings(polylines, new=0):
     Returns {(a, b): hits} for a < b and b >= new, listing only pairs that
     cross, each hits list holding tuples (z, ia, ta, ib, tb), the crossing
     point and the segment and local parameter on a and on b, in order of
-    (ia, ib).  Polyline a is searched once: each chunk of SEGMENT_CHUNK of
-    its segments is solved exactly against the segments of the later
-    polylines whose bounding boxes meet the box of one chunk segment.
+    (ia, ib).  One sort-and-sweep covers every segment of the call: sorted
+    by left x, a segment's candidates are the segments after it whose left
+    x is at most its right x.  The candidate pairs are expanded
+    CROSSING_PAIRS at a time, and a pair on two polylines, the later of
+    index new or more, whose y-ranges meet, is solved exactly:
+    z = A0 + ta (A1 - A0) = B0 + tb (B1 - B0), a crossing when ta and tb
+    lie in [0, 1) and the segments are not parallel.
     """
-    sizes = [len(p) for p in polylines]
-    pts = np.concatenate([np.asarray(p, dtype=complex) for p in polylines])
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    owner = np.repeat(np.arange(len(polylines)), sizes)
-    # segment g runs from pts[g] to pts[g + 1] inside one polyline
-    s0, s1 = pts[:-1], pts[1:]
-    joins = owner[:-1] == owner[1:]
-    x0, x1 = np.minimum(s0.real, s1.real), np.maximum(s0.real, s1.real)
-    y0, y1 = np.minimum(s0.imag, s1.imag), np.maximum(s0.imag, s1.imag)
+    owner, index, s0, d, x0, x1, y0, y1 = _sorted_segments(polylines)
+    # segment i's candidates are the count[i] segments after it: pairs
+    # begin[i], ..., begin[i] + count[i] - 1, and pair p is (i, p - base[i])
+    seg = np.arange(len(x0))
+    count = np.searchsorted(x0, x1, side="right") - seg - 1
+    begin = np.cumsum(count) - count
+    base = begin - seg - 1
+    total = int(begin[-1] + count[-1]) if len(seg) else 0
+    found, held, n_held = [], [], 0
+    for lo in range(0, total, CROSSING_PAIRS):
+        hi = min(lo + CROSSING_PAIRS, total)
+        first, last = np.searchsorted(begin, (lo, hi), side="right") - 1
+        span = slice(first, last + 1)
+        take = (np.minimum(begin[span] + count[span], hi)
+                - np.maximum(begin[span], lo))
+        i = np.repeat(seg[span], take)
+        j = np.arange(lo, hi) - np.repeat(base[span], take)
+        oi, oj = owner[i], owner[j]
+        keep = ((oi != oj) & (np.maximum(oi, oj) >= new)
+                & (y0[i] <= y1[j]) & (y0[j] <= y1[i]))
+        held.append((i[keep], j[keep]))
+        n_held += len(held[-1][0])
+        # kept pairs are solved together once they fill a slice
+        if n_held >= CROSSING_PAIRS or hi == total:
+            found.append(_solve_pairs(owner, s0, d,
+                                      *map(np.concatenate, zip(*held))))
+            held, n_held = [], 0
+    if not found:
+        return {}
+    ia, ib, ta, tb = (np.concatenate(v) for v in zip(*found))
+    z = s0[ia] + d[ia] * ta
+    a, b, ia, ib = owner[ia], owner[ib], index[ia], index[ib]
+    order = np.lexsort((ib, ia, b, a))
     out = {}
-    for a in range(len(polylines) - 1):
-        pA = pts[starts[a]:starts[a + 1]]
-        g0 = starts[max(a + 1, new)]
-        for sa in range(0, len(pA) - 1, SEGMENT_CHUNK):
-            ea = min(len(pA) - 1, sa + SEGMENT_CHUNK)
-            segA = pA[sa:ea + 1]
-            g = g0 + np.nonzero(joins[g0:] & ~(
-                (segA.real.min() > x1[g0:]) | (x0[g0:] > segA.real.max())
-                | (segA.imag.min() > y1[g0:]) | (y0[g0:] > segA.imag.max())))[0]
-            # keep the segments whose boxes meet the box of one A segment
-            r = slice(starts[a] + sa, starts[a] + ea)
-            g = g[(~((x0[r, None] > x1[None, g]) | (x0[None, g] > x1[r, None])
-                     | (y0[r, None] > y1[None, g]) | (y0[None, g] > y1[r, None]))
-                   ).any(axis=0)]
-            if not len(g):
-                continue
-            for z, ia, ta, ib, tb in _segment_crossings(segA, s0[g], s1[g]):
-                b = int(owner[g[ib]])
-                out.setdefault((a, b), []).append(
-                    (z, sa + ia, ta, int(g[ib] - starts[b]), tb))
+    for key, hit in zip(
+            zip(a[order].tolist(), b[order].tolist()),
+            zip(z[order].tolist(), ia[order].tolist(), ta[order].tolist(),
+                ib[order].tolist(), tb[order].tolist())):
+        out.setdefault(key, []).append(hit)
     return out
 
 
@@ -1004,7 +1059,7 @@ def _births(curve, theta, critical):
     """[(pair key, hit, child seed)] of one phase's critical trajectories
     {(zero, m): trajectory}, in key order: a pair of rays has at most one
     child, born at its first birth crossing along the lower-keyed ray.
-    One crossing search per ray against all later rays."""
+    One crossing search covers all the rays."""
     keys = sorted(critical)
     hits = later_crossings([critical[k].points for k in keys])
     out = []
@@ -1079,8 +1134,9 @@ def _event_point(curve, event, theta, config):
     for (zi, m), ray in zip(keys, _critical_rays(
             curve, [(theta, zi, m) for zi, m in keys], config.delta0)):
         rays.setdefault(zi, []).append((m,) + ray)
-    # the scalar trace: 1-3 rays, far below the 24-32 lanes from which
-    # trace_lanes is faster (scan config, pentagon and hexagon)
+    # the scalar trace: 1-3 rays, far below the about 24 lanes from which
+    # trace_lanes is faster (scan config, pentagon and hexagon; 24-32 with
+    # the assembly config)
     point, = _scan_points(curve, [theta], [rays], config,
                           lambda c, seeds, cf: [trace(c, s, cf) for s in seeds])
     return point

@@ -118,9 +118,10 @@ class TbaSolution:
 
 
 def semiflat(Z_gamma, zeta, R):
-    """exp(R (Z/zeta + conj(Z) zeta)): the driving term of the iteration."""
-    if zeta == 0:
-        raise ValidationError("zeta must be nonzero")
+    """exp(R (Z/zeta + conj(Z) zeta)): the driving term of the iteration.
+    A zeta that is zero or not finite raises ValidationError."""
+    if zeta == 0 or not cmath.isfinite(zeta):
+        raise ValidationError(f"zeta must be finite and nonzero, not {zeta}")
     expo = R * (Z_gamma / zeta + Z_gamma.conjugate() * zeta)
     if expo.real > _EXP_CAP:
         raise NumericOverflow(f"semiflat exponent {expo.real:.1f} too large")

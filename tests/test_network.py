@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -269,6 +270,16 @@ def test_step_collapse_raises_sheet_ambiguity(tracer, pentagon, monkeypatch):
         tracer(pentagon.curve, seed)
 
 
+def test_lane_stage_on_a_zero_retries_then_raises(pentagon, monkeypatch):
+    # rho = -P0(w)/x^3 == 0 flags a stage on a zero of P0: the lane
+    # retries at h/4 until the step would fall below H_MIN
+    seed = seed_critical(pentagon.curve, 0.2)[0]
+    monkeypatch.setattr(network, "_lane_rho",
+                        lambda coeffs, w, inv_cube: np.zeros_like(w))
+    with pytest.raises(SheetAmbiguity, match="RK stage on a zero"):
+        trace_lanes(pentagon.curve, [seed], TraceConfig())
+
+
 # ---------------- lanes against the scalar tracer ----------------
 
 @pytest.fixture(scope="module", params=[
@@ -415,15 +426,41 @@ def test_critical_rays_do_not_depend_on_the_block(name, theta_range, step,
             == [table[zi][m][1:]]
 
 
-def _unpruned_crossings(pA, pB):
-    """Every segment of pA solved against every segment of pB, with no
-    bounding boxes: the hits in order of (ia, ib)."""
-    hits = []
-    for sa in range(0, len(pA) - 1, network.SEGMENT_CHUNK):
-        segA = pA[sa:sa + network.SEGMENT_CHUNK + 1]
-        hits += [(z, sa + ia, ta, ib, tb) for z, ia, ta, ib, tb
-                 in network._segment_crossings(segA, pB[:-1], pB[1:])]
-    return hits
+def _every_pair_crossings(polylines, new=0):
+    """The reference for later_crossings: every segment of each polyline
+    solved against every segment of each later one of index new or more,
+    with no bounding boxes and no sweep, by the same exact formulas."""
+    out = {}
+    for b in range(max(new, 1), len(polylines)):
+        pB = np.asarray(polylines[b], dtype=complex)
+        for a in range(b):
+            pA = np.asarray(polylines[a], dtype=complex)
+            d1 = (pA[1:] - pA[:-1])[:, None]
+            d2 = (pB[1:] - pB[:-1])[None, :]
+            w = pB[None, :-1] - pA[:-1, None]
+            den = (d1.conjugate() * d2).imag
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (w.conjugate() * d2).imag / den
+                s = (w.conjugate() * d1).imag / den
+            ia, ib = np.nonzero((np.abs(den) > 1e-30) & (t >= 0) & (t < 1)
+                                & (s >= 0) & (s < 1))
+            if len(ia):
+                ta, tb = t[ia, ib], s[ia, ib]
+                z = pA[ia] + (pA[ia + 1] - pA[ia]) * ta
+                out[a, b] = list(zip(z.tolist(), ia.tolist(), ta.tolist(),
+                                     ib.tolist(), tb.tolist()))
+    return out
+
+
+def _check_later_crossings(polylines):
+    """later_crossings against the reference for every new; the hits of
+    new = 0."""
+    found = [later_crossings(polylines, new)
+             for new in range(len(polylines) + 1)]
+    for new, got in enumerate(found):
+        assert got == _every_pair_crossings(polylines, new)
+        assert list(got) == sorted(got)
+    return found[0]
 
 
 def test_later_crossings_match_pairwise_intersections(window_lanes):
@@ -433,18 +470,99 @@ def test_later_crossings_match_pairwise_intersections(window_lanes):
         phases.setdefault(seed.theta, []).append((seed.origin[1:3], lane))
     for rays in phases.values():
         polylines = [lane.points for _, lane in sorted(rays)]
-        pairwise = {(a, b): _unpruned_crossings(polylines[a], polylines[b])
-                    for a in range(len(polylines))
-                    for b in range(a + 1, len(polylines))}
         found = later_crossings(polylines)
         assert found
-        assert found == {key: hits for key, hits in pairwise.items() if hits}
+        assert found == _every_pair_crossings(polylines)
         # new bounds the later polyline of each pair, as grow_network's
         # newborn trajectories do
         for new in (1, len(polylines) // 2, len(polylines) - 1,
                     len(polylines)):
             assert later_crossings(polylines, new) == {
                 key: hits for key, hits in found.items() if key[1] >= new}
+
+
+def _lattice_polylines(rng, count, most, side):
+    """count polylines of 0 to most points on the half-integer grid of
+    [0, side]^2, so that segments tie in left x, run vertically or
+    horizontally, have zero length, overlap collinearly and share
+    endpoints; their arithmetic is exact."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(0, most + 1))
+        xy = rng.integers(0, 2 * side + 1, size=(n, 2)) / 2
+        repeat = rng.random(n) < 0.15
+        for m in np.nonzero(repeat)[0]:
+            if m:
+                xy[m] = xy[m - 1]
+        out.append(xy[:, 0] + 1j * xy[:, 1])
+    return out
+
+
+def test_later_crossings_on_degenerate_segments():
+    # the sweep against the every-pair reference, for every new, on
+    # lattice polylines full of ties and degenerate segments
+    rng = np.random.default_rng(20261020)
+    for _ in range(40):
+        _check_later_crossings(_lattice_polylines(rng, 6, 9, 3))
+    # the half-open rule: a crossing at a shared vertex counts once, for
+    # the two segments that start there
+    a = np.array([0, 1 + 1j, 2 + 0j])
+    b = np.array([2j, 1 + 1j, 2 + 2j])
+    assert _check_later_crossings([a, b]) == {
+        (0, 1): [(1 + 1j, 1, 0.0, 1, 0.0)]}
+    # a collinear overlap (den = 0) does not cross
+    assert _check_later_crossings([np.array([0, 2 + 2j]),
+                                   np.array([1 + 1j, 3 + 3j])]) == {}
+    # vertical against horizontal, and through a zero-length segment to
+    # the segment that starts on the crossing; empty and one-point
+    # polylines have no segments
+    h = np.array([0, 2 + 0j])
+    v = np.array([1 - 1j, 1 + 0j, 1 + 0j, 1 + 1j])
+    assert _check_later_crossings([h, np.array([]), np.array([1j]), v,
+                                   np.array([1 - 1j, 1 + 1j])]) == {
+        (0, 3): [(1 + 0j, 0, 0.5, 2, 0.0)],
+        (0, 4): [(1 + 0j, 0, 0.5, 0, 0.5)]}
+    assert later_crossings([]) == {}
+
+
+def test_later_crossings_span_several_pair_slices():
+    # random walks crowded into one box: the x-overlapping segment pairs
+    # fill several slices of CROSSING_PAIRS
+    rng = np.random.default_rng(7)
+    walks = [np.cumsum(rng.normal(size=150) + 1j * rng.normal(size=150))
+             for _ in range(12)]
+    segments = np.concatenate([np.stack((p[:-1], p[1:])) for p in walks],
+                              axis=1)
+    x0, x1 = segments.real.min(axis=0), segments.real.max(axis=0)
+    overlapping = ((x0[:, None] <= x1[None, :]) & (x0[None, :] <= x1[:, None])
+                   ).sum() - len(x0)
+    assert overlapping // 2 > 5 * network.CROSSING_PAIRS
+    found = _check_later_crossings(walks)
+    assert sum(len(hits) for hits in found.values()) > 100
+
+
+def test_crossing_search_memory_stays_bounded(hexagon, monkeypatch):
+    # the largest call of the hexagon census at theta = -0.5 stays below
+    # 1.2 MB under tracemalloc (0.64 MB; 3.3 MB with every candidate pair
+    # expanded at once)
+    calls = []
+
+    def record(polylines, new=0):
+        calls.append((polylines, new))
+        return later_crossings(polylines, new)
+
+    monkeypatch.setattr(network, "later_crossings", record)
+    grow_network(hexagon.curve, -0.5)
+    monkeypatch.undo()
+    polylines, new = max(calls, key=lambda c: sum(len(p) for p in c[0]))
+    assert (sum(len(p) for p in polylines), len(polylines)) == (4524, 33)
+    tracemalloc.start()
+    try:
+        later_crossings(polylines, new)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 @pytest.mark.parametrize("name, theta", [("pentagon", 0.0), ("hexagon", 0.1)])

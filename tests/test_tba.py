@@ -65,6 +65,14 @@ def test_semiflat_overflow():
         semiflat(1.0 + 0j, 0j, 1.0)
 
 
+@pytest.mark.parametrize("zeta", [float("nan"), complex(1.0, math.inf)],
+                         ids=["nan", "1+inf*i"])
+def test_semiflat_refuses_a_non_finite_zeta(zeta):
+    # as log_x does, not nan+nanj
+    with pytest.raises(ValidationError, match="finite"):
+        semiflat(1 + 1j, zeta, 0.5)
+
+
 def test_log1p_small_arguments():
     # numpy's complex log1p returns 0 below |z| ~ 1e-16
     z = np.array([1e-20, 1e-13 + 1e-14j, -1e-18j, 2e-9 - 3e-9j])
