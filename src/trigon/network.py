@@ -87,13 +87,16 @@ def _wrap(a):
 class TraceConfig:
     """The tracing settings that differ between uses: the defaults grow
     networks, and _web_trace_config sets the finite-web scan's and
-    assembly's escape_radius, delta0, delta_hit, rk_tol and h_max."""
+    assembly's escape_radius, delta0, delta_hit, rk_tol, h_max and
+    zero_step.  Both tracers cap a step at zero_step * dist + delta_hit/2,
+    dist being the distance to the nearest zero of P0."""
 
     escape_radius: float = None      # default: 4 * max |ramification| + 10
     delta0: float = 1e-4             # seed offset from a zero
     delta_hit: float = 1e-3          # "ran into a zero" radius
     rk_tol: float = 1e-9             # local error target per unit arclength
     h_max: float = 0.5
+    zero_step: float = 0.1           # step cap per unit distance to a zero
 
     def resolved_escape_radius(self, curve):
         if self.escape_radius is not None:
@@ -318,6 +321,7 @@ def trace(curve, seed, config=None):
     x3 = x ** 3
     gap = 1 - complex(OMEGA_POWERS[k])     # u = x_i - x_j = gap * x_i
     h_max, delta_hit, rk_tol = config.h_max, config.delta_hit, config.rk_tol
+    zero_step = config.zero_step
 
     def sheet(w):
         # P0 and continue_root(-P0(w), x) inlined, x^3 taken once per
@@ -349,7 +353,7 @@ def trace(curve, seed, config=None):
     disarmed = {n for n, d in enumerate(dz) if d < arm_radius}
 
     while True:
-        h = min(h, h_max, 0.1 * dist + 0.5 * delta_hit)
+        h = min(h, h_max, zero_step * dist + 0.5 * delta_hit)
         if h < H_MIN:
             raise SheetAmbiguity(f"step size collapsed at z = {z}")
         try:
@@ -490,7 +494,7 @@ def trace_lanes(curve, seeds, config):
 
         while len(lane):
             h = np.minimum(np.minimum(h, config.h_max),
-                           0.1 * dist + 0.5 * config.delta_hit)
+                           config.zero_step * dist + 0.5 * config.delta_hit)
             if (h < H_MIN).any():
                 raise SheetAmbiguity(
                     f"step size collapsed at z = {z[h < H_MIN][0]}")
@@ -1136,7 +1140,7 @@ def _event_point(curve, event, theta, config):
         rays.setdefault(zi, []).append((m,) + ray)
     # the scalar trace: 1-3 rays, far below the about 24 lanes from which
     # trace_lanes is faster (scan config, pentagon and hexagon; 24-32 with
-    # the assembly config)
+    # the assembly config, best of 5 on a shared 2-vCPU machine)
     point, = _scan_points(curve, [theta], [rays], config,
                           lambda c, seeds, cf: [trace(c, s, cf) for s in seeds])
     return point
@@ -1144,14 +1148,22 @@ def _event_point(curve, event, theta, config):
 
 def _web_trace_config(curve, fine):
     """Trace settings for finite-web work: the scan's (fine=False), which
-    loosens rk_tol to 1e-7, or the assembly's (fine=True), which seeds and
-    hits at 1e-5 with rk_tol 1e-10 and h_max 0.25; both escape at
-    2.5 max|z0| + 3 and keep the other defaults."""
+    loosens rk_tol to 1e-7 and zero_step to 0.125, or the assembly's
+    (fine=True), which seeds and hits at 1e-5 with rk_tol 1e-10 and h_max
+    0.25; both escape at 2.5 max|z0| + 3 and keep the other defaults.
+
+    Near the zeros the scan's steps are set by the zero_step cap, not by
+    rk_tol.  At 0.125 trace and trace_lanes stay within rounding of each
+    other on the scan grid (3e-14 on the window_lanes test windows, 4e-11
+    at 0.15); at 0.2 and above error control rejects some steps, and the
+    two drift up to 4e-8 apart.  Growth and the assembly keep 0.1.
+    """
     escape_radius = 2.5 * max(abs(z) for z in curve.ramification_points) + 3.0
     if fine:
         return TraceConfig(escape_radius=escape_radius, delta0=1e-5,
                            delta_hit=1e-5, rk_tol=1e-10, h_max=0.25)
-    return TraceConfig(escape_radius=escape_radius, rk_tol=1e-7)
+    return TraceConfig(escape_radius=escape_radius, rk_tol=1e-7,
+                       zero_step=0.125)
 
 
 # Gauss-Legendre nodes per chord in a web leg's period
@@ -1261,7 +1273,8 @@ def _read_charge(Z, bracket, theta, period_map):
 # the full pentagon and hexagon sweeps (best of two runs on a shared
 # 2-vCPU machine), blocks of 256 lanes ran 5-20% slower, and blocks of
 # 1000 or 2000 from 15% slower to 20% faster, while a block's scan takes
-# 8-10 kB of peak memory per lane (tracemalloc)
+# 7-8.5 kB of peak memory per lane (tracemalloc, full blocks of either
+# example)
 SCAN_BLOCK_LANES = 500
 # a web's phase arg Z_gamma may lie this far outside the grid bracket of
 # an event whose read gives its charge

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -263,7 +264,8 @@ def test_seed_on_a_zero_is_rejected(tracer):
 @pytest.mark.parametrize("tracer", _TRACERS)
 def test_step_collapse_raises_sheet_ambiguity(tracer, pentagon, monkeypatch):
     # a critical seed sits delta0 = 1e-4 from its zero, where the step cap
-    # 0.1 * dist + delta_hit / 2 is 5.1e-4, below this H_MIN
+    # zero_step * dist + delta_hit / 2 at TraceConfig's defaults (0.1 and
+    # 1e-3) is 5.1e-4, below this H_MIN
     seed = seed_critical(pentagon.curve, 0.2)[0]
     monkeypatch.setattr(network, "H_MIN", 1e-3)
     with pytest.raises(SheetAmbiguity, match="collapsed"):
@@ -359,6 +361,15 @@ def test_a_lane_does_not_depend_on_its_batch(window_lanes):
         assert _as_tuple(curve, alone) == _as_tuple(curve, lanes[i])
 
 
+def _grid_and_window(curve, theta_range, step):
+    """detect_bps's scan grid over theta_range and its miss window."""
+    lo, hi = theta_range
+    n = max(2, int(math.ceil((hi - lo) / step)))
+    zs = curve.ramification_points
+    return ([lo + (hi - lo) * k / n for k in range(n + 1)],
+            0.35 * min(abs(a - b) for i, a in enumerate(zs) for b in zs[i + 1:]))
+
+
 @pytest.mark.parametrize("name, theta_range, step", [
     ("pentagon", (-0.62, -0.43), math.pi / 80),
     ("hexagon", (0.47, 0.58), math.pi / 120)], ids=["pentagon", "hexagon"])
@@ -369,12 +380,8 @@ def test_scan_events_do_not_depend_on_the_block(name, theta_range, step,
     # are the same
     curve = request.getfixturevalue(name).curve
     cfg = network._web_trace_config(curve, fine=False)
-    lo, hi = theta_range
-    n = max(2, int(math.ceil((hi - lo) / step)))
-    thetas = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    thetas, window = _grid_and_window(curve, theta_range, step)
     tables = network.RayBook(curve, cfg.delta0).rays_at(thetas)
-    zs = curve.ramification_points
-    window = 0.35 * min(abs(a - b) for i, a in enumerate(zs) for b in zs[i + 1:])
     whole = [ev for ev, _ in network._scan_events(curve, thetas, tables, cfg,
                                                   window)]
     assert len(thetas) % 5 == 1 and any(whole)
@@ -382,6 +389,35 @@ def test_scan_events_do_not_depend_on_the_block(name, theta_range, step,
              for ev, _ in network._scan_events(curve, thetas[b:b + 5],
                                                tables[b:b + 5], cfg, window)]
     assert split == whole
+
+
+# the window_lanes windows, and the benchmark's webscan windows around the
+# pentagon web at -pi/6 and the hexagon web at pi/6 on the default grid
+@pytest.mark.parametrize("name, theta_range, step", [
+    ("pentagon", (-0.62, -0.43), math.pi / 80),
+    ("hexagon", (0.47, 0.58), math.pi / 120),
+    ("pentagon", (-math.pi / 6 - 0.023, -math.pi / 6 + 0.047), math.pi / 300),
+    ("hexagon", (math.pi / 6 - 0.023, math.pi / 6 + 0.037), math.pi / 300)],
+    ids=["pentagon", "hexagon", "pentagon-webscan", "hexagon-webscan"])
+def test_the_scan_step_cap_keeps_the_reads(name, theta_range, step, request):
+    # the scan lanes step up to 0.125 of the distance to the nearest zero,
+    # growth and assembly 0.1: at 0.1 the scan finds the same events in
+    # the same brackets, reads them at the same grid ends, and gets the
+    # same charges and theta*, from periods that differ by rounding
+    # (measured at most 1.7e-12 relative)
+    curve = request.getfixturevalue(name).curve
+    pm = request.getfixturevalue(f"{name}_pm")
+    cfg = network._web_trace_config(curve, fine=False)
+    assert (cfg.zero_step, TraceConfig().zero_step) == (0.125, 0.1)
+    thetas, window = _grid_and_window(curve, theta_range, step)
+    loose, tight = (network._event_periods(curve, thetas, c, window)
+                    for c in (cfg, dataclasses.replace(cfg, zero_step=0.1)))
+    assert loose and [r[:3] for r in loose] == [r[:3] for r in tight]
+    for (_, bracket, theta, Z), (*_, Z_tight) in zip(loose, tight):
+        charge, th_star = network._read_charge(Z, bracket, theta, pm)
+        assert (charge, th_star) == network._read_charge(Z_tight, bracket,
+                                                         theta, pm)
+        assert abs(Z - Z_tight) < 1e-10 * abs(Z)
 
 
 def test_a_recorded_hit_counts_only_at_its_own_zero():
