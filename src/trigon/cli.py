@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -516,7 +517,13 @@ def _add_source(p):
     g.add_argument("--curve-file")
 
 
+@functools.cache
 def build_parser():
+    """The trigon argument parser, built on first use and then shared by
+    every main call in the process (building it takes 2-3 ms).  Each
+    subcommand's func calls its cmd_* function by its module-level name,
+    looked up at each call, so that a cmd_* function replaced on this
+    module after the parser was built still runs."""
     ap = argparse.ArgumentParser(
         prog="trigon",
         description="spectral networks, periods and ray-iteration "
@@ -530,14 +537,14 @@ def build_parser():
                                      "--curve-file JSON")
     q.add_argument("--example", choices=EXAMPLE_NAMES, required=True)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_curve_dump)
+    q.set_defaults(func=lambda args: cmd_curve_dump(args))
 
     p = sub.add_parser("periods", help="basis periods of a curve definition")
     _add_source(p)
     p.add_argument("--charge", action="append", default=[],
                    help="extra charge to evaluate, e.g. 1,-1 (repeatable)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_periods)
+    p.set_defaults(func=lambda args: cmd_periods(args))
 
     p = sub.add_parser("network", help="trajectory networks")
     nsub = p.add_subparsers(dest="network_command", required=True)
@@ -549,14 +556,14 @@ def build_parser():
     q.add_argument("--polylines", default=None,
                    help="also write plain-text polylines to this file")
     q.add_argument("--no-classify", action="store_true")
-    q.set_defaults(func=cmd_network_trace)
+    q.set_defaults(func=lambda args: cmd_network_trace(args))
 
     q = nsub.add_parser("sweep", help="polyline frames over a phase sweep")
     q.add_argument("--example", choices=EXAMPLE_NAMES, required=True)
     q.add_argument("--frames", type=int, default=100,
                    help="frames at theta = k*pi/300, k = 0..frames-1")
     q.add_argument("--out-dir", required=True)
-    q.set_defaults(func=cmd_network_sweep)
+    q.set_defaults(func=lambda args: cmd_network_sweep(args))
 
     q = nsub.add_parser("bps", help="finite-web scan over a phase interval")
     _add_source(q)
@@ -564,7 +571,7 @@ def build_parser():
     q.add_argument("--theta-max", type=float, default=math.pi)
     q.add_argument("--scan-step", type=float, default=math.pi / 300)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_network_bps)
+    q.set_defaults(func=lambda args: cmd_network_bps(args))
 
     p = sub.add_parser("bps", help="BPS spectra")
     bsub = p.add_subparsers(dest="bps_command", required=True)
@@ -572,14 +579,14 @@ def build_parser():
     q = bsub.add_parser("dump", help="write a built-in spectrum as JSON")
     q.add_argument("--example", choices=EXAMPLE_NAMES, required=True)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_bps_dump)
+    q.set_defaults(func=lambda args: cmd_bps_dump(args))
 
     q = bsub.add_parser("validate", help="symmetry validation report")
     g = q.add_mutually_exclusive_group(required=True)
     g.add_argument("--example", choices=EXAMPLE_NAMES)
     g.add_argument("--spectrum", help="spectrum JSON file")
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_bps_validate)
+    q.set_defaults(func=lambda args: cmd_bps_validate(args))
 
     p = sub.add_parser("tba", help="ray iteration solver")
     tsub = p.add_subparsers(dest="tba_command", required=True)
@@ -596,7 +603,7 @@ def build_parser():
     q.add_argument("--relax", type=float, default=1.0)
     q.add_argument("--spectrum", default=None, help="custom spectrum JSON")
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_tba_solve)
+    q.set_defaults(func=lambda args: cmd_tba_solve(args))
 
     p = sub.add_parser("asym", help="large-scale predictions")
     asub = p.add_subparsers(dest="asym_command", required=True)
@@ -607,7 +614,7 @@ def build_parser():
     q.add_argument("--theta", type=float, default=0.0)
     q.add_argument("--spectrum", default=None)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_asym_predict)
+    q.set_defaults(func=lambda args: cmd_asym_predict(args))
 
     q = asub.add_parser("check", help="remainder decay table over an R grid")
     _add_source(q)
@@ -616,7 +623,7 @@ def build_parser():
     q.add_argument("--R-grid", required=True, help="e.g. 1,1.5,2,2.5,3")
     q.add_argument("--spectrum", default=None)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_asym_check)
+    q.set_defaults(func=lambda args: cmd_asym_check(args))
 
     p = sub.add_parser("polygon", help="projective polygon invariants")
     psub = p.add_subparsers(dest="polygon_command", required=True)
@@ -627,7 +634,7 @@ def build_parser():
     q.add_argument("--vertices", required=True,
                    help="JSON list of homogeneous 3-vectors")
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_polygon_eval)
+    q.set_defaults(func=lambda args: cmd_polygon_eval(args))
 
     p = sub.add_parser("reproduce",
                        help="re-derive the known values for an example")
@@ -635,14 +642,13 @@ def build_parser():
     p.add_argument("--fast", action="store_true",
                    help="skip the finite-web sweep")
     p.add_argument("--out", default=None, help="also write a JSON report")
-    p.set_defaults(func=cmd_reproduce)
+    p.set_defaults(func=lambda args: cmd_reproduce(args))
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TrigonError as exc:

@@ -7,13 +7,15 @@ A trajectory labelled by a sheet x_i and its partner x_j solves
 integrated here in arclength form dz/ds = exp(i*theta) * conj(u)/|u|.
 The sheets over z are x, omega*x and omega^2*x, so x_j = omega^k x_i with
 k in {1, 2}: the label (x_i, k) is what a ray, a seed and a trajectory
-carry.  Only x_i is tracked, continued at each RK stage by the one sheet
-rule curve.continue_root, and u = x_i - x_j; a Trajectory holds arrays
-of its points and x_i, and the index k.  One Cash-Karp step
+carry.  Only x_i is tracked, and u = x_i - x_j; a Trajectory holds
+arrays of its points and x_i, and the index k.  One Cash-Karp step
 (_cash_karp), which integrates and error-controls z alone, has two
-drivers: trace for one seed on Python complex numbers, and trace_lanes
-for a batch as numpy lanes, whose RK stages need only the phase of
--P0/x_i^3 and whose steps end with the rule's array form _lane_sheet.
+drivers with one stage rule: trace for one seed on Python complex
+numbers, and trace_lanes for a batch as numpy lanes.  An RK stage needs
+only the phase of rho = -P0/x_i^3, which turns the direction at the last
+accepted point, and x_i is continued by the one sheet rule
+curve.continue_root only at a step's end (in trace_lanes by its array
+form _lane_sheet).
 Networks start from the 8 critical trajectories emanating
 from each simple zero of P0, then grow by the junction birth rule: at
 every crossing whose labels chain as (i,j),(j,l) a new trajectory
@@ -307,10 +309,16 @@ def trace(curve, seed, config=None):
     """Integrate one trajectory until escape, a zero hit, or truncation.
 
     The scalar driver of _cash_karp, which integrates and error-controls
-    the point z alone: each RK stage continues x_i by the rule of
-    continue_root, with x_i^3 computed once per accepted step, and a step
-    whose end sheet is not within_margin is halved.  trace_lanes has the
-    same rule, two implementations.
+    the point z alone, with trace_lanes' stage rule on Python complex
+    numbers: an RK stage at w turns f1 = exp(i*theta) conj(u)/|u|, the
+    direction at the last accepted point, by exp(-i arg(rho)/3), rho =
+    -P0(w)/x_i^3 with -1/x_i^3 taken once per accepted step, and rho == 0
+    (a stage on a zero of P0) retries at h/4.  The sheet is continued by
+    the rule of continue_root, x_i rho^(1/3), only at the step's end, and
+    a step whose end sheet is not within_margin is halved.  The two
+    tracers round differently (numpy's functions and _lane_sheet against
+    cmath's and the complex power), so their accepted steps can drift
+    apart slowly.
     """
     config = config or TraceConfig()
     eith = cmath.exp(1j * seed.theta)
@@ -318,27 +326,29 @@ def trace(curve, seed, config=None):
     zeros = curve.ramification_points
     coeffs = tuple(reversed(curve.polynomial.coefficients))
     z, x, k = _seed_sheet(curve, seed)
-    x3 = x ** 3
+    inv_cube = -1 / (x * x * x)
     gap = 1 - complex(OMEGA_POWERS[k])     # u = x_i - x_j = gap * x_i
     h_max, delta_hit, rk_tol = config.h_max, config.delta_hit, config.rk_tol
     zero_step = config.zero_step
 
-    def sheet(w):
-        # P0 and continue_root(-P0(w), x) inlined, x^3 taken once per
-        # accepted step: a call per stage slows trace ~10%
+    def rho_at(w):
         acc = 0j
         for c in coeffs:
             acc = acc * w + c
-        return x * (-acc / x3) ** (1.0 / 3.0)
+        return acc * inv_cube
 
     def rhs(w):
-        u = sheet(w) * gap
-        au = abs(u)
-        if au == 0.0:
+        # rho_at inlined: a call per stage slows trace by about 2%
+        acc = 0j
+        for c in coeffs:
+            acc = acc * w + c
+        rho = acc * inv_cube
+        if rho == 0:
             raise SheetAmbiguity(f"RK stage on a zero of P0 at z = {w}")
-        return eith * u.conjugate() / au, au
+        return f1 * cmath.rect(1.0, cmath.phase(rho) * (-1.0 / 3.0)), rho
 
-    f1 = rhs(z)[0]
+    u = x * gap
+    f1 = eith * u.conjugate() / abs(u)
     points = [z]
     xs = [x]
     s_total = 0.0
@@ -371,13 +381,13 @@ def trace(curve, seed, config=None):
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.25)
             continue
-        x5 = sheet(z5)
+        x5 = x * rho_at(z5) ** (1.0 / 3.0)
         if not within_margin(x5, x):
             h *= 0.5
             continue
         prev = z
         z, x = z5, x5
-        x3 = x ** 3
+        inv_cube = -1 / (x * x * x)
         s_total += h
         points.append(z)
         xs.append(x)
@@ -438,17 +448,17 @@ def trace_lanes(curve, seeds, config):
     control, the sheet margin, the disarmed start zero, and the hit,
     outward-escape and truncation tests.  All live lanes attempt a step
     together and a finished lane leaves the arrays, so a lane's trajectory
-    does not depend on the rest of its batch.  Its sheet rule is trace's
-    in array form (_lane_sheet): the same rule, two implementations, which
-    round differently, so the accepted steps drift apart slowly.  An RK
-    stage at w needs only the direction, which depends on the phase of
-    rho = -P0(w)/x_i^3 alone: the stage's sheet is x_i rho^(1/3), so
-    f = f1 exp(-i arg(rho)/3), with f1 = exp(i*theta) conj(u)/|u| at the
-    lane's last accepted point, and rho == 0 flags a stage on a zero of
-    P0.  A stage takes no cube-root modulus, |u| or division; the sheet
-    itself is continued only to the step's end, for the margin test.  A
-    seed that trace would reject fails the whole batch.  Each
-    Trajectory's arrays are slices of the batch's.
+    does not depend on the rest of its batch.  Its stage and sheet rules
+    are trace's in array form: an RK stage at w needs only the direction,
+    which depends on the phase of rho = -P0(w)/x_i^3 alone: the stage's
+    sheet is x_i rho^(1/3), so f = f1 exp(-i arg(rho)/3), with f1 =
+    exp(i*theta) conj(u)/|u| at the lane's last accepted point, and rho
+    == 0 flags a stage on a zero of P0.  A stage takes no cube-root
+    modulus, |u| or division; the sheet itself is continued only to the
+    step's end, by _lane_sheet, for the margin test.  numpy and cmath
+    round differently, so the two tracers' accepted steps can drift
+    apart slowly.  A seed that trace would reject fails the whole batch.
+    Each Trajectory's arrays are slices of the batch's.
     """
     if not seeds:
         return []
@@ -1139,8 +1149,8 @@ def _event_point(curve, event, theta, config):
             curve, [(theta, zi, m) for zi, m in keys], config.delta0)):
         rays.setdefault(zi, []).append((m,) + ray)
     # the scalar trace: 1-3 rays, far below the about 24 lanes from which
-    # trace_lanes is faster (scan config, pentagon and hexagon; 24-32 with
-    # the assembly config, best of 5 on a shared 2-vCPU machine)
+    # trace_lanes is faster (24-32 with either config, pentagon and
+    # hexagon, best of 7 on a shared 2-vCPU machine)
     point, = _scan_points(curve, [theta], [rays], config,
                           lambda c, seeds, cf: [trace(c, s, cf) for s in seeds])
     return point

@@ -290,6 +290,24 @@ def test_error_handler(monkeypatch, capsys, error, code):
         '{"error": "%s", "message": "boom"}\n' % error.__name__)
 
 
+def test_reusing_the_parser_leaks_no_state(capsys):
+    # main shares one parser across calls: the append default of --charge,
+    # a failed parse and a repeated call must leave nothing behind
+    charged = ["periods", "--example", "pentagon", "--charge", "1,1"]
+    assert run(charged) == 0
+    first = capsys.readouterr().out
+    assert "requested" in json.loads(first)
+    assert run(["periods", "--example", "pentagon"]) == 0
+    assert "requested" not in json.loads(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        run(["periods", "--example", "pentagon", "--charge"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(charged) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 RANK_3_SPECTRUM = json.dumps(
     {"schema_version": 1,
      "entries": [{"charge": [1, 0, 0], "omega": 1},

@@ -730,7 +730,8 @@ def test_a_crossing_moves_onto_the_hermite_segments():
 
 
 @pytest.mark.parametrize("name, theta, n_points",
-                         [("pentagon", 0.0, 2060), ("hexagon", 0.1, 4138)])
+                         [("pentagon", 0.0, 2060), ("pentagon", 0.4, 2148),
+                          ("hexagon", 0.1, 4138), ("hexagon", 0.9, 4126)])
 def test_network_tracks_one_sheet_and_a_fixed_partner(name, theta, n_points,
                                                       request):
     # x is a sheet at every point, partnered by omega^k x with k fixed
