@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .tba import check_off_ray, coupling_coefficient, integral_term, log_x
+from .errors import NumericOverflow, ValidationError
+from .tba import (_EXP_CAP, check_off_ray, coupling_coefficient,
+                  integral_term, log_x)
 
 # corrections whose rates 2|Z_mu| lie within this of the smallest are
 # summed into the leading coefficient
@@ -120,6 +121,19 @@ def remainder(solution, prediction):
             - prediction.correction_sum(solution.config.R))
 
 
+def _slowest_growth(rho, R):
+    """exp(2 rho R), the inverse of the slowest correction's decay.
+
+    Past _EXP_CAP it leaves the double range, and the remainder it
+    rescales is at the bottom of it: NumericOverflow, not OverflowError.
+    """
+    if not 2 * rho * R <= _EXP_CAP:
+        raise NumericOverflow(
+            f"at R = {R:g} the slowest correction exp(-2 rho R) = "
+            f"exp(-{2 * rho * R:.1f}) cannot be rescaled in doubles")
+    return math.exp(2 * rho * R)
+
+
 def decay_table(solutions, prediction):
     """(R, logX, predicted, delta, |delta| sqrt(R) exp(2 rho R)) rows.
 
@@ -134,7 +148,8 @@ def decay_table(solutions, prediction):
         lx = log_x(sol, prediction.charge).real
         pred = prediction.value(R)
         delta = remainder(sol, prediction)
-        scale = (abs(delta) * math.sqrt(R) * math.exp(2 * prediction.rho * R)
+        scale = (abs(delta) * math.sqrt(R)
+                 * _slowest_growth(prediction.rho, R)
                  if prediction.rho is not None else abs(delta))
         rows.append((R, lx, pred, delta, scale))
     return rows
@@ -160,7 +175,7 @@ def solver_coefficient(solutions, prediction):
             raise ValidationError("solution and prediction phases differ")
         term = integral_term(sol, prediction.charge).real
         points.append((R, term * math.sqrt(R)
-                       * math.exp(2 * prediction.rho * R)))
+                       * _slowest_growth(prediction.rho, R)))
     if len(points) < 2 or len({R for R, _ in points}) < len(points):
         raise ValidationError(
             "extrapolation needs solutions at two or more distinct R")

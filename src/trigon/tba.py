@@ -17,14 +17,17 @@ which makes kernel charges exactly semiflat at every iteration.
 On the uniform s-grid the kernel between two rays depends only on s' - s
 and on the gap between their phases, so each coupled pair is a Toeplitz
 matrix and a sweep applies all of them as convolutions by FFT: one
-batched transform of the weighted samples, one real batched matmul over
-the coupled pairs, one batched inverse.  The build runs one FFT per
-distinct phase gap (38 for the hexagon's 456 coupled pairs), and a pair
-of rays keeps 2N - 1 real spectrum values instead of N^2 matrix entries
-(2.4 MB for the hexagon's 24 rays at N = 257, against 482 MB dense).
-Off the rays, log_x sums the same integrals by direct quadrature,
-weighted by the same coefficient Omega(mu) <gamma,mu> / (4 pi i), so it
-reproduces the stored samples for any Omega.
+batched transform of the samples, weighted by Omega(mu) and the
+trapezoid rule, one real batched matmul over the coupled pairs, one
+batched inverse.  The build runs one FFT per distinct phase gap (38 for
+the hexagon's 456 coupled pairs), and a pair of rays keeps N real
+spectrum values, at the non-negative frequencies, instead of N^2 matrix
+entries; at a negative frequency the sweep applies the transpose of the
+spectra at its opposite (1.2 MB for the hexagon's 24 rays at N = 257,
+against 482 MB dense).  Off the rays, log_x sums the same integrals by
+direct quadrature, weighted by the same coefficient
+Omega(mu) <gamma,mu> / (4 pi i), so it reproduces the stored samples
+for any Omega.
 """
 
 from __future__ import annotations
@@ -130,8 +133,9 @@ def semiflat(Z_gamma, zeta, R):
 
 def coupling_coefficient(omega, ip):
     """Omega(mu) <gamma,mu> / (4 pi i): the weight of the ray integral of
-    mu in log X_gamma.  The sweep, integral_term and the asymptotic
-    prediction all take it from here."""
+    mu in log X_gamma.  integral_term and the asymptotic prediction take
+    it from here, and so does the sweep, with Omega = 1 in its kernel
+    spectra and Omega(mu) on the source weights."""
     return omega * ip / (4j * math.pi)
 
 
@@ -180,10 +184,17 @@ class _Workspace:
     gap arg r.  Coupled pairs whose gaps agree to GAP_TOL share one FFT
     of t_r over the M = 2N - 1 offsets -(N-1)..N-1, so the circular
     convolution does not wrap on the N outputs.  Since |r| = 1,
-    t_r(-d) = -conj(t_r(d)) and the FFT is imaginary; so is the coupling
-    c_ab, and kernel_spectra[m, a, b] = c_ab FFT(t_r)[m] is real, zero
-    for uncoupled pairs.  The trapezoid weights act on the source
-    samples, u_b = w f_b, before the transform.
+    t_r(-d) = -conj(t_r(d)) and the FFT is imaginary; so is the pairing
+    factor <a,b> / (4 pi i) of the coupling, and
+    kernel_spectra[m, a, b] = <a,b> / (4 pi i) FFT(t_r)[m] is real, zero
+    for uncoupled pairs.  Omega(b) and the trapezoid weights act on the
+    source samples, u_b = Omega(b) w f_b, before the transform.
+
+    Only the frequencies m = 0..N-1 are stored: the pairing is
+    antisymmetric and r_ba = conj(r_ab), so t_{r_ba} = conj(t_{r_ab}),
+    and with the FFT imaginary the spectrum at -m is the transpose of
+    the one at m.  The sweep applies those transposes to the rows
+    N..M-1 of the transformed samples, frequencies -(N-1)..-1.
     """
 
     def __init__(self, config, spectrum, period_map, pairing):
@@ -197,8 +208,15 @@ class _Workspace:
         N = config.N
         minZ = min(r.absZ for r in rays)
         L = config.resolved_L(minZ)
+        # the kernel transforms take exp of offsets up to 2L
+        if not 2.0 * L <= _EXP_CAP:
+            raise NumericOverflow(
+                f"R = {config.R:g} is too small: its s-grid half-width "
+                f"{L:.1f} is past {_EXP_CAP / 2:g}, where the ray kernels "
+                f"overflow")
         self.s = np.linspace(-L, L, N)
-        self.w = _trapezoid_weights(self.s)
+        # (N, n): the source weights Omega(b) w, one column per ray
+        self.weights = np.outer(_trapezoid_weights(self.s), self.omega)
         absZ = np.array([r.absZ for r in rays])
         self.drive = -2.0 * config.R * absZ[:, None] * np.cosh(self.s)
         # the pairing is bilinear: its matrix on the basis gives every
@@ -209,9 +227,8 @@ class _Workspace:
         form = np.array([[pairing(e, f) for f in basis] for e in basis])
         comps = np.array([r.charge.components for r in rays])
         ip = comps @ form @ comps.T
-        # c_ab is i times this real coefficient
-        coupling = coupling_coefficient(np.array(self.omega)[None, :],
-                                        ip).imag
+        # the pairing factor <a,b> / (4 pi i) is i times this real one
+        coupling = coupling_coefficient(1, ip).imag
         targets, sources = np.nonzero(ip)
         alpha = np.array([r.alpha for r in rays])
         gaps = np.angle(alpha[sources] / alpha[targets])
@@ -223,13 +240,13 @@ class _Workspace:
         self.gaps = gaps[order][starts]
         G = len(self.gaps)
         # column G stays zero for the uncoupled pairs
-        table = np.zeros((2 * N - 1, G + 1))
+        table = np.zeros((N, G + 1))
         table[:, :G] = _kernel_transforms(np.exp(1j * self.gaps),
-                                          self.s).imag.T
+                                          self.s)[:, :N].imag.T
         index = np.full((self.n, self.n), G)
         index[targets, sources] = cluster
         self.kernel_spectra = np.take(table, index, axis=1)
-        # (i c_ab) (i Im FFT) = -c_ab Im FFT
+        # (i coupling) (i Im FFT) = -coupling Im FFT
         self.kernel_spectra *= -coupling
 
     def zero_state(self):
@@ -251,16 +268,29 @@ class _Workspace:
         """
         cfg = self.config
         state = np.asarray(state, dtype=complex)
-        M = self.kernel_spectra.shape[0]
-        # the transformed samples as (M, n, 2) floats, so the real
-        # spectra act on real and imaginary parts in one batched matmul
-        u_hat = np.ascontiguousarray(np.fft.fft(self.w * state, n=M).T)
-        conv_hat = (self.kernel_spectra
-                    @ u_hat.view(float).reshape(M, self.n, 2))
-        conv = np.fft.ifft(conv_hat.view(complex)[..., 0], axis=0)
-        expo = self.drive + conv[:cfg.N].T
+        N, n = cfg.N, self.n
+        M = 2 * N - 1
+        spectra = self.kernel_spectra
+        # the weighted samples as columns, zero-padded to M rows; once
+        # transformed, the array takes the convolution's spectrum
+        conv_hat = np.zeros((M, n), dtype=complex)
+        np.multiply(self.weights, state.T, out=conv_hat[:N])
+        u_hat = np.fft.fft(conv_hat, axis=0)
+        # as (M, n, 2) floats the real spectra act on real and imaginary
+        # parts in one batched matmul
+        u2 = u_hat.view(float).reshape(M, n, 2)
+        c2 = conv_hat.view(float).reshape(M, n, 2)
+        np.matmul(spectra, u2[:N], out=c2[:N])
+        # rows M-1..N hold frequencies -1..-(N-1), whose spectra are the
+        # transposes of spectra[1:]: (S^T u)^T = u^T S
+        neg = slice(M - 1, N - 1, -1)
+        np.matmul(u2[neg].transpose(0, 2, 1), spectra[1:],
+                  out=c2[neg].transpose(0, 2, 1))
+        conv = np.fft.ifft(conv_hat, axis=0)
+        expo = self.drive + conv[:N].T
         peak = expo.real.max(axis=1)
-        over = np.flatnonzero(peak > _EXP_CAP)
+        # not <= also catches a nan peak
+        over = np.flatnonzero(~(peak <= _EXP_CAP))
         if over.size:
             a = over[0]
             raise NumericOverflow(

@@ -13,7 +13,7 @@ from trigon.asymptotics import (
 )
 from trigon.bps import BpsSpectrum, builtin_spectrum
 from trigon.curve import Charge
-from trigon.errors import OnRayEvaluation, ValidationError
+from trigon.errors import NumericOverflow, OnRayEvaluation, ValidationError
 from trigon.tba import RAY_MARGIN, SolverConfig, log_x, solve
 
 
@@ -179,6 +179,17 @@ def test_solver_coefficient_pentagon(pentagon, pentagon_pm):
     assert abs(c - lead) <= 1e-3 * abs(lead)
     # the finite-R values are still visibly off: the fit is doing work
     assert all(abs(v - lead) > 1e-2 * abs(lead) for _, v in points)
+
+
+def test_solver_coefficient_past_the_double_range(pentagon, pentagon_pm):
+    # exp(2 rho R) overflows at R = 160, where rho = 2.313
+    spec = builtin_spectrum("pentagon")
+    pair = pentagon.lattice.pairing
+    pred = build_prediction(Charge((1, 0)), 0.0, spec, pentagon_pm, pair)
+    sols = [solve(SolverConfig(R=R, theta=0.0), spec, pentagon_pm, pair)
+            for R in (100.0, 160.0)]
+    with pytest.raises(NumericOverflow, match="R = 160"):
+        solver_coefficient(sols, pred)
 
 
 def test_solver_coefficient_guards(pentagon, pentagon_pm, hexagon,

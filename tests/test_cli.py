@@ -270,6 +270,21 @@ def test_tba_overflow_exit_code(tmp_path, capsys):
     assert json.loads(line)["error"] == "NumericOverflow"
 
 
+def test_tba_tiny_R_overflows_before_any_sweep(tmp_path, capsys):
+    # the s-grid half-width grows as log(1/R): at R = 1e-300 the kernel
+    # offsets would overflow exp, and inf / inf would feed nan sweeps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(["tba", "solve", "--example", "pentagon", "--R", "1e-300",
+                  "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "NumericOverflow"
+    assert not (tmp_path / "x.json").exists()
+    assert run(["tba", "solve", "--example", "pentagon", "--R", "1e-5",
+                "--out", str(tmp_path / "y.json")]) == 0
+
+
 def test_validation_error_exit_code(capsys):
     rc = run(["tba", "solve", "--example", "pentagon", "--R", "-1"])
     assert rc == 1
@@ -510,6 +525,17 @@ def test_asym_check_decays_to_large_R(tmp_path):
     assert len(scaled) == 8
     assert all(v > 0 for v in scaled)
     assert all(a > b for a, b in zip(scaled, scaled[1:]))
+
+
+def test_asym_check_past_the_double_range(tmp_path, capsys):
+    # at R = 160, exp(2 rho R) = exp(740) does not fit a double
+    rc = run(["asym", "check", "--example", "pentagon", "--charge", "1,0",
+              "--R-grid", "100,160", "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "NumericOverflow"
+    assert "R = 160" in err["message"]
 
 
 def test_polygon_eval(tmp_path):

@@ -30,6 +30,16 @@ from trigon.tba import (
 )
 
 
+def cycled_omega(name):
+    """The built-in spectrum with Omega cycling 1, 2, 3 over its +- pairs;
+    it stays symmetric, so BpsSpectrum accepts it."""
+    omega = {}
+    for ch in builtin_spectrum(name).charges():
+        if ch not in omega:
+            omega[ch] = omega[-ch] = 1 + (len(omega) // 2) % 3
+    return BpsSpectrum(omega)
+
+
 @pytest.fixture(scope="module")
 def pentagon_solution(pentagon, pentagon_pm):
     spec = builtin_spectrum("pentagon")
@@ -140,14 +150,20 @@ def test_second_iterate_against_direct_quadrature(pentagon, pentagon_pm):
     assert abs(got - oracle) < 1e-10
 
 
-@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
-def test_sweep_matches_dense_kernels(name, request):
+@pytest.mark.parametrize("name, omega", [
+    pytest.param("pentagon", "builtin", id="pentagon"),
+    pytest.param("hexagon", "builtin", id="hexagon"),
+    pytest.param("pentagon", "cycled", id="pentagon-cycled-omega"),
+    pytest.param("hexagon", "cycled", id="hexagon-cycled-omega")])
+def test_sweep_matches_dense_kernels(name, omega, request):
     # the FFT convolution against the dense Cauchy-kernel matrices, built
-    # here one coupled pair at a time, from the same non-zero state
+    # here one coupled pair at a time, from the same non-zero state; the
+    # cycled Omega tells the source ray's factor from the target's
     defn = request.getfixturevalue(name)
     pm = request.getfixturevalue(f"{name}_pm")
     pair = defn.lattice.pairing
-    spec = builtin_spectrum(name)
+    spec = (builtin_spectrum(name) if omega == "builtin"
+            else cycled_omega(name))
     cfg = SolverConfig(R=0.5, theta=0.1)
     ws = _Workspace(cfg, spec, pm, pair)
     state = ws.sweep(ws.zero_state())[0] * (1.0 + 0.5j)
@@ -176,11 +192,35 @@ def test_hexagon_kernel_storage_is_small(hexagon, hexagon_pm):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ws.n == 24
-    # 513 * 24^2 real values, 2.36 MB; complex ones took 4.7 MB, and
-    # dense kernels 456 * 257^2 * 16 B
-    assert ws.kernel_spectra.nbytes < 2.5e6
-    assert peak < 4e6
+    # 257 * 24^2 real values at the non-negative frequencies, 1.18 MB;
+    # all 513 frequencies took 2.36 MB, complex ones 4.7 MB, and dense
+    # kernels 456 * 257^2 * 16 B.  The build peaks at 1.48 MB.
+    assert ws.kernel_spectra.shape == (257, 24, 24)
+    assert ws.kernel_spectra.nbytes <= 1_184_256
+    assert peak < 1.75e6
+
+
+def test_hexagon_solve_peak_memory(hexagon, hexagon_pm):
+    # 2.63 MB traced at the peak; storing every frequency and sweeping
+    # through transposed copies took 3.76 MB
+    spec = builtin_spectrum("hexagon")
+    cfg = SolverConfig(R=0.05, theta=0.2)
+    tracemalloc.start()
+    try:
+        solve(cfg, spec, hexagon_pm, hexagon.lattice.pairing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0e6
+
+
+def test_sweep_refuses_a_nan_state(pentagon, pentagon_pm):
+    ws = _Workspace(SolverConfig(R=0.5, N=65), builtin_spectrum("pentagon"),
+                    pentagon_pm, pentagon.lattice.pairing)
+    state = ws.zero_state()
+    state[0, 3] = np.nan
+    with pytest.raises(NumericOverflow, match="diverging"):
+        ws.sweep(state)
 
 
 @pytest.mark.parametrize("name, pairs, transforms",
@@ -212,6 +252,18 @@ def test_kernel_transforms_are_imaginary(name, request):
         assert np.max(np.abs(row.real)) < 1e-12 * np.max(np.abs(row.imag))
 
 
+def worst_on_ray_miss(sol, step=1):
+    """Largest |log(1 + X_mu) - sample| through log_x at every step-th
+    sample of every ray."""
+    worst = 0.0
+    for g in sol.ray_grids:
+        for k in range(0, len(g.s), step):
+            lx = log_x(sol, g.charge, g.alpha * math.exp(g.s[k]))
+            worst = max(worst,
+                        abs(cmath.log(1.0 + cmath.exp(lx)) - g.samples[k]))
+    return worst
+
+
 def test_log_x_carries_omega(pentagon, pentagon_pm):
     # with every Omega = 2, log(1 + X_mu) through log_x at the ray samples
     # reproduces the stored fixed point; dropping Omega misses by 3.6e-3
@@ -219,14 +271,21 @@ def test_log_x_carries_omega(pentagon, pentagon_pm):
     spec = BpsSpectrum({ch: 2 for ch in charges})
     sol = solve(SolverConfig(R=0.5, theta=0.0), spec, pentagon_pm,
                 pentagon.lattice.pairing)
-    worst = 0.0
-    for g in sol.ray_grids:
-        assert g.omega == 2
-        for k, s in enumerate(g.s):
-            lx = log_x(sol, g.charge, g.alpha * math.exp(s))
-            worst = max(worst,
-                        abs(cmath.log(1.0 + cmath.exp(lx)) - g.samples[k]))
-    assert worst < 1e-9
+    assert all(g.omega == 2 for g in sol.ray_grids)
+    assert worst_on_ray_miss(sol) < 1e-9
+
+
+@pytest.mark.parametrize("name, theta, step", [("pentagon", 0.1, 1),
+                                               ("hexagon", 0.2, 8)])
+def test_log_x_carries_cycled_omega(name, theta, step, request):
+    # Omega 1, 2, 3 tells the source ray's factor from the target's; the
+    # hexagon's 24 rays are checked at every 8th sample, s = 0 included
+    spec = cycled_omega(name)
+    sol = solve(SolverConfig(R=0.5, theta=theta), spec,
+                request.getfixturevalue(f"{name}_pm"),
+                request.getfixturevalue(name).lattice.pairing)
+    assert all(g.omega == spec.omega(g.charge) for g in sol.ray_grids)
+    assert worst_on_ray_miss(sol, step) < 1e-9
 
 
 def test_integral_term_keeps_precision_at_large_R(pentagon, pentagon_pm):
