@@ -335,7 +335,19 @@ class ChargeLattice:
 
 # --- periods ---
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# the 12-point Gauss-Legendre rule on [-1, 1], written out as numpy's
+# leggauss(12) returns it, bit for bit (a test checks it), so that
+# importing trigon does not load numpy.polynomial
+_GL_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
 #: a panel's quadrature nodes, then its end, as fractions of the panel
 _PANEL_NODES = np.append(0.5 * (1.0 + _GL_NODES), 1.0)
 

@@ -1178,7 +1178,13 @@ def _web_trace_config(curve, fine):
 
 # Gauss-Legendre nodes per chord in a web leg's period
 CHORD_NODES = 5
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(CHORD_NODES)
+# the rule as numpy's leggauss(CHORD_NODES) returns it, bit for bit (a
+# test checks it), so that importing trigon does not load numpy.polynomial
+_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                   0.5384693101056831, 0.906179845938664])
+_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663,
+                     0.5688888888888887, 0.4786286704993663,
+                     0.23692688505618928])
 
 
 def _leg_period(curve, traj, polyline, start=None, end=None):

@@ -24,7 +24,11 @@ the hexagon's 456 coupled pairs), and a pair of rays keeps N real
 spectrum values, at the non-negative frequencies, instead of N^2 matrix
 entries; at a negative frequency the sweep applies the transpose of the
 spectra at its opposite (1.2 MB for the hexagon's 24 rays at N = 257,
-against 482 MB dense).  Off the rays, log_x sums the same integrals by
+against 482 MB dense).  Besides that kernel a sweep holds one
+zero-padded (2N - 1, n) buffer, which the matmuls overwrite with the
+convolution's spectrum; the forward transform, only until the matmuls
+are done; and the _log1p temporaries.  The hexagon solve at R = 0.05
+peaks at 2.15 MB traced.  Off the rays, log_x sums the same integrals by
 direct quadrature, weighted by the same coefficient
 Omega(mu) <gamma,mu> / (4 pi i), so it reproduces the stored samples
 for any Omega.
@@ -103,9 +107,6 @@ class RayGrid:
     s: np.ndarray
     samples: np.ndarray
 
-    def zeta(self):
-        return self.alpha * np.exp(self.s)
-
 
 @dataclass
 class TbaSolution:
@@ -161,7 +162,12 @@ def _kernel_transforms(ratios, s):
     # circular index k holds the offset j - i = -k, or M - k past N - 1
     offsets = np.concatenate([-np.arange(N), np.arange(N - 1, 0, -1)])
     q = ratios[:, None] * np.exp(offsets * (s[1] - s[0]))
-    return np.fft.fft((q + 1) / (q - 1))
+    # (q + 1) / (q - 1) in place: two (G, M) arrays at a time
+    num = q + 1
+    q -= 1
+    np.divide(num, q, out=q)
+    del num
+    return np.fft.fft(q)
 
 
 def _trapezoid_weights(s):
@@ -214,7 +220,9 @@ class _Workspace:
                 f"R = {config.R:g} is too small: its s-grid half-width "
                 f"{L:.1f} is past {_EXP_CAP / 2:g}, where the ray kernels "
                 f"overflow")
+        # one s-grid, read-only, shared by every RayGrid of the solution
         self.s = np.linspace(-L, L, N)
+        self.s.flags.writeable = False
         # (N, n): the source weights Omega(b) w, one column per ray
         self.weights = np.outer(_trapezoid_weights(self.s), self.omega)
         absZ = np.array([r.absZ for r in rays])
@@ -254,7 +262,7 @@ class _Workspace:
 
     def as_solution(self, state, history):
         grids = [RayGrid(charge=r.charge, alpha=r.alpha, absZ=r.absZ,
-                         omega=self.omega[i], s=self.s.copy(),
+                         omega=self.omega[i], s=self.s,
                          samples=state[i].copy())
                  for i, r in enumerate(self.rays)]
         return TbaSolution(ray_grids=grids, config=self.config,
@@ -272,22 +280,23 @@ class _Workspace:
         M = 2 * N - 1
         spectra = self.kernel_spectra
         # the weighted samples as columns, zero-padded to M rows; once
-        # transformed, the array takes the convolution's spectrum
-        conv_hat = np.zeros((M, n), dtype=complex)
-        np.multiply(self.weights, state.T, out=conv_hat[:N])
-        u_hat = np.fft.fft(conv_hat, axis=0)
+        # transformed, the buffer takes the convolution's spectrum
+        padded = np.zeros((M, n), dtype=complex)
+        np.multiply(self.weights, state.T, out=padded[:N])
+        u_hat = np.fft.fft(padded, axis=0)
         # as (M, n, 2) floats the real spectra act on real and imaginary
         # parts in one batched matmul
         u2 = u_hat.view(float).reshape(M, n, 2)
-        c2 = conv_hat.view(float).reshape(M, n, 2)
+        c2 = padded.view(float).reshape(M, n, 2)
         np.matmul(spectra, u2[:N], out=c2[:N])
         # rows M-1..N hold frequencies -1..-(N-1), whose spectra are the
         # transposes of spectra[1:]: (S^T u)^T = u^T S
         neg = slice(M - 1, N - 1, -1)
         np.matmul(u2[neg].transpose(0, 2, 1), spectra[1:],
                   out=c2[neg].transpose(0, 2, 1))
-        conv = np.fft.ifft(conv_hat, axis=0)
-        expo = self.drive + conv[:N].T
+        # free the transform before the inverse allocates its output
+        del u_hat, u2
+        expo = self.drive + np.fft.ifft(padded, axis=0)[:N].T
         peak = expo.real.max(axis=1)
         # not <= also catches a nan peak
         over = np.flatnonzero(~(peak <= _EXP_CAP))
@@ -296,7 +305,7 @@ class _Workspace:
             raise NumericOverflow(
                 f"iteration exponent reached {peak[a]:.1f} on ray of "
                 f"{self.rays[a].charge}; the iteration is diverging")
-        f = _log1p(np.exp(expo))
+        f = _log1p(np.exp(expo, out=expo))
         if cfg.relax != 1.0:
             f = cfg.relax * f + (1.0 - cfg.relax) * state
         return f, float(np.max(np.abs(f - state)))
@@ -381,14 +390,17 @@ def integral_term(solution, gamma, zeta=None):
     """
     zeta = _zeta_or_default(solution, zeta)
     pairing = solution.pairing
+    # every grid of a solution shares one s-grid
+    s = solution.ray_grids[0].s
+    exp_s = np.exp(s)
+    w = _trapezoid_weights(s)
     total = 0j
     for g in solution.ray_grids:
         ip = pairing(gamma, g.charge)
         if ip == 0:
             continue
         check_off_ray(zeta, g.alpha, g.charge)
-        zp = g.zeta()
-        w = _trapezoid_weights(g.s)
+        zp = g.alpha * exp_s
         total += (coupling_coefficient(g.omega, ip)
                   * np.sum(w * (zp + zeta) / (zp - zeta) * g.samples))
     return complex(total)

@@ -7,10 +7,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from trigon import cli
 from trigon import curve as curve_module
+from trigon import network as network_module
 from trigon.cli import main
 from trigon.curve import (Charge, ChargeLattice, CurveDefinition, LiftedPath,
                           Polynomial, SpectralCurve, curve_to_json,
@@ -615,13 +617,39 @@ def test_runtime_imports_are_numpy_or_stdlib():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def test_import_loads_no_scipy():
+@pytest.fixture(scope="module")
+def modules_of_import():
+    """The modules loaded by `import trigon.cli` in a fresh interpreter."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import trigon.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print('\\n'.join(sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n"
+    return out.split()
+
+
+def test_import_loads_no_scipy(modules_of_import):
+    assert [m for m in modules_of_import if m.split(".")[0] == "scipy"] == []
+
+
+def test_import_loads_no_numpy_polynomial(modules_of_import):
+    # the two Gauss-Legendre rules are literal tables; numpy.polynomial
+    # would add about 1.6 MB to the resident size of every process
+    assert "trigon.cli" in modules_of_import
+    assert [m for m in modules_of_import
+            if m.startswith("numpy.polynomial")] == []
+
+
+@pytest.mark.parametrize("nodes, weights, n", [
+    pytest.param(curve_module._GL_NODES, curve_module._GL_WEIGHTS, 12,
+                 id="curve-panels"),
+    pytest.param(network_module._NODES, network_module._WEIGHTS,
+                 network_module.CHORD_NODES, id="network-chords")])
+def test_quadrature_tables_are_numpys_leggauss(nodes, weights, n):
+    from numpy.polynomial.legendre import leggauss
+    want_nodes, want_weights = leggauss(n)
+    assert np.array_equal(nodes, want_nodes)
+    assert np.array_equal(weights, want_weights)
 
 
 def test_no_module_reads_the_environment():
