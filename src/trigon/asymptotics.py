@@ -22,8 +22,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NumericOverflow, ValidationError
 from .tba import (_EXP_CAP, check_off_ray, coupling_coefficient,
                   integral_term, log_x)
@@ -163,7 +161,8 @@ def solver_coefficient(solutions, prediction):
     rescaled by sqrt(R) exp(2 rho R).  That tends to the leading
     coefficient with corrections in powers of 1/R, so the polynomial in
     1/R through the points (one degree less than their number) is read
-    off at 1/R = 0.  Returns (coefficient, [(R, rescaled), ...]).
+    off at 1/R = 0, by Neville's rule.  Returns (coefficient,
+    [(R, rescaled), ...]).
     """
     if prediction.rho is None:
         raise ValidationError(
@@ -179,6 +178,11 @@ def solver_coefficient(solutions, prediction):
     if len(points) < 2 or len({R for R, _ in points}) < len(points):
         raise ValidationError(
             "extrapolation needs solutions at two or more distinct R")
-    inv_R = [1.0 / R for R, _ in points]
-    fit = np.polyfit(inv_R, [v for _, v in points], len(points) - 1)
-    return float(np.polyval(fit, 0.0)), points
+    x = [1.0 / R for R, _ in points]
+    # Neville: after pass m, p[i] is the interpolant through points
+    # i..i+m, evaluated at x = 0
+    p = [v for _, v in points]
+    for m in range(1, len(p)):
+        for i in range(len(p) - m):
+            p[i] = (x[i] * p[i + 1] - x[i + m] * p[i]) / (x[i] - x[i + m])
+    return p[0], points

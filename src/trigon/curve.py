@@ -35,6 +35,12 @@ OMEGA_POWERS = np.array([1.0, OMEGA, OMEGA * OMEGA])
 
 #: roots of P0 closer than this (pairwise distance) are not simple
 EPS_ROOT = 1e-8
+#: Polynomial.roots orders roots whose real parts lie within this of
+#: each other by their imaginary parts
+ROOT_ORDER_TOL = 1e-9
+#: Aberth-Ehrlich sweeps Polynomial.roots makes before it gives up
+ROOT_MAX_ITER = 100
+_EPS = 2.0 ** -52    # the spacing of doubles at 1
 #: keep-out radius around ramification points for paths
 EPS_RAM = 1e-6
 #: a lifted path's starting sheet value solves x^3 + P0 = 0 to this,
@@ -109,17 +115,20 @@ class Polynomial:
         return max(abs(c) for c in self.coefficients)
 
     def roots(self):
-        """All roots, via companion-matrix eigenvalues polished by Newton.
+        """All roots, by the Aberth-Ehrlich iteration polished by Newton,
+        in canonical order: descending real part, and a run of real
+        parts, each within ROOT_ORDER_TOL of the next, by descending
+        imaginary part.
 
-        Raises NonSimpleRoots if any two roots are closer than EPS_ROOT.
+        Raises NoConvergence if the iteration has not settled within
+        ROOT_MAX_ITER sweeps, and NonSimpleRoots if any two roots are
+        closer than EPS_ROOT.
         """
         if self.degree < 1:
             raise ValidationError("roots() needs degree >= 1")
-        rts = np.roots(list(reversed(self.coefficients)))
         dp = self.derivative()
         polished = []
-        for r in rts:
-            r = complex(r)
+        for r in self._aberth(dp):
             for _ in range(3):
                 d = dp(r)
                 if d != 0:
@@ -136,7 +145,54 @@ class Polynomial:
                     raise NonSimpleRoots(
                         f"roots {polished[i]} and {polished[j]} closer than "
                         f"{EPS_ROOT}")
-        return polished
+        by_real = sorted(polished, key=lambda r: -r.real)
+        runs = [[by_real[0]]]
+        for prev, r in zip(by_real, by_real[1:]):
+            if prev.real - r.real <= ROOT_ORDER_TOL:
+                runs[-1].append(r)
+            else:
+                runs.append([r])
+        return [r for run in runs for r in sorted(run, key=lambda r: -r.imag)]
+
+    def _aberth(self, dp):
+        """Approximations to all roots from the Aberth-Ehrlich iteration,
+        in complex Python arithmetic (no eigenvalue solver).
+
+        A sweep moves each approximation z_k by P / (P' - P S_k), with
+        S_k the sum of 1 / (z_k - z_j) over the others: Newton's step
+        with the other roots divided out.  The starts lie on a circle of
+        radius max_k |c_(n-k) / c_n|^(1/k), at least half the largest
+        root's modulus (Fujiwara's bound), turned off the real axis.  An
+        approximation stops once P there is down to its rounding error
+        or its step is below its last bit.
+        """
+        c, n = self.coefficients, self.degree
+        radius = max(abs(c[n - k] / c[n]) ** (1.0 / k)
+                     for k in range(1, n + 1))
+        zs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4))
+              for k in range(n)]
+        moving = set(range(n))
+        for _ in range(ROOT_MAX_ITER):
+            for k in sorted(moving):
+                z = zs[k]
+                p, size = 0j, 0.0
+                for ck in reversed(c):
+                    p = p * z + ck
+                    size = size * abs(z) + abs(ck)
+                if abs(p) <= _EPS * size:
+                    moving.discard(k)
+                    continue
+                S = sum(1 / (z - zj) for zj in zs if zj != z)
+                denom = dp(z) - p * S
+                # a stationary point of P / prod(z - z_j): step off it
+                step = p / denom if denom != 0 else 1e-3 * max(1.0, abs(z))
+                zs[k] = z - step
+                if abs(step) <= _EPS * abs(zs[k]):
+                    moving.discard(k)
+            if not moving:
+                return zs
+        raise NoConvergence(
+            f"root finder did not settle within {ROOT_MAX_ITER} sweeps")
 
 
 @dataclass

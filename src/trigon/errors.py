@@ -60,8 +60,9 @@ class NumericOverflow(NumericalError):
 
 class NoConvergence(NumericalError):
     """An iteration did not meet its tolerance within its cap: the
-    fixed-point solve within max_iter sweeps, or a period quadrature
-    within 1024 Gauss panels on a segment."""
+    fixed-point solve within max_iter sweeps, a period quadrature
+    within 1024 Gauss panels on a segment, or the root finder within
+    ROOT_MAX_ITER sweeps."""
 
 
 class OnRayEvaluation(ValidationError):

@@ -18,18 +18,23 @@ On the uniform s-grid the kernel between two rays depends only on s' - s
 and on the gap between their phases, so each coupled pair is a Toeplitz
 matrix and a sweep applies all of them as convolutions by FFT: one
 batched transform of the samples, weighted by Omega(mu) and the
-trapezoid rule, one real batched matmul over the coupled pairs, one
+trapezoid rule, real batched matmuls over the coupled pairs, one
 batched inverse.  The build runs one FFT per distinct phase gap (38 for
 the hexagon's 456 coupled pairs), and a pair of rays keeps N real
 spectrum values, at the non-negative frequencies, instead of N^2 matrix
 entries; at a negative frequency the sweep applies the transpose of the
-spectra at its opposite (1.2 MB for the hexagon's 24 rays at N = 257,
-against 482 MB dense).  Besides that kernel a sweep holds one
-zero-padded (2N - 1, n) buffer, which the matmuls overwrite with the
-convolution's spectrum; the forward transform, only until the matmuls
-are done; and the _log1p temporaries.  The hexagon solve at R = 0.05
-peaks at 2.15 MB traced.  Off the rays, log_x sums the same integrals by
-direct quadrature, weighted by the same coefficient
+spectra at its opposite.  The rays of g and -g lie at opposite phases
+and <-a,-b> = <a,b>, so the kernel from -b to -a is the one from b to
+a, and the one from -b to a the one from b to -a: the workspace stores
+the kernels into one ray of each +- pair (0.59 MB for the hexagon's 24
+rays at N = 257, against 482 MB dense), and one matmul gives both rays
+of a pair.  Besides that kernel a sweep holds two (2N - 1, n) arrays
+at a time: the zero-padded samples and their transform, then the
+transform, which the matmuls overwrite with the convolution's
+spectrum, and its inverse; then the inverse and the _log1p
+temporaries.  The hexagon solve at R = 0.05 peaks at 1.31 MB traced at
+N = 257 and 5.0 MB at N = 1025.  Off the rays, log_x sums the same
+integrals by direct quadrature, weighted by the same coefficient
 Omega(mu) <gamma,mu> / (4 pi i), so it reproduces the stored samples
 for any Omega.
 """
@@ -58,6 +63,9 @@ RAY_MARGIN = 1e-6
 # coupled pairs whose ray-phase gaps differ by at most this share one
 # kernel spectrum
 GAP_TOL = 1e-12
+# frequencies times rays per block of a sweep's negative frequencies
+# (see _Workspace.sweep)
+_BLOCK_SIZE = 3072
 
 
 @dataclass
@@ -140,8 +148,9 @@ def coupling_coefficient(omega, ip):
     return omega * ip / (4j * math.pi)
 
 
-def _log1p(z):
-    """log(1 + z) for complex arrays, keeping full relative precision.
+def _log1p(z, out=None):
+    """log(1 + z) for complex arrays, keeping full relative precision;
+    into out, which may be z itself, or a new array.
 
     numpy's complex log1p rounds 1 + z first, so it returns 0 once |z|
     drops below about 1e-16; on the rays that happens for R|Z| >~ 18.
@@ -150,9 +159,17 @@ def _log1p(z):
     """
     small = np.abs(z) < 0.5
     zs = np.where(small, z, 0.0)
-    near = (0.5 * np.log1p(2.0 * zs.real + zs.real ** 2 + zs.imag ** 2)
-            + 1j * np.arctan2(zs.imag, 1.0 + zs.real))
-    return np.where(small, near, np.log1p(z))
+    out = np.log1p(z, out=out)
+    re = 0.5 * np.log1p(2.0 * zs.real + zs.real ** 2 + zs.imag ** 2)
+    im = np.arctan2(zs.imag, 1.0 + zs.real)
+    # re + 1j * im into zs, through the complex multiply and add that
+    # numpy takes for that expression, so the result is the same bits
+    np.multiply(1j, im, out=zs)
+    del im
+    np.add(re, zs, out=zs)
+    del re
+    np.copyto(out, zs, where=small)
+    return out
 
 
 def _kernel_transforms(ratios, s):
@@ -191,16 +208,25 @@ class _Workspace:
     of t_r over the M = 2N - 1 offsets -(N-1)..N-1, so the circular
     convolution does not wrap on the N outputs.  Since |r| = 1,
     t_r(-d) = -conj(t_r(d)) and the FFT is imaginary; so is the pairing
-    factor <a,b> / (4 pi i) of the coupling, and
-    kernel_spectra[m, a, b] = <a,b> / (4 pi i) FFT(t_r)[m] is real, zero
-    for uncoupled pairs.  Omega(b) and the trapezoid weights act on the
-    source samples, u_b = Omega(b) w f_b, before the transform.
+    factor <a,b> / (4 pi i) of the coupling, and the spectrum
+    <a,b> / (4 pi i) FFT(t_r)[m] of a pair is real, zero for uncoupled
+    pairs.  Omega(b) and the trapezoid weights act on the source
+    samples, u_b = Omega(b) w f_b, before the transform.
 
     Only the frequencies m = 0..N-1 are stored: the pairing is
     antisymmetric and r_ba = conj(r_ab), so t_{r_ba} = conj(t_{r_ab}),
     and with the FFT imaginary the spectrum at -m is the transpose of
-    the one at m.  The sweep applies those transposes to the rows
-    N..M-1 of the transformed samples, frequencies -(N-1)..-1.
+    the one at m.
+
+    The sweep puts the rays in pair order: position 2j holds the ray
+    order[2j] of self.rays and 2j + 1 its antipode, ray (j, 0) and ray
+    (j, 1) of pair j.  The rays of a charge and its negative have
+    opposite alphas, so the kernel from -b to -a has the ratio r and
+    the pairing <-a,-b> = <a,b> of the one from b to a, and the kernel
+    from -b to a equals the one from b to -a: the kernel into ray
+    (i, 1) is the one into ray (i, 0) with the members of every source
+    pair swapped.  kernel_spectra[m, i, q n/2 + j], (N, n/2, n), holds
+    the spectrum from ray (j, q) into ray (i, 0) alone.
     """
 
     def __init__(self, config, spectrum, period_map, pairing):
@@ -209,8 +235,23 @@ class _Workspace:
         self.pairing = pairing
         rays = active_rays(spectrum, period_map, pairing)
         self.rays = rays
-        self.n = len(rays)
+        self.n = n = len(rays)
         self.omega = [spectrum.omega(r.charge) for r in rays]
+        where = {r.charge.components: k for k, r in enumerate(rays)}
+        order = []
+        for k, r in enumerate(rays):
+            if k not in order:
+                anti = where.get(tuple(-c for c in r.charge.components))
+                if anti is None:
+                    raise ValidationError(
+                        f"the spectrum has {r.charge} but not its antipode "
+                        f"{-r.charge}; the solver pairs the ray of every "
+                        f"charge with the ray of its negative")
+                order += [k, anti]
+        self.order = np.array(order)
+        # the pair position of each ray of self.rays
+        self.position = np.argsort(self.order)
+        paired = [rays[k] for k in order]
         N = config.N
         minZ = min(r.absZ for r in rays)
         L = config.resolved_L(minZ)
@@ -223,35 +264,40 @@ class _Workspace:
         # one s-grid, read-only, shared by every RayGrid of the solution
         self.s = np.linspace(-L, L, N)
         self.s.flags.writeable = False
-        # (N, n): the source weights Omega(b) w, one column per ray
-        self.weights = np.outer(_trapezoid_weights(self.s), self.omega)
-        absZ = np.array([r.absZ for r in rays])
-        self.drive = -2.0 * config.R * absZ[:, None] * np.cosh(self.s)
+        # (N, n) in pair order: the source weights Omega(b) w, and the
+        # driving term -2 R |Z| cosh(s)
+        self.weights = np.outer(_trapezoid_weights(self.s),
+                                [self.omega[k] for k in order])
+        absZ = np.array([r.absZ for r in paired])
+        self.drive = -2.0 * config.R * absZ * np.cosh(self.s)[:, None]
         # the pairing is bilinear: its matrix on the basis gives every
         # <a, b> at once
         rank = len(rays[0].charge)
         basis = [Charge([int(i == j) for j in range(rank)])
                  for i in range(rank)]
         form = np.array([[pairing(e, f) for f in basis] for e in basis])
-        comps = np.array([r.charge.components for r in rays])
-        ip = comps @ form @ comps.T
+        # the rays (j, 0), then the rays (j, 1); the first half are the
+        # targets
+        columns = paired[0::2] + paired[1::2]
+        comps = np.array([r.charge.components for r in columns])
+        ip = (comps[:n // 2] @ form) @ comps.T
         # the pairing factor <a,b> / (4 pi i) is i times this real one
         coupling = coupling_coefficient(1, ip).imag
         targets, sources = np.nonzero(ip)
-        alpha = np.array([r.alpha for r in rays])
+        alpha = np.array([r.alpha for r in columns])
         gaps = np.angle(alpha[sources] / alpha[targets])
-        order = np.argsort(gaps)
-        starts = np.diff(gaps[order], prepend=-np.inf) > GAP_TOL
+        by_gap = np.argsort(gaps)
+        starts = np.diff(gaps[by_gap], prepend=-np.inf) > GAP_TOL
         cluster = np.empty(len(gaps), dtype=np.intp)
-        cluster[order] = np.cumsum(starts) - 1
+        cluster[by_gap] = np.cumsum(starts) - 1
         # one phase gap per kernel FFT
-        self.gaps = gaps[order][starts]
+        self.gaps = gaps[by_gap][starts]
         G = len(self.gaps)
         # column G stays zero for the uncoupled pairs
         table = np.zeros((N, G + 1))
         table[:, :G] = _kernel_transforms(np.exp(1j * self.gaps),
                                           self.s)[:, :N].imag.T
-        index = np.full((self.n, self.n), G)
+        index = np.full(ip.shape, G)
         index[targets, sources] = cluster
         self.kernel_spectra = np.take(table, index, axis=1)
         # (i coupling) (i Im FFT) = -coupling Im FFT
@@ -272,40 +318,65 @@ class _Workspace:
     def sweep(self, state):
         """One iteration sweep; returns (new_state, sup_delta).
 
-        state holds one row of samples per ray.
+        state holds one row of samples per ray of self.rays, and so
+        does new_state.
         """
         cfg = self.config
         state = np.asarray(state, dtype=complex)
         N, n = cfg.N, self.n
         M = 2 * N - 1
         spectra = self.kernel_spectra
-        # the weighted samples as columns, zero-padded to M rows; once
-        # transformed, the buffer takes the convolution's spectrum
-        padded = np.zeros((M, n), dtype=complex)
-        np.multiply(self.weights, state.T, out=padded[:N])
-        u_hat = np.fft.fft(padded, axis=0)
-        # as (M, n, 2) floats the real spectra act on real and imaginary
-        # parts in one batched matmul
-        u2 = u_hat.view(float).reshape(M, n, 2)
-        c2 = padded.view(float).reshape(M, n, 2)
-        np.matmul(spectra, u2[:N], out=c2[:N])
-        # rows M-1..N hold frequencies -1..-(N-1), whose spectra are the
-        # transposes of spectra[1:]: (S^T u)^T = u^T S
-        neg = slice(M - 1, N - 1, -1)
-        np.matmul(u2[neg].transpose(0, 2, 1), spectra[1:],
-                  out=c2[neg].transpose(0, 2, 1))
-        # free the transform before the inverse allocates its output
-        del u_hat, u2
-        expo = self.drive + np.fft.ifft(padded, axis=0)[:N].T
-        peak = expo.real.max(axis=1)
+        # the weighted samples as columns in pair order, zero-padded to
+        # M rows (mode="clip" spares the copy that a bounds-checked take
+        # into out makes).  numpy < 2 returns a transform along axis 0
+        # as a transposed view.  As floats the transform is (frequency,
+        # pair, member and re/im), and the matmuls write the
+        # convolution's spectrum back into it
+        u = np.zeros((M, n), dtype=complex)
+        np.take(state.T, self.order, axis=1, out=u[:N], mode="clip")
+        u[:N] *= self.weights
+        u = np.ascontiguousarray(np.fft.fft(u, axis=0))
+        uc = u.reshape(M, n // 2, 2)
+        u4 = u.view(float).reshape(M, n // 2, 4)
+        # frequencies 0..N-1: row i against the samples, and against
+        # them with the members of each pair swapped, gives the rays
+        # (i, 0) and (i, 1) in one matmul
+        both = np.empty((N, 2, n // 2, 2), dtype=complex)
+        both[:, 0] = uc[:N]
+        both[:, 1] = uc[:N, :, ::-1]
+        np.matmul(spectra, both.view(float).reshape(N, n, 4), out=u4[:N])
+        del both
+        # frequencies -k, k = 1..N-1, in rows M - k: the transposed rows
+        # against the members (i, 0) and (i, 1) side by side give
+        # tq[q', j, p] = sum_i S[i, (j, q')] u_(i,p), and ray (j, q) sums
+        # tq[q, j, 0] and tq[1 - q, j, 1].  numpy adds such strided
+        # views through buffers as large as its operands, up to 8192
+        # elements, so blocks of _BLOCK_SIZE / n frequencies (128 for
+        # the hexagon) bound them
+        step = max(1, _BLOCK_SIZE // n)
+        for lo in range(1, N, step):
+            hi = min(lo + step, N)
+            rows = slice(M - lo, M - hi, -1)
+            tq = np.matmul(spectra[lo:hi].transpose(0, 2, 1), u4[rows])
+            tq = tq.view(complex).reshape(hi - lo, 2, n // 2, 2)
+            np.add(tq[..., 0], tq[:, ::-1, :, 1],
+                   out=uc[rows].transpose(0, 2, 1))
+            del tq
+        del uc, u4
+        inverse = np.fft.ifft(u, axis=0)
+        del u
+        expo = inverse[:N]
+        expo += self.drive
         # not <= also catches a nan peak
-        over = np.flatnonzero(~(peak <= _EXP_CAP))
-        if over.size:
-            a = over[0]
+        if not expo.real.max() <= _EXP_CAP:
+            peak = expo.real.max(axis=0)[self.position]
+            a = np.flatnonzero(~(peak <= _EXP_CAP))[0]
             raise NumericOverflow(
                 f"iteration exponent reached {peak[a]:.1f} on ray of "
                 f"{self.rays[a].charge}; the iteration is diverging")
-        f = _log1p(np.exp(expo, out=expo))
+        _log1p(np.exp(expo, out=expo), out=expo)
+        f = np.take(expo.T, self.position, axis=0, mode="clip")
+        del expo, inverse
         if cfg.relax != 1.0:
             f = cfg.relax * f + (1.0 - cfg.relax) * state
         return f, float(np.max(np.abs(f - state)))

@@ -179,6 +179,11 @@ def test_solver_coefficient_pentagon(pentagon, pentagon_pm):
     assert abs(c - lead) <= 1e-3 * abs(lead)
     # the finite-R values are still visibly off: the fit is doing work
     assert all(abs(v - lead) > 1e-2 * abs(lead) for _, v in points)
+    # Neville's rule reads off the polynomial that interpolates the
+    # points, the one a least-squares fit of full degree finds
+    fit = np.polyfit([1.0 / R for R, _ in points], [v for _, v in points],
+                     len(points) - 1)
+    assert abs(c - np.polyval(fit, 0.0)) <= 1e-12 * abs(lead)
 
 
 def test_solver_coefficient_past_the_double_range(pentagon, pentagon_pm):

@@ -640,6 +640,39 @@ def test_import_loads_no_numpy_polynomial(modules_of_import):
             if m.startswith("numpy.polynomial")] == []
 
 
+def test_examples_and_reproduce_need_no_lapack(tmp_path):
+    # np.roots (companion-matrix eigenvalues), np.polyfit (lstsq) and
+    # numpy.linalg all go through LAPACK, whose first call adds about a
+    # megabyte to a process's resident size; with every one of them
+    # raising, both examples load and reproduce hexagon --fast passes
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    out = str(tmp_path / "hexagon.json")
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+
+def refuse(*args, **kwargs):
+    raise AssertionError("LAPACK reached")
+
+np.roots = np.polyfit = refuse
+for name in dir(np.linalg):
+    if callable(getattr(np.linalg, name)) and not name.startswith("_") \\
+            and not isinstance(getattr(np.linalg, name), type):
+        setattr(np.linalg, name, refuse)
+from trigon.cli import main
+from trigon.curve import PeriodMap, load_example
+for example in ("pentagon", "hexagon"):
+    defn = load_example(example)
+    PeriodMap.compute(defn.curve, defn.lattice)
+sys.exit(main(["reproduce", "hexagon", "--fast", "--out", {out!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(pathlib.Path(out).read_text())["ok"] is True
+
+
 @pytest.mark.parametrize("nodes, weights, n", [
     pytest.param(curve_module._GL_NODES, curve_module._GL_WEIGHTS, 12,
                  id="curve-panels"),

@@ -86,7 +86,7 @@ def test_monomial_root():
 
 
 def test_cubic_roots_against_evaluation():
-    # companion-matrix result cross-checked by direct evaluation
+    # Aberth-Ehrlich result cross-checked by direct evaluation
     p = Polynomial([1.0, 0.0, 1.5, -0.5])   # (2 + 3z^2 - z^3)/2
     rts = p.roots()
     assert len(rts) == 3
@@ -96,6 +96,35 @@ def test_cubic_roots_against_evaluation():
     ref = sorted(np.roots([-0.5, 1.5, 0, 1.0]), key=lambda z: (z.real, z.imag))
     got = sorted(rts, key=lambda z: (z.real, z.imag))
     assert max(abs(a - b) for a, b in zip(ref, got)) < 1e-9
+
+
+@pytest.mark.parametrize("name, want", [
+    ("pentagon", [1 + 0j, -1 + 0j]),
+    # numpy's companion-matrix eigenvalues gave the real root an
+    # imaginary part of 4.9e-63; the Aberth-Ehrlich iteration gives 0
+    ("hexagon", [3.195823345445647 + 4.861730685829017e-63j,
+                 -0.0979116727228236 + 0.7850032632435903j,
+                 -0.0979116727228236 - 0.7850032632435903j])])
+def test_example_zeros_keep_their_values_and_order(name, want):
+    # the zero labels of webs and networks index this list
+    got = load_example(name).curve.ramification_points
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-15 for g, w in zip(got, want))
+
+
+def test_roots_come_in_canonical_order():
+    # descending real part; real parts within ROOT_ORDER_TOL of each
+    # other by descending imaginary part
+    want = [3 + 0.5j, 3 - 0.5j, 1 + 2j, 1 + 1e-10 - 1j, -2 + 0j]
+    p = Polynomial(np.poly([want[k] for k in (4, 3, 1, 0, 2)])[::-1])
+    got = p.roots()
+    assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
+
+
+def test_roots_give_up_past_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(curve_module, "ROOT_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="root finder"):
+        Polynomial([1.0, 0.0, 1.5, -0.5]).roots()
 
 
 def test_non_simple_roots_rejected():

@@ -100,6 +100,33 @@ def test_log1p_small_arguments():
     assert abs(got[2] - math.log1p(1e-3)) <= 1e-16
 
 
+def _log1p_expression(z):
+    """_log1p as one out-of-place expression: the oracle of the in-place
+    version, which must take the same operations in the same order."""
+    small = np.abs(z) < 0.5
+    zs = np.where(small, z, 0.0)
+    near = (0.5 * np.log1p(2.0 * zs.real + zs.real ** 2 + zs.imag ** 2)
+            + 1j * np.arctan2(zs.imag, 1.0 + zs.real))
+    return np.where(small, near, np.log1p(z))
+
+
+def test_log1p_in_place_is_bit_identical():
+    rng = np.random.default_rng(7)
+    modulus = 10.0 ** rng.uniform(-300, 1, 20_000)
+    z = modulus * np.exp(1j * rng.uniform(-math.pi, math.pi, modulus.size))
+    # both sides of the switch at |z| = 0.5, and the axes
+    turns = np.exp(1j * np.linspace(-3, 3, 7))
+    z = np.concatenate([z, 0.5 * turns, np.nextafter(0.5, 0) * turns,
+                        [1e-300, -1e-300j, 0.25, -0.25, 10j, -0.9]])
+    want = _log1p_expression(z).view(np.uint64)
+    assert np.array_equal(_log1p(z).view(np.uint64), want)
+    grid = z[:24 * 257].reshape(257, 24)
+    want_grid = _log1p_expression(grid).view(np.uint64)
+    out = _log1p(grid, out=grid)
+    assert out is grid
+    assert np.array_equal(grid.view(np.uint64), want_grid)
+
+
 # ---------------- iteration ----------------
 
 def test_first_iterate_is_semiflat(pentagon, pentagon_pm):
@@ -192,13 +219,14 @@ def test_hexagon_kernel_storage_is_small(hexagon, hexagon_pm):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 257 * 24^2 real values at the non-negative frequencies, 1.18 MB;
-    # all 513 frequencies took 2.36 MB, complex ones 4.7 MB, and dense
-    # kernels 456 * 257^2 * 16 B.  The build peaks at 1.49 MB traced, and
-    # at 1.62 MB as the first hexagon build of a process.
-    assert ws.kernel_spectra.shape == (257, 24, 24)
-    assert ws.kernel_spectra.nbytes <= 1_184_256
-    assert peak < 1.75e6
+    # 257 * 12 * 24 real values, one row per +- pair of rays at the
+    # non-negative frequencies, 0.59 MB; both rays of each pair took
+    # 1.18 MB, all 513 frequencies 2.36 MB, complex ones 4.7 MB, and
+    # dense kernels 456 * 257^2 * 16 B.  The build peaks at 0.88 MB
+    # traced (1.49 MB storing both rays of each pair).
+    assert ws.kernel_spectra.shape == (257, 12, 24)
+    assert ws.kernel_spectra.nbytes <= 592_128
+    assert peak < 1.1e6
 
 
 def test_hexagon_kernel_transforms_hold_two_arrays(hexagon, hexagon_pm):
@@ -219,10 +247,11 @@ def test_hexagon_kernel_transforms_hold_two_arrays(hexagon, hexagon_pm):
 
 
 def test_hexagon_solve_peak_memory(hexagon, hexagon_pm):
-    # 2.15 MB traced at the peak: the 1.18 MB kernel, one padded buffer
-    # and the _log1p temporaries.  Sweeping with a fresh array per stage
-    # took 2.63 MB; storing every frequency and sweeping through
-    # transposed copies, 3.76 MB
+    # 1.31 MB traced at the peak: the 0.59 MB kernel, the transform and
+    # its inverse, and the _log1p temporaries.  Storing both rays of each
+    # +- pair took 2.14 MB; sweeping with a fresh array per stage, 2.63
+    # MB; storing every frequency and sweeping through transposed
+    # copies, 3.76 MB
     spec = builtin_spectrum("hexagon")
     cfg = SolverConfig(R=0.05, theta=0.2)
     tracemalloc.start()
@@ -231,7 +260,29 @@ def test_hexagon_solve_peak_memory(hexagon, hexagon_pm):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.3e6
+    assert peak < 1.55e6
+
+
+@pytest.mark.parametrize("name, theta", [("pentagon", 0.0), ("hexagon", 0.2)])
+@pytest.mark.parametrize("R", [0.05, 0.5])
+def test_antipodal_rays_carry_equal_samples(name, theta, R, request):
+    # the kernels from -b to -a and from b to a agree, and so do the
+    # drives of g and -g on their own rays: the rows of g and -g agree
+    defn = request.getfixturevalue(name)
+    sol = solve(SolverConfig(R=R, theta=theta), builtin_spectrum(name),
+                request.getfixturevalue(f"{name}_pm"), defn.lattice.pairing)
+    rows = {g.charge: g.samples for g in sol.ray_grids}
+    scale = max(np.max(np.abs(f)) for f in rows.values())
+    for ch, f in rows.items():
+        assert np.max(np.abs(f - rows[-ch])) <= 1e-15 * scale
+
+
+def test_solve_refuses_a_charge_without_its_antipode(pentagon, pentagon_pm):
+    # BpsSpectrum.load refuses such a spectrum; one built in the library
+    # reaches the solver, which keeps one kernel row per +- pair
+    with pytest.raises(ValidationError, match=r"antipode \(-1,0\)"):
+        solve(SolverConfig(R=0.5), BpsSpectrum({(1, 0): 1}), pentagon_pm,
+              pentagon.lattice.pairing)
 
 
 def test_sweep_refuses_a_nan_state(pentagon, pentagon_pm):
@@ -247,7 +298,8 @@ def test_sweep_refuses_a_nan_state(pentagon, pentagon_pm):
                          [("pentagon", 24, 4), ("hexagon", 456, 38)])
 def test_one_kernel_fft_per_phase_gap(name, pairs, transforms, request):
     # the kernel of a pair depends only on its phase gap, so the coupled
-    # pairs share one transform per distinct gap
+    # pairs share one transform per distinct gap; the workspace stores
+    # the kernels into one ray of each +- pair, half of them
     defn = request.getfixturevalue(name)
     pm = request.getfixturevalue(f"{name}_pm")
     pair = defn.lattice.pairing
@@ -258,7 +310,7 @@ def test_one_kernel_fft_per_phase_gap(name, pairs, transforms, request):
     assert coupled == pairs
     assert len(ws.gaps) == transforms
     spectra = ws.kernel_spectra.reshape(ws.kernel_spectra.shape[0], -1)
-    assert np.count_nonzero(np.any(spectra != 0, axis=0)) == pairs
+    assert np.count_nonzero(np.any(spectra != 0, axis=0)) == pairs // 2
 
 
 @pytest.mark.parametrize("name", ["pentagon", "hexagon"])
