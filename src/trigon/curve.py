@@ -33,8 +33,10 @@ from .errors import (NoConvergence, NonSimpleRoots, OpenContour, SheetAmbiguity,
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 OMEGA_POWERS = np.array([1.0, OMEGA, OMEGA * OMEGA])
 
-#: roots of P0 closer than this (pairwise distance) are not simple
-EPS_ROOT = 1e-8
+#: a root r of P0 is not simple where |P0'(r)| < this times
+#: coefficient_scale() max(1, |r|)^(n - 1): about d for two roots d apart
+#: with the others order one away, below 1e-7 at a double root
+SIMPLE_ROOT_TOL = 1e-6
 #: Polynomial.roots orders roots whose real parts lie within this of
 #: each other by their imaginary parts
 ROOT_ORDER_TOL = 1e-9
@@ -121,30 +123,28 @@ class Polynomial:
         imaginary part.
 
         Raises NoConvergence if the iteration has not settled within
-        ROOT_MAX_ITER sweeps, and NonSimpleRoots if any two roots are
-        closer than EPS_ROOT.
+        ROOT_MAX_ITER sweeps, and NonSimpleRoots where P0' nearly vanishes
+        (SIMPLE_ROOT_TOL) at an approximation before its polish: a double
+        root's two approximations may lie 1e-8 apart, a triple root's 1e-4.
         """
         if self.degree < 1:
             raise ValidationError("roots() needs degree >= 1")
         dp = self.derivative()
+        scale = self.coefficient_scale()
         polished = []
         for r in self._aberth(dp):
+            slope = abs(dp(r)) / (scale * max(1.0, abs(r)) ** (self.degree - 1))
+            if slope < SIMPLE_ROOT_TOL:
+                raise NonSimpleRoots(
+                    f"root {r} is not simple: relative slope {slope:.1e}")
             for _ in range(3):
                 d = dp(r)
                 if d != 0:
                     r = r - self(r) / d
-            polished.append(r)
-        scale = self.coefficient_scale()
-        for r in polished:
             if abs(self(r)) > 1e-10 * scale * max(1.0, abs(r)) ** self.degree:
                 raise ValidationError(
                     f"root residual too large at {r}: {abs(self(r)):.3e}")
-        for i in range(len(polished)):
-            for j in range(i + 1, len(polished)):
-                if abs(polished[i] - polished[j]) < EPS_ROOT:
-                    raise NonSimpleRoots(
-                        f"roots {polished[i]} and {polished[j]} closer than "
-                        f"{EPS_ROOT}")
+            polished.append(r)
         by_real = sorted(polished, key=lambda r: -r.real)
         runs = [[by_real[0]]]
         for prev, r in zip(by_real, by_real[1:]):
@@ -287,11 +287,6 @@ class SpectralCurve:
                                         prev[r, k:k + 1], depth + 1)[0, -1]
             j[r, k] = _turns(np.angle(x_end), arg[r, k])
         return c * OMEGA_POWERS[np.cumsum(j, axis=1) % 3]
-
-    def track_along(self, points, x_start):
-        """Continue x_start through a chain of z points; returns the final x."""
-        x = self.continue_sheet(np.array([points], dtype=complex), [x_start])
-        return complex(x[0, -1]) if x.size else complex(x_start)
 
 
 def _turns(phase_from, phase_to):

@@ -22,7 +22,7 @@ class NumericalError(TrigonError):
 # --- curve ---
 
 class NonSimpleRoots(ValidationError):
-    """Two roots of the base polynomial are closer than eps_root."""
+    """A root of the base polynomial is not simple: P0' nearly vanishes there."""
 
 
 class SheetAmbiguity(NumericalError):

@@ -77,7 +77,7 @@ TWO_PI = 2 * math.pi
 
 
 def _wrap(a):
-    """Wrap an angle difference into (-pi, pi]."""
+    """Wrap an angle difference into [-pi, pi)."""
     return (a + math.pi) % TWO_PI - math.pi
 
 
@@ -744,7 +744,7 @@ class Junction:
 @dataclass
 class MarkedPoint:
     angle: float
-    label: tuple                  # ordered sheet pair in the walk frame
+    label: tuple                  # ordered sheet pair in the frame at infinity
     trajectories: list
 
 
@@ -878,24 +878,42 @@ def direction_grid(curve, theta):
     return [base + k * step for k in range(2 * n + 6)], step
 
 
+def _outer_sheet(curve, z, phi):
+    """The sheet (-a_n)^(1/3) |z|^(n/3) e^(i n phi/3) prod_k (1 - z_k/z)^(1/3)
+    of x^3 + P0(z) = 0 at |z| > max|z_k| (z_k the zeros of P0), phi an
+    argument of z.  Each 1 - z_k/z has a positive real part there, so the
+    value is continuous in z and phi: one sheet with no tracking, which
+    one turn (phi + 2 pi) multiplies by omega^n."""
+    n = curve.polynomial.degree
+    x = ((-curve.polynomial.leading_coefficient) ** (1.0 / 3.0)
+         * abs(z) ** (n / 3.0) * cmath.exp(1j * n * phi / 3.0))
+    for zk in curve.ramification_points:
+        x *= (1 - zk / z) ** (1.0 / 3.0)
+    return x
+
+
 def classify_infinity(curve, net):
     """Snap escape directions onto the exact grid and label the marks.
 
-    Sheet labels live in a frame transported continuously around a circle
-    at the escape radius starting from the first mark, and radially from
-    the circle to each escape point, both by curve.track_along, so a lost
-    sheet raises SheetAmbiguity; the first/last
-    alternation of consecutive labels is validated (up to the sheet
-    permutation picked up by going once around infinity), and the final
-    arcs with their fading sheets are recorded on the network.
+    Labels are in one frame: sheet 0 is the principal cube root of -P0 at
+    R e^(i ang0), R the largest |escape point| and ang0 the first mark's
+    direction, carried by _outer_sheet, its argument lifted from ang0, to
+    each escape point, which must lie outside the zeros (ValidationError).
+    The first/last alternation of consecutive labels is validated, up to
+    the shift n mod 3 of one turn around infinity, and the final arcs
+    with their fading sheets are recorded on the network.
     """
     if not all(t.status == "escaped" for t in net.trajectories):
         raise ValidationError("classify_infinity needs every trajectory escaped")
     n = curve.polynomial.degree
     grid, step = direction_grid(curve, net.theta)
     ends = [complex(t.points[-1]) for t in net.trajectories]
+    r_zeros = max((abs(zk) for zk in curve.ramification_points), default=0.0)
     occupied = {}
     for ti, zf in enumerate(ends):
+        if abs(zf) <= r_zeros:
+            raise ValidationError(
+                f"trajectory {ti} ends at {zf:.3f}, not outside the zeros")
         ang = cmath.phase(zf) % TWO_PI
         k = min(range(len(grid)), key=lambda i: abs(_wrap(ang - grid[i])))
         err = abs(_wrap(ang - grid[k]))
@@ -907,29 +925,19 @@ def classify_infinity(curve, net):
         raise PatternViolation(
             f"{len(occupied)} asymptotic directions occupied, expected {2 * n + 6}")
 
-    R = max(abs(zf) for zf in ends)
     ks = sorted(occupied)
     ang0 = grid[ks[0]]
-    x_frame = x_start = cube_roots(-curve.polynomial(R * cmath.exp(1j * ang0)))[0]
-    frame_angle = ang0
+    z0 = max(map(abs, ends)) * cmath.exp(1j * ang0)
+    x0 = _outer_sheet(curve, z0, ang0)
+    shift = OMEGA ** nearest_root((x0, x0 * OMEGA, x0 * OMEGA * OMEGA),
+                                  cube_roots(-curve.polynomial(z0))[0])
     marks = []
-
-    def walk_to(target):
-        nonlocal x_frame, frame_angle
-        nsub = max(2, int(abs(target - frame_angle) / 0.02) + 1)
-        x_frame = curve.track_along(
-            [R * cmath.exp(1j * (frame_angle + (target - frame_angle) * m / nsub))
-             for m in range(nsub + 1)], x_frame)
-        frame_angle = target
-
     for k in ks:
-        walk_to(grid[k])
         labels = set()
         for ti in occupied[k]:
             zf = ends[ti]
-            zc = R * cmath.exp(1j * cmath.phase(zf))
-            xf = curve.track_along([zc + (zf - zc) * m / 4.0 for m in range(5)],
-                                   x_frame)
+            xf = shift * _outer_sheet(curve, zf,
+                                      grid[k] + _wrap(cmath.phase(zf) - grid[k]))
             traj = net.trajectories[ti]
             i = nearest_root((xf, xf * OMEGA, xf * OMEGA * OMEGA), traj.x[-1])
             labels.add((i, (i + traj.k) % 3))
@@ -939,15 +947,12 @@ def classify_infinity(curve, net):
         marks.append(MarkedPoint(angle=grid[k], label=labels.pop(),
                                  trajectories=sorted(occupied[k])))
 
-    # transport the frame the rest of the way around to get the wrap shift
-    walk_to(ang0 + TWO_PI)
-    shift = nearest_root([x_start * OMEGA ** s for s in range(3)], x_frame)
-    _validate_alternation(curve, marks, shift, net)
+    _validate_alternation(curve, marks, net)
     net.infinity_marks = marks
     return marks
 
 
-def _validate_alternation(curve, marks, wrap_shift, net):
+def _validate_alternation(curve, marks, net):
     """Consecutive labels share one index in alternating position."""
     n = curve.polynomial.degree
     m = len(marks)
@@ -957,8 +962,8 @@ def _validate_alternation(curve, marks, wrap_shift, net):
         if a < m - 1:
             lb = marks[a + 1].label
         else:
-            # first mark's label seen in the end-of-walk frame
-            lb = tuple((s - wrap_shift) % 3 for s in marks[0].label)
+            # first mark's label seen one turn on
+            lb = tuple((s - n) % 3 for s in marks[0].label)
         if la[0] == lb[0] and la[1] != lb[1]:
             shared_pos.append(0)
         elif la[1] == lb[1] and la[0] != lb[0]:

@@ -349,7 +349,7 @@ def test_criterion_10_property_suites(pentagon, hexagon, pentagon_pm,
     wps = [1.0 + 0.4 * cmath.exp(2j * cmath.pi * 3 * k / 72)
            for k in range(73)]
     x0 = cube_roots(-pentagon.curve.polynomial(wps[0]))[0]
-    x3 = pentagon.curve.track_along(wps, x0)
+    x3 = pentagon.curve.continue_sheet(np.array([wps]), [x0])[0, -1]
     checks.append(("monodromy order 3", abs(x3 - x0) <= 1e-8,
                    f"{abs(x3 - x0):.2e}"))
 

@@ -128,9 +128,27 @@ def test_roots_give_up_past_the_iteration_cap(monkeypatch):
 
 
 def test_non_simple_roots_rejected():
-    p = Polynomial([0, 0, 1])      # z^2, double root
-    with pytest.raises(NonSimpleRoots):
-        p.roots()
+    # z^2, (z - 1)^2, (z - 1)^2 (z + 2) and triple roots: the two
+    # approximations of (z - 1)^2 (z + 2)'s double root land over 1e-8 apart
+    for roots in ([0, 0], [1, 1], [1, 1, -2], [0.5 + 1j] * 3,
+                  [0.5 + 1j] * 3 + [-1.5]):
+        with pytest.raises(NonSimpleRoots):
+            Polynomial(np.poly(roots)[::-1]).roots()
+
+
+def test_random_repeated_roots_rejected_and_simple_ones_kept():
+    # a double or triple root among simple ones, roots uniform in the
+    # square [-2, 2]^2: every repeated root is refused, however far apart
+    # its approximations land; distinct roots 1e-3 apart are kept
+    rng = np.random.default_rng(3901)
+    for _ in range(200):
+        simple = list(rng.uniform(-2, 2, 2) + 1j * rng.uniform(-2, 2, 2))
+        for mult in (2, 3):
+            with pytest.raises(NonSimpleRoots):
+                Polynomial(np.poly(simple + [simple[0]] * (mult - 1))[::-1]).roots()
+        pair = simple + [simple[0] + 1e-3 * np.exp(1j * rng.uniform(0, 6.3))]
+        got = Polynomial(np.poly(pair)[::-1]).roots()
+        assert max(min(abs(g - w) for g in got) for w in pair) < 1e-9
 
 
 def test_constant_rejected_for_roots():
@@ -156,6 +174,11 @@ def test_sheets_are_cube_roots_of_unity_when_p_is_minus_one(pentagon):
 
 # ---------------- continuation ----------------
 
+def _track(curve, points, x0):
+    """x0 continued along the chain of points by continue_sheet: its last value."""
+    return curve.continue_sheet(np.array([points], dtype=complex), [x0])[0, -1]
+
+
 def _loop(center, radius, m=24, turns=1):
     return [center + radius * cmath.exp(2j * cmath.pi * turns * k / (m * turns))
             for k in range(m * turns + 1)]
@@ -165,7 +188,7 @@ def test_contractible_loop_is_identity(pentagon):
     curve = pentagon.curve
     wps = _loop(0.2 + 0.1j, 0.3)
     x0 = _sheets(curve, wps[0])[0]
-    assert abs(curve.track_along(wps, x0) - x0) < 1e-10
+    assert abs(_track(curve, wps, x0) - x0) < 1e-10
 
 
 def test_single_zero_monodromy_has_order_three(pentagon):
@@ -173,9 +196,9 @@ def test_single_zero_monodromy_has_order_three(pentagon):
     wps1 = _loop(1.0, 0.4, turns=1)
     wps3 = _loop(1.0, 0.4, turns=3)
     x0 = _sheets(curve, wps1[0])[0]
-    once = curve.track_along(wps1, x0)
+    once = _track(curve, wps1, x0)
     assert abs(once - x0) > 0.1          # nontrivial monodromy
-    thrice = curve.track_along(wps3, x0)
+    thrice = _track(curve, wps3, x0)
     assert abs(thrice - x0) < 1e-8
 
 
@@ -184,7 +207,7 @@ def _monodromy_permutation(curve, waypoints):
     start = _sheets(curve, waypoints[0])
     perm = []
     for x in start:
-        x_end = curve.track_along(waypoints, x)
+        x_end = _track(curve, waypoints, x)
         perm.append(min(range(3), key=lambda k: abs(start[k] - x_end)))
     return tuple(perm)
 
@@ -250,7 +273,7 @@ def test_continue_sheet_bisects_a_step_past_a_zero(pentagon, monkeypatch):
         return real(self, z, x_start, depth)
 
     monkeypatch.setattr(type(curve), "continue_sheet", spy)
-    got = curve.track_along([a, b], x0)
+    got = _track(curve, [a, b], x0)
     assert max(depths) > 0
     fine = _chain(curve, a + (b - a) * np.linspace(0, 1, 40001)[1:], x0)[-1]
     assert abs(got - fine) <= 1e-12 * abs(fine)
@@ -262,7 +285,7 @@ def test_continue_sheet_through_a_zero_raises(pentagon):
     curve = pentagon.curve
     x0 = cube_roots(-curve.polynomial(0.0))[0]
     with pytest.raises(SheetAmbiguity):
-        curve.track_along([0.0, 2.0], x0)
+        _track(curve, [0.0, 2.0], x0)
 
 
 def test_lifted_path_validation(pentagon):

@@ -822,6 +822,94 @@ def test_alternation_violation_detected(pentagon):
         classify_infinity(pentagon.curve, net)
 
 
+def _track(curve, points, x):
+    return curve.continue_sheet(np.array([points], dtype=complex), [x])[0, -1]
+
+
+def _transported_frame(curve, net):
+    """The oracle: a sheet tracked by continue_sheet from the principal
+    cube root of -P0 at R e^(i ang0), around the circle of the largest
+    escape radius R in steps of at most 0.02 rad to each mark's direction,
+    then out radially to each escape point.  Returns that start value,
+    the sheet at each escape point and the sheet after one full turn."""
+    marks = net.infinity_marks
+    ends = [complex(t.points[-1]) for t in net.trajectories]
+    R = max(map(abs, ends))
+
+    def walk(x, a, b):
+        arc = R * np.exp(1j * np.linspace(a, b, max(2, int((b - a) / 0.02) + 1)))
+        return _track(curve, arc, x)
+
+    x = x_start = cube_roots(-curve.polynomial(R * cmath.exp(1j * marks[0].angle)))[0]
+    angle, at_ends = marks[0].angle, {}
+    for mark in marks:
+        x, angle = walk(x, angle, mark.angle), mark.angle
+        for ti in mark.trajectories:
+            zf = ends[ti]
+            zc = R * cmath.exp(1j * cmath.phase(zf))
+            at_ends[ti] = _track(curve, zc + (zf - zc) * np.linspace(0, 1, 5), x)
+    return x_start, at_ends, walk(x, angle, marks[0].angle + TWO_PI)
+
+
+_CLEAR = tuple(np.linspace(-math.pi, math.pi, 24, endpoint=False) + 0.05)
+
+
+@pytest.mark.parametrize("name,turn,phases", [
+    # the census phases and 24 phases clear of the webs' (multiples of pi/6)
+    ("pentagon", 0.0, (0.0, 0.4) + _CLEAR),
+    ("hexagon", 0.0, (0.1, 0.9, -0.5) + _CLEAR),
+    # carried by z -> exp(i turn) z, where the principal root at the
+    # first mark is omega^2 times the closed-form sheet
+    ("pentagon", 0.6, (0.0, 0.4)), ("hexagon", 1.5, (0.1, 0.9))],
+    ids=["pentagon", "hexagon", "pentagon-turned", "hexagon-turned"])
+def test_closed_form_frame_matches_the_transported_one(name, turn, phases,
+                                                       request):
+    coeffs = request.getfixturevalue(name).curve.polynomial.coefficients
+    curve = SpectralCurve(Polynomial([c * cmath.exp(1j * turn * (3 + k))
+                                      for k, c in enumerate(coeffs)]))
+    n = curve.polynomial.degree
+    for theta in phases:
+        net = grow_network(curve, theta)
+        marks = net.infinity_marks
+        assert len(marks) == 2 * n + 6
+        x_start, at_ends, around = _transported_frame(curve, net)
+        R = max(abs(t.points[-1]) for t in net.trajectories)
+        x0 = network._outer_sheet(curve, R * cmath.exp(1j * marks[0].angle),
+                                  marks[0].angle)
+        for mark in marks:
+            for ti in mark.trajectories:
+                zf = complex(net.trajectories[ti].points[-1])
+                phi = mark.angle + network._wrap(cmath.phase(zf) - mark.angle)
+                closed = network._outer_sheet(curve, zf, phi) / x0
+                want = at_ends[ti] / x_start
+                assert abs(closed - want) <= 1e-12 * abs(want)
+                traj = net.trajectories[ti]
+                i = nearest_root((at_ends[ti], at_ends[ti] * OMEGA,
+                                  at_ends[ti] * OMEGA * OMEGA), traj.x[-1])
+                assert mark.label == (i, (i + traj.k) % 3)
+        assert abs(around - x_start * OMEGA ** n) <= 1e-12 * abs(x_start)
+
+
+_SIX = [(0, 1), (2, 1), (2, 0), (1, 0), (1, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("name,theta,labels,sheets", [
+    ("pentagon", 0.0, _SIX + _SIX[:4], [1, 0, 2, 1, 0]),
+    ("hexagon", 0.1, _SIX * 2, [1, 0, 2, 1, 0, 2])], ids=["pentagon", "hexagon"])
+def test_labels_at_infinity_are_pinned(name, theta, labels, sheets, request):
+    net = grow_network(request.getfixturevalue(name).curve, theta)
+    assert [m.label for m in net.infinity_marks] == labels
+    assert [s for _, s in net.final_arcs] == sheets
+
+
+def test_classify_refuses_an_end_inside_the_zeros(pentagon):
+    # the pentagon's zeros lie at |z| = 1, so the outer sheet needs |z| > 1
+    net = grow_network(pentagon.curve, 0.0, classify=False)
+    net.trajectories[0].points[-1] = 0.5 + 0.5j
+    with pytest.raises(ValidationError, match="not outside the zeros"):
+        classify_infinity(pentagon.curve, net)
+
+
 # ---------------- intersections ----------------
 
 def test_polyline_intersections_basic():

@@ -23,8 +23,9 @@ theta_star, charge, topology and zeros must be equal, and the report
 gives the largest |difference| of the period, of the residual and of a
 segment point (webs_equal is true only if every field is bit-equal, and
 no run may raise WebEventDropped).  Census: the trajectory, birth and
-point counts, each trajectory's status and hit zero must be equal, and
-every junction point within CENSUS_JUNCTION_TOL of the parent's.  Prints
+point counts, each trajectory's status and hit zero, the marks at
+infinity (angle, label, trajectories) and the final arcs must be equal,
+and every junction point within CENSUS_JUNCTION_TOL of the parent's.  Prints
 one JSON document (also written to --out) and exits 1 if the webs differ
 in any way, the census does not match, or a run fails.
 """
@@ -77,7 +78,10 @@ def _census(curve, theta):
             "points": points,
             "statuses": [t.status for t in net.trajectories],
             "hit_zeros": [t.hit_zero for t in net.trajectories],
-            "junctions": _pairs(j.point for j in net.junctions)}
+            "junctions": _pairs(j.point for j in net.junctions),
+            "marks": [[m.angle, list(m.label), m.trajectories]
+                      for m in net.infinity_marks],
+            "final_arcs": [list(arc) for arc in net.final_arcs]}
 
 
 def worker(name, count):
@@ -175,7 +179,8 @@ def _census_check(ref, census):
     for theta, r in ref.items():
         c = census[theta]
         same = all(c[k] == r[k] for k in ("trajectories", "born", "points",
-                                          "statuses", "hit_zeros"))
+                                          "statuses", "hit_zeros", "marks",
+                                          "final_arcs"))
         same = same and len(c["junctions"]) == len(r["junctions"])
         if same:
             dist = _largest_distance(c["junctions"], r["junctions"])
