@@ -12,8 +12,10 @@ with the semiflat substitution:
            * sqrt(pi / |Z_mu|),
 
 and the remainder delta is expected to vanish faster than the slowest
-correction term.  When several charges share the minimal |Z_mu| their
-coefficients are summed into the single reported leading coefficient.
+correction term.  Each c_mu is real by itself, since (alpha_mu +
+e^{i theta}) / (alpha_mu - e^{i theta}) = -i cot((arg alpha_mu - theta)
+/ 2).  When several charges share the minimal |Z_mu| their coefficients
+are summed into the single reported leading coefficient.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing):
     """Assemble the prediction for one charge at one phase.
 
     Contributions with a common minimal |Z_mu| (within RATE_TOL) are
-    summed into the reported leading coefficient; the imaginary parts
-    cancel between mu and -mu, which is asserted.  A phase within
+    summed into the reported leading coefficient, the real part of
+    their sum: each c_mu is real up to rounding.  A phase within
     RAY_MARGIN of a coupled ray raises OnRayEvaluation, as log_x does at
     that phase, and a non-finite one ValidationError.
     """
@@ -94,10 +96,6 @@ def build_prediction(gamma, theta, spectrum, period_map, pairing):
     rho = min(rate for _, _, rate in corrections) / 2.0
     lead = sum(c for _, c, rate in corrections
                if rate <= 2.0 * rho + RATE_TOL)
-    if abs(lead.imag) > 1e-9 * max(1.0, abs(lead)):
-        raise ValidationError(
-            f"leading coefficient has imaginary part {lead.imag:.3e}; "
-            f"the spectrum is not symmetric")
     corrections.sort(key=lambda t: t[2])
     return AsymptoticPrediction(charge=gamma, theta=theta, a=a,
                                 corrections=corrections, rho=rho,

@@ -3,7 +3,8 @@
 The two example spectra are built in; arbitrary spectra can be loaded
 from JSON ({"entries": [{"charge": [...], "omega": n}, ...]}).  The only
 structural requirement used downstream is the symmetry Omega(g) =
-Omega(-g).
+Omega(-g), and the BpsSpectrum constructor enforces it, so every
+spectrum, however it was built, has it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .curve import Charge, as_integer, read_json
-from .errors import RayCollision, ValidationError
+from .errors import AsymmetricSpectrum, RayCollision, ValidationError
 
 _PENTAGON_POSITIVE = [(1, 0), (0, 1), (1, 1)]
 
@@ -30,6 +31,8 @@ class BpsSpectrum:
 
     Every charge has the one rank given, or, with rank None, the rank of
     the first charge; a charge of another rank raises ValidationError.
+    Entries that break Omega(g) = Omega(-g) raise AsymmetricSpectrum,
+    which lists every one of them.
     """
 
     def __init__(self, entries, rank=None):
@@ -46,6 +49,11 @@ class BpsSpectrum:
             self.entries[ch] = om
         if not self.entries:
             raise ValidationError("empty spectrum")
+        violations = [
+            f"Omega({ch}) = {om} but Omega({-ch}) = {self.omega(-ch)}"
+            for ch, om in self.entries.items() if self.omega(-ch) != om]
+        if violations:
+            raise AsymmetricSpectrum(violations)
         self.rank = rank
 
     def omega(self, gamma):
@@ -58,12 +66,6 @@ class BpsSpectrum:
     def __len__(self):
         return len(self.entries)
 
-    def validate(self):
-        """The human-readable violations of Omega(g) = Omega(-g); the
-        spectrum is symmetric when there are none."""
-        return [f"Omega({ch}) = {om} but Omega({-ch}) = {self.omega(-ch)}"
-                for ch, om in self.entries.items() if self.omega(-ch) != om]
-
     def to_json(self):
         return {
             "schema_version": 1,
@@ -74,9 +76,9 @@ class BpsSpectrum:
 
     @classmethod
     def from_json(cls, doc):
-        """The spectrum in a JSON document, its symmetry unchecked; another
-        schema_version, a missing key, or a document of the wrong shape
-        raises ValidationError."""
+        """The spectrum in a JSON document; another schema_version, a
+        missing key, or a document of the wrong shape raises
+        ValidationError, and an asymmetric spectrum AsymmetricSpectrum."""
         if not isinstance(doc, dict) or doc.get("schema_version") != 1:
             raise ValidationError("unsupported spectrum schema_version")
         try:
@@ -88,14 +90,8 @@ class BpsSpectrum:
 
     @classmethod
     def load(cls, path):
-        """The spectrum in the JSON file at path; one that fails the
-        symmetry Omega(g) = Omega(-g) raises ValidationError."""
-        spec = cls.from_json(read_json(path))
-        violations = spec.validate()
-        if violations:
-            raise ValidationError(
-                "spectrum fails symmetry validation: " + "; ".join(violations))
-        return spec
+        """The spectrum in the JSON file at path."""
+        return cls.from_json(read_json(path))
 
 
 def builtin_spectrum(example):
@@ -109,11 +105,8 @@ def builtin_spectrum(example):
         pos = _HEXAGON_POSITIVE
     else:
         raise ValidationError(f"no built-in spectrum named {example!r}")
-    entries = {}
-    for ch in pos:
-        entries[Charge(ch)] = 1
-        entries[Charge(tuple(-c for c in ch))] = 1
-    return BpsSpectrum(entries)
+    return BpsSpectrum({Charge([sign * c for c in ch]): 1
+                        for ch in pos for sign in (1, -1)})
 
 
 def spectrum_from_webs(webs, rank):
@@ -123,11 +116,8 @@ def spectrum_from_webs(webs, rank):
     is filled in by the Omega(-g) = Omega(g) symmetry, so a half-circle
     sweep already yields the symmetric spectrum.
     """
-    entries = {}
-    for w in webs:
-        entries[w.charge] = 1
-        entries[-w.charge] = 1
-    return BpsSpectrum(entries, rank=rank)
+    return BpsSpectrum({ch: 1 for w in webs for ch in (w.charge, -w.charge)},
+                       rank=rank)
 
 
 # rays closer than this in phase collide (see active_rays)

@@ -29,7 +29,8 @@ from .asymptotics import (build_prediction, decay_table, linear_coefficient,
 from .bps import BpsSpectrum, builtin_spectrum, spectrum_from_webs
 from .curve import (EXAMPLE_NAMES, OMEGA, Charge, PeriodMap, _c2pair,
                     curve_to_json, load_curve_file, load_example, read_json)
-from .errors import NumericalError, TrigonError, ValidationError
+from .errors import (AsymmetricSpectrum, NumericalError, TrigonError,
+                     ValidationError)
 from .network import detect_bps, grow_network
 from .polygon import (builtin_expression, builtin_expression_names,
                       cross_ratio, polygon_from_json)
@@ -84,10 +85,10 @@ def _period_map(defn):
     return PeriodMap.compute(defn.curve, defn.lattice)
 
 
-def _spectrum(args, defn):
-    """The spectrum in the --spectrum file, or the built-in one of defn."""
+def _spectrum(args, example):
+    """The spectrum in the --spectrum file, or the built-in one of example."""
     return (BpsSpectrum.load(args.spectrum) if args.spectrum
-            else builtin_spectrum(defn.name))
+            else builtin_spectrum(example))
 
 
 def _write_polylines(net, path):
@@ -219,11 +220,11 @@ def cmd_bps_dump(args):
 
 
 def cmd_bps_validate(args):
-    if args.spectrum:
-        spec = BpsSpectrum.from_json(read_json(args.spectrum))
-    else:
-        spec = builtin_spectrum(args.example)
-    violations = spec.validate()
+    try:
+        _spectrum(args, args.example)
+        violations = []
+    except AsymmetricSpectrum as exc:
+        violations = exc.violations
     _dump_json({"schema_version": 1, "ok": not violations,
                 "violations": violations}, args.out)
     return 1 if violations else 0
@@ -232,7 +233,7 @@ def cmd_bps_validate(args):
 def cmd_tba_solve(args):
     defn = _load_definition(args)
     pm = _period_map(defn)
-    spec = _spectrum(args, defn)
+    spec = _spectrum(args, defn.name)
     cfg = SolverConfig(R=args.R, theta=args.theta, N=args.N, tol=args.tol,
                        max_iter=args.max_iter, relax=args.relax)
     sol = solve(cfg, spec, pm, defn.lattice.pairing)
@@ -265,7 +266,7 @@ def cmd_tba_solve(args):
 def cmd_asym_predict(args):
     defn = _load_definition(args)
     pm = _period_map(defn)
-    spec = _spectrum(args, defn)
+    spec = _spectrum(args, defn.name)
     gamma = defn.lattice.charge(_parse_charge(args.charge).components)
     pred = build_prediction(gamma, args.theta, spec, pm, defn.lattice.pairing)
     doc = {
@@ -290,7 +291,7 @@ def cmd_asym_predict(args):
 def cmd_asym_check(args):
     defn = _load_definition(args)
     pm = _period_map(defn)
-    spec = _spectrum(args, defn)
+    spec = _spectrum(args, defn.name)
     gamma = defn.lattice.charge(_parse_charge(args.charge).components)
     pred = build_prediction(gamma, args.theta, spec, pm, defn.lattice.pairing)
     grid = _parse_grid(args.R_grid)
@@ -652,8 +653,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except TrigonError as exc:
+        # an asymmetric spectrum file gets the name any bad input gets
+        name = ("ValidationError" if isinstance(exc, AsymmetricSpectrum)
+                else type(exc).__name__)
         sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
+            {"error": name, "message": str(exc)}) + "\n")
         return 2 if isinstance(exc, NumericalError) else 1
 
 

@@ -86,16 +86,15 @@ def within_margin(x_new, x):
 
 
 class Polynomial:
-    """Dense polynomial with complex coefficients, lowest degree first."""
+    """Dense polynomial with complex coefficients, lowest degree first;
+    trailing zeros are dropped, and the zero polynomial is refused."""
 
     def __init__(self, coefficients):
         coeffs = [complex(c) for c in coefficients]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
+        if not any(coeffs):
+            raise ValidationError("the polynomial is zero")
+        while coeffs[-1] == 0:
             coeffs.pop()
-        if not coeffs:
-            raise ValidationError("empty coefficient list")
-        if len(coeffs) > 1 and coeffs[-1] == 0:
-            raise ValidationError("leading coefficient is zero")
         self.coefficients = coeffs
         self.degree = len(coeffs) - 1
 
@@ -106,8 +105,7 @@ class Polynomial:
         return acc
 
     def derivative(self):
-        return Polynomial(
-            [k * c for k, c in enumerate(self.coefficients)][1:] or [0j])
+        return Polynomial([k * c for k, c in enumerate(self.coefficients)][1:])
 
     @property
     def leading_coefficient(self):

@@ -49,6 +49,16 @@ class ChargeIdentificationFailed(NumericalError):
 
 # --- bps / tba ---
 
+class AsymmetricSpectrum(ValidationError):
+    """A spectrum breaks Omega(g) = Omega(-g); violations holds one
+    human-readable string per offending charge."""
+
+    def __init__(self, violations):
+        self.violations = violations
+        super().__init__(
+            "spectrum fails symmetry validation: " + "; ".join(violations))
+
+
 class RayCollision(NumericalError):
     """Two rays with non-commuting charges share a phase: the integral
     iteration is ill-defined at such a configuration (a wall)."""

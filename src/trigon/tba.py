@@ -220,7 +220,8 @@ class _Workspace:
 
     The sweep puts the rays in pair order: position 2j holds the ray
     order[2j] of self.rays and 2j + 1 its antipode, ray (j, 0) and ray
-    (j, 1) of pair j.  The rays of a charge and its negative have
+    (j, 1) of pair j; every BpsSpectrum has Omega(g) = Omega(-g), so
+    every ray has its antipode.  The rays of a charge and its negative have
     opposite alphas, so the kernel from -b to -a has the ratio r and
     the pairing <-a,-b> = <a,b> of the one from b to a, and the kernel
     from -b to a equals the one from b to -a: the kernel into ray
@@ -237,17 +238,11 @@ class _Workspace:
         self.rays = rays
         self.n = n = len(rays)
         self.omega = [spectrum.omega(r.charge) for r in rays]
-        where = {r.charge.components: k for k, r in enumerate(rays)}
+        where = {r.charge: k for k, r in enumerate(rays)}
         order = []
         for k, r in enumerate(rays):
             if k not in order:
-                anti = where.get(tuple(-c for c in r.charge.components))
-                if anti is None:
-                    raise ValidationError(
-                        f"the spectrum has {r.charge} but not its antipode "
-                        f"{-r.charge}; the solver pairs the ray of every "
-                        f"charge with the ray of its negative")
-                order += [k, anti]
+                order += [k, where[-r.charge]]
         self.order = np.array(order)
         # the pair position of each ray of self.rays
         self.position = np.argsort(self.order)
@@ -479,7 +474,7 @@ def integral_term(solution, gamma, zeta=None):
 
 def spectral_coordinate(solution, gamma, zeta=None):
     """X_gamma(zeta) from a converged solution, zeta off the active rays
-    (default exp(i*theta), where X_gamma is real for symmetric spectra);
+    (default exp(i*theta), where X_gamma is real);
     raises as log_x does, or NumericOverflow past the double range."""
     expo = log_x(solution, gamma, zeta)
     if expo.real > _EXP_CAP:

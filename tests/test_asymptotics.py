@@ -64,15 +64,18 @@ def test_kernel_charge_prediction_is_exact(hexagon, hexagon_pm):
     assert pred.value(2.0) == pytest.approx(2.0 * a, rel=1e-15)
 
 
-def test_rate_groups_sum_real(hexagon, hexagon_pm):
-    spec = builtin_spectrum("hexagon")
-    pred = build_prediction(Charge((1, 0, 0, 0)), 0.2, spec, hexagon_pm,
-                            hexagon.lattice.pairing)
-    groups = {}
-    for _, c, rate in pred.corrections:
-        groups[round(rate, 9)] = groups.get(round(rate, 9), 0) + c
-    for total in groups.values():
-        assert abs(total.imag) < 1e-12 * max(1.0, abs(total))
+def test_rate_groups_sum_real(pentagon, hexagon, pentagon_pm, hexagon_pm):
+    # on |zeta| = 1, (alpha + zeta) / (alpha - zeta) is i times a real
+    # cotangent, so every c_mu is real by itself, and so is every group
+    for defn, pm, gamma, theta in [(pentagon, pentagon_pm, (1, 0), 0.0),
+                                   (hexagon, hexagon_pm, (1, 0, 0, 0), 0.2),
+                                   (hexagon, hexagon_pm, (0, 1, 0, 0), 1.3)]:
+        pred = build_prediction(Charge(gamma), theta,
+                                builtin_spectrum(defn.name), pm,
+                                defn.lattice.pairing)
+        assert pred.corrections
+        for _, c, _ in pred.corrections:
+            assert abs(c.imag) <= 1e-15 * abs(c)
 
 
 def test_rho_increases_without_leading_charges(hexagon, hexagon_pm):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from trigon.bps import BpsSpectrum, Ray, active_rays, builtin_spectrum, \
     spectrum_from_webs
 from trigon.curve import Charge, PeriodMap
-from trigon.errors import RayCollision, ValidationError
+from trigon.errors import AsymmetricSpectrum, RayCollision, ValidationError
 
 
 def test_pentagon_builtin():
@@ -33,33 +34,94 @@ def test_unknown_builtin():
 
 
 def test_validate_builtins():
+    # the constructor's symmetry check passes every built-in count
     for name in ("pentagon", "hexagon"):
-        assert builtin_spectrum(name).validate() == []
+        spec = builtin_spectrum(name)
+        assert all(spec.omega(-ch) == spec.omega(ch) for ch in spec.charges())
 
 
 def test_validate_detects_asymmetry():
-    spec = BpsSpectrum({Charge((1, 0)): 1})
-    assert any("(-1,0)" in v for v in spec.validate())
+    with pytest.raises(AsymmetricSpectrum) as info:
+        BpsSpectrum({Charge((1, 0)): 1})
+    assert info.value.violations == ["Omega((1,0)) = 1 but Omega((-1,0)) = 0"]
+
+
+# a spectrum with Omega(1,0) = 2 but Omega(-1,0) = 1, and one with a
+# charge but not its negative, with the violations each must report
+ASYMMETRIC = [
+    ({(1, 0): 2, (-1, 0): 1, (0, 1): 1, (0, -1): 1},
+     ["Omega((1,0)) = 2 but Omega((-1,0)) = 1",
+      "Omega((-1,0)) = 1 but Omega((1,0)) = 2"]),
+    ({(1, 0): 1}, ["Omega((1,0)) = 1 but Omega((-1,0)) = 0"]),
+]
+
+
+def _as_document(entries):
+    return {"schema_version": 1,
+            "entries": [{"charge": list(ch), "omega": om}
+                        for ch, om in entries.items()]}
+
+
+def _from_file(entries, tmp_path):
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(_as_document(entries)))
+    return BpsSpectrum.load(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda entries, _: BpsSpectrum(entries),
+    lambda entries, _: BpsSpectrum({Charge(ch): om
+                                    for ch, om in entries.items()}),
+    lambda entries, _: BpsSpectrum(list(entries.items()), rank=2),
+    lambda entries, _: BpsSpectrum.from_json(_as_document(entries)),
+    _from_file,
+], ids=["dict", "charge-dict", "pairs", "from-json", "load"])
+@pytest.mark.parametrize("entries, violations", ASYMMETRIC,
+                         ids=["omega-2-and-1", "no-antipode"])
+def test_every_construction_path_refuses_an_asymmetric_spectrum(
+        build, entries, violations, tmp_path):
+    with pytest.raises(AsymmetricSpectrum) as info:
+        build(entries, tmp_path)
+    assert isinstance(info.value, ValidationError)
+    assert info.value.violations == violations
+    assert str(info.value) == ("spectrum fails symmetry validation: "
+                               + "; ".join(violations))
+
+
+def test_symmetric_spectra_of_every_origin_construct():
+    class FakeWeb:
+        def __init__(self, comps):
+            self.charge = Charge(comps)
+
+    pentagon = builtin_spectrum("pentagon")
+    # Omega cycling 1, 2, 3 over the hexagon's +- pairs
+    cycled = {}
+    for ch in builtin_spectrum("hexagon").charges():
+        if ch not in cycled:
+            cycled[ch] = cycled[-ch] = 1 + (len(cycled) // 2) % 3
+    built = [pentagon, builtin_spectrum("hexagon"), BpsSpectrum(cycled),
+             BpsSpectrum({ch: 2 for ch in pentagon.charges()}),
+             spectrum_from_webs([FakeWeb((1, 0)), FakeWeb((-1, 1))], rank=2),
+             BpsSpectrum({(1, 0): 0, (0, 1): 5, (0, -1): 5})]
+    assert [len(spec) for spec in built] == [6, 24, 24, 6, 4, 2]
 
 
 def test_spectrum_json_roundtrip(tmp_path):
     spec = builtin_spectrum("hexagon")
     path = tmp_path / "spec.json"
-    import json
-
     path.write_text(json.dumps(spec.to_json()))
     again = BpsSpectrum.load(path)
     assert set(again.charges()) == set(spec.charges())
 
 
 def test_spectrum_json_rejects_asymmetric(tmp_path):
-    import json
-
     doc = {"schema_version": 1,
            "entries": [{"charge": [1, 0], "omega": 1}]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError):
+    with pytest.raises(AsymmetricSpectrum, match=r"^spectrum fails symmetry "
+                       r"validation: Omega\(\(1,0\)\) = 1 but "
+                       r"Omega\(\(-1,0\)\) = 0$"):
         BpsSpectrum.load(path)
 
 

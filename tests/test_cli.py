@@ -224,6 +224,37 @@ def test_bps_validate_failure(tmp_path):
     assert rc == 1
 
 
+ASYMMETRIC_VIOLATIONS = ["Omega((1,0)) = 2 but Omega((-1,0)) = 1",
+                         "Omega((-1,0)) = 1 but Omega((1,0)) = 2",
+                         "Omega((1,1)) = 3 but Omega((-1,-1)) = 0"]
+
+
+def test_asymmetric_spectrum_file_gives_its_violations(tmp_path, capsys):
+    # bps validate writes the violations as a document and exits 1; every
+    # other command refuses the file with one ValidationError line
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema_version": 1, "entries": [
+        {"charge": [1, 0], "omega": 2}, {"charge": [-1, 0], "omega": 1},
+        {"charge": [0, 1], "omega": 1}, {"charge": [0, -1], "omega": 1},
+        {"charge": [1, 1], "omega": 3}]}))
+    report = tmp_path / "report.json"
+    assert run(["bps", "validate", "--spectrum", str(bad),
+                "--out", str(report)]) == 1
+    assert report.read_text() == (
+        '{\n "ok": false,\n "schema_version": 1,\n "violations": [\n'
+        + ",\n".join(f'  "{v}"' for v in ASYMMETRIC_VIOLATIONS)
+        + "\n ]\n}\n")
+    message = ("spectrum fails symmetry validation: "
+               + "; ".join(ASYMMETRIC_VIOLATIONS))
+    for argv in (["tba", "solve", "--R", "0.5"],
+                 ["asym", "predict", "--charge", "1,0"]):
+        capsys.readouterr()
+        assert run(argv + ["--example", "pentagon",
+                           "--spectrum", str(bad)]) == 1
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "ValidationError", "message": message}) + "\n"
+
+
 def test_tba_solve_artifact(tmp_path):
     out = tmp_path / "tba.json"
     assert run(["tba", "solve", "--example", "pentagon", "--R", "0.5",
@@ -352,6 +383,16 @@ def _pentagon_doc_with(*path_and_value):
     return json.dumps(doc)
 
 
+def _zero_polynomial_doc():
+    """The pentagon's curve document with P0 = 0 and every starting sheet
+    at x = 0, which lies on that curve, as JSON text."""
+    doc = curve_to_json(load_example("pentagon"))
+    doc["polynomial"]["coefficients"] = [[0, 0]] * 3
+    for contour in doc["lattice"]["contours"]:
+        contour["starting_sheet"] = [0, 0]
+    return json.dumps(doc)
+
+
 NAN, INF = float("nan"), float("inf")
 PENTAGON_VERTICES = [[math.cos(2 * math.pi * k / 5),
                       math.sin(2 * math.pi * k / 5), 1.0] for k in range(5)]
@@ -455,6 +496,7 @@ def _pentagon_vertices_with(value):
      _pentagon_doc_with("lattice", "charges", ["g1", "g1"])),
     (["polygon", "eval", "--expr", "pentagon:gamma1", "--vertices",
       "{file}"], json.dumps({"vertices": PENTAGON_VERTICES})),
+    (["periods", "--curve-file", "{file}"], _zero_polynomial_doc()),
 ], ids=["curve-missing", "curve-malformed", "curve-missing-key",
         "validate-missing-key", "validate-malformed", "tba-spectrum-missing",
         "predict-missing-key", "check-empty", "vertices-missing",
@@ -474,7 +516,7 @@ def _pentagon_vertices_with(value):
         "sweep-frames-negative", "validate-no-schema-version",
         "validate-mixed-rank", "curve-too-few-charges",
         "curve-too-many-charges", "curve-repeated-charge",
-        "vertices-no-schema-version"])
+        "vertices-no-schema-version", "curve-zero-polynomial"])
 def test_bad_input_gives_one_json_error_line(argv, content, tmp_path,
                                              capsys):
     path = tmp_path / "input.json"

@@ -11,6 +11,7 @@ from trigon.curve import (
     OMEGA,
     PeriodMap,
     Polynomial,
+    SpectralCurve,
     continue_root,
     cube_roots,
     load_example,
@@ -154,6 +155,18 @@ def test_random_repeated_roots_rejected_and_simple_ones_kept():
 def test_constant_rejected_for_roots():
     with pytest.raises(ValidationError):
         Polynomial([2.0]).roots()
+
+
+def test_zero_polynomial_rejected_and_constants_kept():
+    for coefficients in ([], [0], [0j, 0.0, 0]):
+        with pytest.raises(ValidationError, match="polynomial is zero"):
+            Polynomial(coefficients)
+    with pytest.raises(ValidationError, match="polynomial is zero"):
+        Polynomial([2.0]).derivative()
+    # a constant P0, trailing zeros dropped, gives the unramified cover
+    p = Polynomial([2.0, 0, 0])
+    assert (p.coefficients, p.degree) == ([2 + 0j], 0)
+    assert SpectralCurve(p).ramification_points == []
 
 
 # ---------------- sheets ----------------

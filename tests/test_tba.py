@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from trigon.bps import BpsSpectrum, builtin_spectrum
 from trigon.curve import Charge
 from trigon.errors import (
+    AsymmetricSpectrum,
     NoConvergence,
     NumericOverflow,
     OnRayEvaluation,
@@ -277,12 +278,11 @@ def test_antipodal_rays_carry_equal_samples(name, theta, R, request):
         assert np.max(np.abs(f - rows[-ch])) <= 1e-15 * scale
 
 
-def test_solve_refuses_a_charge_without_its_antipode(pentagon, pentagon_pm):
-    # BpsSpectrum.load refuses such a spectrum; one built in the library
-    # reaches the solver, which keeps one kernel row per +- pair
-    with pytest.raises(ValidationError, match=r"antipode \(-1,0\)"):
-        solve(SolverConfig(R=0.5), BpsSpectrum({(1, 0): 1}), pentagon_pm,
-              pentagon.lattice.pairing)
+def test_a_charge_without_its_antipode_never_reaches_the_solver():
+    # the solver keeps one kernel row per +- pair; a spectrum without the
+    # pair is refused where it is built, naming the missing antipode
+    with pytest.raises(AsymmetricSpectrum, match=r"Omega\(\(-1,0\)\) = 0$"):
+        BpsSpectrum({(1, 0): 1})
 
 
 def test_sweep_refuses_a_nan_state(pentagon, pentagon_pm):
